@@ -1113,9 +1113,10 @@ struct LookaheadRecord {
 /// engine (the same contract the unified cell harness pins in
 /// `tests/lookahead_parity.rs`), and the per-cycle vs windowed barrier
 /// fraction is profiled from the same `ProfileSink` the telemetry
-/// section uses. On a single-core host the speedup column is bounded
-/// near 1 — the record carries `host_threads` /
-/// `measured_on_single_core`, and the >1 gate only arms on multi-core.
+/// section uses. Every cell's speedup is recorded with `host_threads` /
+/// `measured_on_single_core`. The one gate is 64×64 at P=2 beating P=1,
+/// armed on multi-core hosts; the 16×16 and 32×32 runs are below useful
+/// grain, so their speedups are reported, not asserted.
 fn run_lookahead_section(quick: bool, shards: usize) -> Vec<LookaheadRecord> {
     let kernel = NpbKernel::Cg;
     // Decimation strides keep the trace volume roughly constant per
@@ -1219,19 +1220,19 @@ fn run_lookahead_section(quick: bool, shards: usize) -> Vec<LookaheadRecord> {
             record.packets,
             record.cycles,
         );
-        if host_threads > 1 {
-            let best = record
-                .points
-                .iter()
-                .filter(|p| p.shards > 1)
-                .map(|p| single_secs / p.secs)
-                .fold(0.0f64, f64::max);
+        let p2 = record
+            .points
+            .iter()
+            .find(|p| p.shards == 2)
+            .map(|p| single_secs / p.secs)
+            .expect("the curve has a P=2 point");
+        if side == 64 && host_threads > 1 {
             assert!(
-                best > 1.0,
-                "{label}: windowed engine shows no parallel speedup ({best:.2}x) on a {host_threads}-thread host"
+                p2 > 1.0,
+                "{label}: windowed engine shows no parallel speedup at P=2 ({p2:.2}x) on a {host_threads}-thread host"
             );
         } else {
-            println!("LOOKAHEAD: single-core host, speedup column not asserted");
+            println!("LOOKAHEAD {label}: P=2 speedup {p2:.2}x reported, not asserted");
         }
         records.push(record);
     }

@@ -11,8 +11,10 @@
 //!   pipeline of the paper's Fig. 4 router.
 //!
 //! Since the active-set engine rewrite, [`NodeState`] carries only the
-//! *cold* control state of a router: port wiring, the pre-resolved
-//! routing column, and the NIC source queue. Everything the arbitration
+//! *cold* control state of a router: port wiring and the NIC source
+//! queue. Route computation asks the shared `RoutingTable::next_link`
+//! for the next link and maps it to an out-port through the engine
+//! plan's per-link `out_port_of_link` table. Everything the arbitration
 //! hot path touches — VC flit rings, per-VC state machines (packed
 //! metadata words, `crate::flit::meta`), round-robin pointers,
 //! output-VC holder bitmasks, routed/active bitmasks, per-node control
@@ -37,7 +39,7 @@
 //! and class transitions only go A → B. Topologies without express links
 //! use all VCs as one class (X-then-Y alone is acyclic there).
 
-use hyppi_topology::{LinkId, NodeId, RoutingTable, Topology};
+use hyppi_topology::{LinkId, NodeId, Topology};
 use std::collections::VecDeque;
 
 /// State machine of one input VC, applying to the packet at its queue head.
@@ -86,8 +88,6 @@ pub struct NodeState {
     pub in_links: Vec<LinkId>,
     /// Outgoing links, in out-port order (port `i+1`).
     pub out_links: Vec<LinkId>,
-    /// Out-port index (0 = eject) for every destination node.
-    pub route_port: Vec<u8>,
     /// Packets waiting in the local source queue (unbounded NIC queue).
     pub src_queue: VecDeque<u32>,
     /// Packet currently being emitted into the injection port, if any.
@@ -95,30 +95,12 @@ pub struct NodeState {
 }
 
 impl NodeState {
-    /// Builds the control state for one node, pre-resolving its routing
-    /// column.
-    pub fn new(topo: &Topology, routes: &RoutingTable, node: NodeId) -> Self {
-        let in_links = topo.incoming(node).to_vec();
-        let out_links = topo.outgoing(node).to_vec();
-        // Map "next link" to this node's out-port index for every dest.
-        let mut route_port = vec![0u8; topo.num_nodes()];
-        for dst in topo.nodes() {
-            route_port[dst.index()] = match routes.next_link(node, dst) {
-                None => 0,
-                Some(lid) => {
-                    let pos = out_links
-                        .iter()
-                        .position(|&l| l == lid)
-                        .expect("routing table uses this node's own out links");
-                    (pos + 1) as u8
-                }
-            };
-        }
+    /// Builds the control state for one node.
+    pub fn new(topo: &Topology, node: NodeId) -> Self {
         NodeState {
             node,
-            in_links,
-            out_links,
-            route_port,
+            in_links: topo.incoming(node).to_vec(),
+            out_links: topo.outgoing(node).to_vec(),
             src_queue: VecDeque::new(),
             emitting: None,
         }
@@ -140,19 +122,20 @@ impl NodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::EnginePlan;
+    use crate::SimConfig;
     use hyppi_phys::LinkTechnology;
-    use hyppi_topology::{mesh, MeshSpec};
+    use hyppi_topology::{mesh, MeshSpec, Partition, RoutingTable};
 
     #[test]
     fn node_state_ports_match_topology() {
         let t = mesh(MeshSpec::paper(LinkTechnology::Electronic));
-        let r = RoutingTable::compute_xy(&t);
         // Interior node: 4 neighbours.
-        let n = NodeState::new(&t, &r, NodeId(17));
+        let n = NodeState::new(&t, NodeId(17));
         assert_eq!(n.in_ports(), 5);
         assert_eq!(n.out_ports(), 5);
         // Corner node: 2 neighbours.
-        let c = NodeState::new(&t, &r, NodeId(0));
+        let c = NodeState::new(&t, NodeId(0));
         assert_eq!(c.in_ports(), 3);
     }
 
@@ -160,22 +143,28 @@ mod tests {
     fn route_ports_point_at_real_links() {
         let t = mesh(MeshSpec::paper(LinkTechnology::Electronic));
         let r = RoutingTable::compute_xy(&t);
-        let n = NodeState::new(&t, &r, NodeId(0));
-        // Destination = self: ejection port.
-        assert_eq!(n.route_port[0], 0);
+        let plan = EnginePlan::new(&t, &r, SimConfig::paper(), Partition::single(&t));
+        // Every link's out-port drives that link at its source.
+        for l in t.links() {
+            let port = usize::from(plan.out_port_of_link[l.id.index()]);
+            assert!(port >= 1, "{}: port 0 is ejection", l.id);
+            assert_eq!(NodeState::new(&t, l.src).out_links[port - 1], l.id);
+        }
+        // Every routed hop from node 0 leaves through one of its own ports.
+        let n = NodeState::new(&t, NodeId(0));
         for dst in t.nodes().skip(1) {
-            let port = n.route_port[dst.index()];
-            assert!(port >= 1);
-            let lid = n.out_links[usize::from(port) - 1];
-            assert_eq!(t.link(lid).src, NodeId(0));
+            let lid = r
+                .next_link(NodeId(0), dst)
+                .expect("healthy mesh routes every pair");
+            let port = usize::from(plan.out_port_of_link[lid.index()]);
+            assert_eq!(n.out_links[port - 1], lid);
         }
     }
 
     #[test]
     fn fresh_state_is_quiescent() {
         let t = mesh(MeshSpec::paper(LinkTechnology::Electronic));
-        let r = RoutingTable::compute_xy(&t);
-        let n = NodeState::new(&t, &r, NodeId(5));
+        let n = NodeState::new(&t, NodeId(5));
         assert!(n.src_queue.is_empty());
         assert!(n.emitting.is_none());
     }

@@ -333,6 +333,9 @@ pub(crate) struct EnginePlan<'a> {
     express_on_path: Vec<Vec<bool>>,
     /// In-port index (at the link's dst node) fed by each link.
     pub in_port_of_link: Vec<u8>,
+    /// Out-port index (at the link's src node) driving each link: route
+    /// computation maps `routes.next_link` through it.
+    pub out_port_of_link: Vec<u8>,
     /// Calendar wheel length (power of two > max link latency plus the
     /// lookahead window, so mid-window ingests stay within one
     /// revolution).
@@ -408,9 +411,13 @@ impl<'a> EnginePlan<'a> {
             }
         }
         let mut in_port_of_link = vec![0u8; topo.links().len()];
+        let mut out_port_of_link = vec![0u8; topo.links().len()];
         for node in topo.nodes() {
             for (i, &lid) in topo.incoming(node).iter().enumerate() {
                 in_port_of_link[lid.index()] = (i + 1) as u8;
+            }
+            for (i, &lid) in topo.outgoing(node).iter().enumerate() {
+                out_port_of_link[lid.index()] = (i + 1) as u8;
             }
         }
         // Calendar sized to cover the longest link latency. Zero-latency
@@ -513,6 +520,7 @@ impl<'a> EnginePlan<'a> {
             baseline: None,
             express_on_path,
             in_port_of_link,
+            out_port_of_link,
             wheel_len,
             lookahead,
             inbox_sources: sources,
@@ -878,10 +886,7 @@ impl ShardState {
         let cfg = plan.cfg;
         let topo = plan.topo;
         let owned = &plan.partition.nodes_of_shard[id];
-        let nodes: Vec<NodeState> = owned
-            .iter()
-            .map(|&n| NodeState::new(topo, plan.routes, n))
-            .collect();
+        let nodes: Vec<NodeState> = owned.iter().map(|&n| NodeState::new(topo, n)).collect();
         let global_of_node: Vec<u16> = owned.iter().map(|n| n.0).collect();
         // Flat slot layout, with the upstream credit index and owner
         // shard of every slot resolved up front (the traversal winner
@@ -1268,7 +1273,7 @@ impl ShardState {
     pub(crate) fn step_probed<P: Probe>(&mut self, plan: &EnginePlan<'_>, now: u64, probe: &mut P) {
         self.deliver_link_arrivals(plan, now);
         self.emit_from_sources(plan, now, probe);
-        self.route_compute();
+        self.route_compute(plan);
         self.alloc_and_traverse(plan, now, probe);
     }
 
@@ -1417,7 +1422,7 @@ impl ShardState {
     /// a head flit lands at the front of an idle VC (on push, or when a
     /// tail departs with the next packet queued behind it), so this visits
     /// exactly the VCs the seed engine's full scan would transition.
-    fn route_compute(&mut self) {
+    fn route_compute(&mut self, plan: &EnginePlan<'_>) {
         while let Some(slot) = self.rc_dirty.pop() {
             let slot = slot as usize;
             let m = self.slot_meta[slot];
@@ -1426,7 +1431,11 @@ impl ShardState {
             let head = &self.flit_buf[slot * self.ring + meta::head(m)];
             debug_assert!(head.is_head, "queue head after Idle must be a head flit");
             let node = usize::from(self.node_of_slot[slot]);
-            let out_port = self.nodes[node].route_port[head.dst.index()];
+            // No next hop: the packet is home, out-port 0 ejects it.
+            let out_port = plan
+                .routes
+                .next_link(NodeId(self.global_of_node[node]), head.dst)
+                .map_or(0, |l| plan.out_port_of_link[l.index()]);
             let idx = slot - self.ctl[node].vc_base as usize;
             self.slot_meta[slot] =
                 (m & meta::STATE_CLEAR) | meta::ROUTED | (u32::from(out_port) << meta::PORT_SHIFT);

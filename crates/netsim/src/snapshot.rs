@@ -24,9 +24,10 @@
 //! * magic `b"HYPSNAP1"` — rejects non-snapshots ([`SnapshotError::BadMagic`]);
 //! * format version (currently 2) — rejects other formats
 //!   ([`SnapshotError::BadVersion`]);
-//! * a **plan fingerprint** (FNV-1a 64 over topology links, routing table,
-//!   the behavior-relevant [`crate::SimConfig`] fields, and the fault
-//!   baseline) — restoring under a different plan is
+//! * a **plan fingerprint** (FNV-1a 64 over topology links, the routing
+//!   table's fingerprint words, the behavior-relevant
+//!   [`crate::SimConfig`] fields, and the fault baseline) — restoring
+//!   under a different plan is
 //!   [`SnapshotError::PlanMismatch`]. The shard layout and `max_cycles`
 //!   are deliberately *excluded*: re-partitioning and extending the cycle
 //!   budget are supported on resume;
@@ -754,19 +755,13 @@ fn fold_topo_routes(h: &mut u64, topo: &Topology, routes: &RoutingTable) {
         fold_u64(h, span);
         fold_u64(h, u64::from(l.degraded));
     }
-    for node in topo.nodes() {
-        for dst in topo.nodes() {
-            let next = match routes.next_link(node, dst) {
-                Some(lid) => lid.0 as u64,
-                None => u64::MAX,
-            };
-            fold_u64(h, next);
-        }
+    for w in routes.fingerprint_words() {
+        fold_u64(h, w);
     }
 }
 
 /// Fingerprint of everything that determines engine behavior from a given
-/// state onward: topology links, routing table, the behavior-relevant
+/// state onward: topology links, routing rule, the behavior-relevant
 /// config fields, and the fault-aware baseline (if any). `max_cycles` and
 /// the shard layout are excluded — a snapshot may be resumed with a
 /// different cycle budget and a different partition.
@@ -778,7 +773,7 @@ pub(crate) fn plan_fingerprint(
     tenants: Option<&TenantMap>,
 ) -> u64 {
     let mut h = FNV_OFFSET;
-    fold(&mut h, b"hyppi-plan-v1");
+    fold(&mut h, b"hyppi-plan-v2");
     fold_u64(&mut h, cfg.vcs as u64);
     fold_u64(&mut h, cfg.buffer_depth as u64);
     fold_u64(&mut h, cfg.pipeline_stages);

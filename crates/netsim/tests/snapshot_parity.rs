@@ -406,6 +406,13 @@ fn restore_rejects_mismatches() {
         .expect_err("4x4 plan must reject");
     assert_eq!(err, SimError::Snapshot(SnapshotError::PlanMismatch));
 
+    // Same mesh and config, up*/down* routes → plan fingerprint mismatch.
+    let updown = RoutingTable::compute_xy_avoiding(&topo).expect("healthy mesh routes");
+    let err = Simulator::new(&topo, &updown, cfg)
+        .resume_trace(&snap, &trace)
+        .expect_err("up*/down* plan must reject");
+    assert_eq!(err, SimError::Snapshot(SnapshotError::PlanMismatch));
+
     // Different trace → workload fingerprint mismatch.
     let other_trace = fixture_trace(&topo, 2, 300);
     let err = Simulator::new(&topo, &routes, cfg)

@@ -3,8 +3,9 @@
 //! The paper adopts "an oblivious shortest-path routing method … in order to
 //! match the routing technique used in the BookSim 2.0 simulator for custom
 //! networks". Per-hop cost is always `router pipeline (3 cycles) + link
-//! latency`, and every variant yields a per-(node, destination) next-hop
-//! table with deterministic link-id tie-breaks. Three table builders:
+//! latency`, and every variant answers per-(node, destination) next-hop and
+//! cost queries with deterministic link-id tie-breaks. Three table
+//! builders:
 //!
 //! * [`RoutingTable::compute_xy`] — the production rule for healthy meshes:
 //!   X-then-Y. A packet first finishes all horizontal movement within its
@@ -25,10 +26,32 @@
 //!   *dead* and exempt (engines drop their traffic at admission).
 //! * [`RoutingTable::compute`] — unrestricted shortest paths, used by the
 //!   static analyses.
+//!
+//! ## Storage forms and complexity
+//!
+//! The builder picks how its table is stored; queries look the same. For
+//! an N = W×H mesh:
+//!
+//! * **Per line** (`compute_xy`). An XY route is an X leg inside the
+//!   source row followed by a Y leg inside the destination column, and
+//!   each leg depends on its own line only. The table keeps one
+//!   row-restricted reverse Dijkstra per (row, target column) and one
+//!   column-restricted one per (column, target row): N·(W+H) entries,
+//!   built in O(N·(W+H)·log) time. [`RoutingTable::next_link`] and
+//!   [`RoutingTable::cost`] compose the two legs from `u16` grid
+//!   coordinates, much as BookSim derives dimension-order hops from router
+//!   coordinates. A 64×64 mesh takes 6 MiB, a 128×128 mesh 48 MiB.
+//! * **Dense** (`compute_xy_avoiding`, `compute`). Up\*/down\* detours and
+//!   unrestricted shortest paths do not split into line legs, so these
+//!   keep next hop and cost for all N² pairs, one full reverse Dijkstra
+//!   per destination: O(N²) memory and O(N²·log N) time. Only faulted
+//!   runs and the static analyses pay for it.
+//!
+//! `NodeId` is a `u16`, so a topology holds at most 65,536 nodes.
 
 use crate::graph::Topology;
-use crate::ids::{LinkId, NodeId};
-use crate::link::ROUTER_PIPELINE_CYCLES;
+use crate::ids::{Coord, LinkId, NodeId};
+use crate::link::{Link, ROUTER_PIPELINE_CYCLES};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -59,14 +82,216 @@ impl fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
-/// All-pairs next-hop routing table.
+/// Next-hop routing table over every (node, destination) pair, stored per
+/// line or densely (see the module docs).
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     n: usize,
-    /// `next[dst][node]` = link to take at `node` toward `dst`.
-    next: Vec<Vec<Option<LinkId>>>,
-    /// `dist[dst][node]` = total path cost in cycles.
-    dist: Vec<Vec<u32>>,
+    rule: Rule,
+    tables: Tables,
+}
+
+/// The builder a table came from. With the topology it fixes every entry,
+/// which [`RoutingTable::fingerprint_words`] relies on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    Xy,
+    UpDown,
+    Shortest,
+}
+
+#[derive(Debug, Clone)]
+enum Tables {
+    Lines(LineTables),
+    Dense {
+        /// `next[dst][node]` = link to take at `node` toward `dst`.
+        next: Vec<Vec<Option<LinkId>>>,
+        /// `dist[dst][node]` = total path cost in cycles.
+        dist: Vec<Vec<u32>>,
+    },
+}
+
+/// The X legs and Y legs of every XY route on a healthy mesh.
+#[derive(Debug, Clone)]
+struct LineTables {
+    width: u16,
+    height: u16,
+    /// X legs: entry `(y·W + tx)·W + sx` routes `(sx, y)` toward `(tx, y)`
+    /// inside row `y`.
+    row: Legs,
+    /// Y legs: entry `(x·H + ty)·H + sy` routes `(x, sy)` toward `(x, ty)`
+    /// inside column `x`.
+    col: Legs,
+}
+
+/// Next hops and costs of one family of line legs. A leg that starts at
+/// its target has no next hop and costs 0.
+#[derive(Debug, Clone)]
+struct Legs {
+    next: Vec<Option<LinkId>>,
+    dist: Vec<u32>,
+}
+
+/// One grid row or column. An XY leg may use only the links joining two
+/// nodes of its line.
+#[derive(Debug, Clone, Copy)]
+enum Line {
+    Row(u16),
+    Column(u16),
+}
+
+impl Line {
+    /// Position along the line of the node at `c`, or `None` off it.
+    fn pos(self, c: Coord) -> Option<u16> {
+        match self {
+            Line::Row(y) => (c.y == y).then_some(c.x),
+            Line::Column(x) => (c.x == x).then_some(c.y),
+        }
+    }
+
+    /// Grid coordinate of position `p`.
+    fn at(self, p: u16) -> Coord {
+        match self {
+            Line::Row(y) => Coord { x: p, y },
+            Line::Column(x) => Coord { x, y: p },
+        }
+    }
+}
+
+impl fmt::Display for Line {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Line::Row(y) => write!(f, "row {y}"),
+            Line::Column(x) => write!(f, "column {x}"),
+        }
+    }
+}
+
+impl Legs {
+    fn with_capacity(entries: usize) -> Self {
+        Legs {
+            next: Vec::with_capacity(entries),
+            dist: Vec::with_capacity(entries),
+        }
+    }
+
+    /// Appends the `len` legs of `line` toward its position `target`: one
+    /// reverse Dijkstra over the links joining two nodes of the line, with
+    /// the per-hop cost and smallest-link-id tie-break of
+    /// [`RoutingTable::dijkstra_filtered`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if some node of the line cannot reach the target inside it.
+    fn push_line(
+        &mut self,
+        topo: &Topology,
+        line: Line,
+        len: u16,
+        target: u16,
+        heap: &mut BinaryHeap<Reverse<(u32, u16)>>,
+    ) {
+        let base = self.dist.len();
+        self.next.resize(base + usize::from(len), None);
+        self.dist.resize(base + usize::from(len), u32::MAX);
+        let (next, dist) = (&mut self.next[base..], &mut self.dist[base..]);
+        dist[usize::from(target)] = 0;
+        heap.push(Reverse((0, target)));
+        while let Some(Reverse((d, p))) = heap.pop() {
+            if d > dist[usize::from(p)] {
+                continue;
+            }
+            for &lid in topo.incoming(topo.node_at(line.at(p))) {
+                let link = topo.link(lid);
+                let Some(sp) = line.pos(topo.coord(link.src)) else {
+                    continue;
+                };
+                let src = usize::from(sp);
+                let cand = d + ROUTER_PIPELINE_CYCLES + link.latency_cycles;
+                let better = cand < dist[src]
+                    || (cand == dist[src] && next[src].is_some_and(|cur| lid < cur));
+                if better {
+                    dist[src] = cand;
+                    next[src] = Some(lid);
+                    heap.push(Reverse((cand, sp)));
+                }
+            }
+        }
+        if let Some(p) = dist.iter().position(|&d| d == u32::MAX) {
+            panic!(
+                "{line} is not internally connected: {} cannot reach {} inside it",
+                line.at(p as u16),
+                line.at(target)
+            );
+        }
+    }
+}
+
+impl LineTables {
+    fn build(topo: &Topology) -> Self {
+        let (w, h) = (topo.width, topo.height);
+        let mut heap = BinaryHeap::new();
+        let mut row = Legs::with_capacity(topo.num_nodes() * usize::from(w));
+        for y in 0..h {
+            for tx in 0..w {
+                row.push_line(topo, Line::Row(y), w, tx, &mut heap);
+            }
+        }
+        let mut col = Legs::with_capacity(topo.num_nodes() * usize::from(h));
+        for x in 0..w {
+            for ty in 0..h {
+                col.push_line(topo, Line::Column(x), h, ty, &mut heap);
+            }
+        }
+        LineTables {
+            width: w,
+            height: h,
+            row,
+            col,
+        }
+    }
+
+    /// Index of the X leg at `(sx, y)` toward `(tx, y)`.
+    #[inline]
+    fn row_at(&self, y: u16, tx: u16, sx: u16) -> usize {
+        let w = usize::from(self.width);
+        (usize::from(y) * w + usize::from(tx)) * w + usize::from(sx)
+    }
+
+    /// Index of the Y leg at `(x, sy)` toward `(x, ty)`.
+    #[inline]
+    fn col_at(&self, x: u16, ty: u16, sy: u16) -> usize {
+        let h = usize::from(self.height);
+        (usize::from(x) * h + usize::from(ty)) * h + usize::from(sy)
+    }
+
+    /// [`Topology::coord`], from the stored width.
+    #[inline]
+    fn coord(&self, v: NodeId) -> Coord {
+        Coord {
+            x: v.0 % self.width,
+            y: v.0 / self.width,
+        }
+    }
+
+    /// The X leg while the column differs, then the Y leg (which has no
+    /// next hop once `node == dst`).
+    #[inline]
+    fn next_link(&self, node: NodeId, dst: NodeId) -> Option<LinkId> {
+        let (a, b) = (self.coord(node), self.coord(dst));
+        if a.x != b.x {
+            self.row.next[self.row_at(a.y, b.x, a.x)]
+        } else {
+            self.col.next[self.col_at(a.x, b.y, a.y)]
+        }
+    }
+
+    /// The X leg to `(dst.x, src.y)` plus the Y leg down column `dst.x`.
+    #[inline]
+    fn cost(&self, src: NodeId, dst: NodeId) -> u32 {
+        let (a, b) = (self.coord(src), self.coord(dst));
+        self.row.dist[self.row_at(a.y, b.x, a.x)] + self.col.dist[self.col_at(b.x, b.y, a.y)]
+    }
 }
 
 impl RoutingTable {
@@ -77,44 +302,18 @@ impl RoutingTable {
     /// matches the paper's router (Fig. 4: "the basic routing always uses
     /// electronics", with horizontal express shortcuts) and — combined with
     /// the express-dateline VC discipline in `hyppi-netsim` — is provably
-    /// deadlock-free (see that crate's documentation).
+    /// deadlock-free (see that crate's documentation). Stored per line:
+    /// O(N·(W+H)) entries (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics if some row or column is not internally connected.
     pub fn compute_xy(topo: &Topology) -> Self {
-        let n = topo.num_nodes();
-        // Restricted next-hop tables: horizontal movement may only use
-        // links within the source row; vertical movement only links within
-        // the column.
-        let row_table = Self::restricted(topo, |t, l| t.coord(l.src).y == t.coord(l.dst).y);
-        let col_table = Self::restricted(topo, |t, l| t.coord(l.src).x == t.coord(l.dst).x);
-
-        let mut next = vec![vec![None; n]; n];
-        let mut dist = vec![vec![0u32; n]; n];
-        for dst in topo.nodes() {
-            let dc = topo.coord(dst);
-            for node in topo.nodes() {
-                let nc = topo.coord(node);
-                if node == dst {
-                    continue;
-                }
-                // The X-phase targets the node in this row at dst's column;
-                // the Y-phase then descends the column.
-                let row_target = topo.node_at(crate::ids::Coord { x: dc.x, y: nc.y });
-                if nc.x != dc.x {
-                    next[dst.index()][node.index()] =
-                        row_table.next[row_target.index()][node.index()];
-                    dist[dst.index()][node.index()] = row_table.dist[row_target.index()]
-                        [node.index()]
-                        + col_table.dist[dst.index()][row_target.index()];
-                } else {
-                    next[dst.index()][node.index()] = col_table.next[dst.index()][node.index()];
-                    dist[dst.index()][node.index()] = col_table.dist[dst.index()][node.index()];
-                }
-            }
+        RoutingTable {
+            n: topo.num_nodes(),
+            rule: Rule::Xy,
+            tables: Tables::Lines(LineTables::build(topo)),
         }
-        RoutingTable { n, next, dist }
     }
 
     /// Computes a fault-aware **up\*/down\*** table for a (possibly
@@ -147,6 +346,8 @@ impl RoutingTable {
     /// are **dead**: pairs involving them stay unroutable (`next_link` =
     /// `None`) without being an error — engines drop such traffic at
     /// admission and count it in `unreachable_pairs`.
+    ///
+    /// Stored densely: O(N²) entries.
     pub fn compute_xy_avoiding(topo: &Topology) -> Result<Self, RouteError> {
         let n = topo.num_nodes();
         let live: Vec<bool> = topo
@@ -178,7 +379,7 @@ impl RoutingTable {
         }
         let ord = |v: NodeId| (level[v.index()], v.0);
         // Down-subnetwork: links that increase the (level, id) order.
-        let down = Self::restricted(topo, |_, l| ord(l.dst) > ord(l.src));
+        let (down_next, down_dist) = Self::restricted(topo, |_, l| ord(l.dst) > ord(l.src));
         // Ascending order: an up link's target entry is already final.
         let mut order: Vec<NodeId> = topo.nodes().collect();
         order.sort_by_key(|&v| ord(v));
@@ -192,9 +393,9 @@ impl RoutingTable {
                     dist[di][ni] = 0;
                     continue;
                 }
-                if down.dist[di][ni] != u32::MAX {
-                    next[di][ni] = down.next[di][ni];
-                    dist[di][ni] = down.dist[di][ni];
+                if down_dist[di][ni] != u32::MAX {
+                    next[di][ni] = down_next[di][ni];
+                    dist[di][ni] = down_dist[di][ni];
                     continue;
                 }
                 // Down-unreachable: cheapest up first hop.
@@ -220,40 +421,43 @@ impl RoutingTable {
                 }
             }
         }
-        Ok(RoutingTable { n, next, dist })
+        Ok(Self::dense(Rule::UpDown, next, dist))
     }
 
-    /// Computes a table restricted to links accepted by `allow`, leaving
-    /// unreachable pairs at `u32::MAX` (callers must only consult pairs
-    /// valid for the restriction).
-    fn restricted(topo: &Topology, allow: impl Fn(&Topology, &crate::link::Link) -> bool) -> Self {
-        let n = topo.num_nodes();
-        let mut next = Vec::with_capacity(n);
-        let mut dist = Vec::with_capacity(n);
-        for d in topo.nodes() {
-            let (nd, dd) = Self::dijkstra_filtered(topo, d, &allow);
-            next.push(nd);
-            dist.push(dd);
-        }
-        RoutingTable { n, next, dist }
+    /// Dense next-hop and cost tables over the links accepted by `allow`,
+    /// leaving unreachable pairs at `u32::MAX` (callers must only consult
+    /// pairs valid for the restriction).
+    #[allow(clippy::type_complexity)]
+    fn restricted(
+        topo: &Topology,
+        allow: impl Fn(&Topology, &Link) -> bool,
+    ) -> (Vec<Vec<Option<LinkId>>>, Vec<Vec<u32>>) {
+        topo.nodes()
+            .map(|d| Self::dijkstra_filtered(topo, d, &allow))
+            .unzip()
     }
 
     /// Computes the unrestricted shortest-path table for a topology.
+    /// Stored densely: O(N²) entries.
     ///
     /// # Panics
     ///
     /// Panics if the topology is not strongly connected — every node must
     /// reach every other node.
     pub fn compute(topo: &Topology) -> Self {
-        let n = topo.num_nodes();
-        let mut next = Vec::with_capacity(n);
-        let mut dist = Vec::with_capacity(n);
-        for d in topo.nodes() {
-            let (nd, dd) = Self::reverse_dijkstra(topo, d);
-            next.push(nd);
-            dist.push(dd);
+        let (next, dist) = topo
+            .nodes()
+            .map(|d| Self::reverse_dijkstra(topo, d))
+            .unzip();
+        Self::dense(Rule::Shortest, next, dist)
+    }
+
+    fn dense(rule: Rule, next: Vec<Vec<Option<LinkId>>>, dist: Vec<Vec<u32>>) -> Self {
+        RoutingTable {
+            n: next.len(),
+            rule,
+            tables: Tables::Dense { next, dist },
         }
-        RoutingTable { n, next, dist }
     }
 
     /// One reverse Dijkstra rooted at destination `dst`.
@@ -270,7 +474,7 @@ impl RoutingTable {
     fn dijkstra_filtered(
         topo: &Topology,
         dst: NodeId,
-        allow: &impl Fn(&Topology, &crate::link::Link) -> bool,
+        allow: &impl Fn(&Topology, &Link) -> bool,
     ) -> (Vec<Option<LinkId>>, Vec<u32>) {
         let n = topo.num_nodes();
         let mut dist = vec![u32::MAX; n];
@@ -308,7 +512,10 @@ impl RoutingTable {
     /// Link to take at `node` toward `dst`; `None` when already there.
     #[inline]
     pub fn next_link(&self, node: NodeId, dst: NodeId) -> Option<LinkId> {
-        self.next[dst.index()][node.index()]
+        match &self.tables {
+            Tables::Lines(lines) => lines.next_link(node, dst),
+            Tables::Dense { next, .. } => next[dst.index()][node.index()],
+        }
     }
 
     /// Whether the table routes `src` to `dst`. Always true for healthy
@@ -316,14 +523,30 @@ impl RoutingTable {
     /// endpoints).
     #[inline]
     pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        src == dst || self.next[dst.index()][src.index()].is_some()
+        src == dst || self.next_link(src, dst).is_some()
     }
 
     /// Total path cost in clock cycles (router pipelines + link latencies
     /// for every traversed hop).
     #[inline]
     pub fn cost(&self, src: NodeId, dst: NodeId) -> u32 {
-        self.dist[dst.index()][src.index()]
+        match &self.tables {
+            Tables::Lines(lines) => lines.cost(src, dst),
+            Tables::Dense { dist, .. } => dist[dst.index()][src.index()],
+        }
+    }
+
+    /// Words folded into plan fingerprints: the builder's tag and the node
+    /// count. A table is a pure function of its topology and its builder,
+    /// so these words identify it once the caller also folds the
+    /// topology's links — no walk over the N² pairs.
+    pub fn fingerprint_words(&self) -> [u64; 2] {
+        let rule = match self.rule {
+            Rule::Xy => 0,
+            Rule::UpDown => 1,
+            Rule::Shortest => 2,
+        };
+        [rule, self.n as u64]
     }
 
     /// The full link path from `src` to `dst` (empty when equal).
@@ -369,13 +592,148 @@ impl RoutingTable {
 mod tests {
     use super::*;
     use crate::build::{express_mesh, mesh, ExpressSpec, MeshSpec};
-    use crate::ids::Coord;
-    use hyppi_phys::LinkTechnology;
+    use crate::link::LinkClass;
+    use hyppi_phys::{Gbps, LinkTechnology, Micrometers};
 
     fn paper_mesh() -> (Topology, RoutingTable) {
         let t = mesh(MeshSpec::paper(LinkTechnology::Electronic));
         let r = RoutingTable::compute(&t);
         (t, r)
+    }
+
+    fn sized(width: u16, height: u16, base_tech: LinkTechnology) -> MeshSpec {
+        MeshSpec {
+            width,
+            height,
+            core_spacing_mm: 1.0,
+            base_tech,
+            capacity: Gbps::new(50.0),
+        }
+    }
+
+    fn hyppi_express(spec: MeshSpec, span: u16) -> Topology {
+        express_mesh(
+            spec,
+            ExpressSpec {
+                span,
+                tech: LinkTechnology::Hyppi,
+            },
+        )
+    }
+
+    /// The three-table dense `compute_xy` the per-line form replaced, kept
+    /// as the oracle that form must match pair for pair.
+    fn compute_xy_dense(topo: &Topology) -> RoutingTable {
+        let n = topo.num_nodes();
+        let (row_next, row_dist) =
+            RoutingTable::restricted(topo, |t, l| t.coord(l.src).y == t.coord(l.dst).y);
+        let (col_next, col_dist) =
+            RoutingTable::restricted(topo, |t, l| t.coord(l.src).x == t.coord(l.dst).x);
+        let mut next = vec![vec![None; n]; n];
+        let mut dist = vec![vec![0u32; n]; n];
+        for dst in topo.nodes() {
+            let (d, dc) = (dst.index(), topo.coord(dst));
+            for node in topo.nodes().filter(|&v| v != dst) {
+                let (v, nc) = (node.index(), topo.coord(node));
+                // The X-phase targets the node in this row at dst's column;
+                // the Y-phase then descends the column.
+                let r = topo.node_at(Coord { x: dc.x, y: nc.y }).index();
+                if nc.x != dc.x {
+                    next[d][v] = row_next[r][v];
+                    dist[d][v] = row_dist[r][v] + col_dist[d][r];
+                } else {
+                    next[d][v] = col_next[d][v];
+                    dist[d][v] = col_dist[d][v];
+                }
+            }
+        }
+        RoutingTable::dense(Rule::Xy, next, dist)
+    }
+
+    #[test]
+    fn line_tables_match_dense_oracle() {
+        let paper = MeshSpec::paper(LinkTechnology::Electronic);
+        let topos = [
+            mesh(paper),
+            hyppi_express(paper, 3),
+            hyppi_express(paper, 5),
+            hyppi_express(paper, 15),
+            mesh(sized(8, 8, LinkTechnology::Hyppi)),
+            mesh(sized(12, 5, LinkTechnology::Electronic)),
+            hyppi_express(sized(12, 5, LinkTechnology::Electronic), 5),
+            hyppi_express(sized(32, 32, LinkTechnology::Electronic), 5),
+        ];
+        for t in &topos {
+            let lines = RoutingTable::compute_xy(t);
+            let dense = compute_xy_dense(t);
+            assert!(matches!(lines.tables, Tables::Lines(_)), "{}", t.name);
+            for dst in t.nodes() {
+                for node in t.nodes() {
+                    let what = || format!("{}: {node}->{dst}", t.name);
+                    assert_eq!(
+                        lines.next_link(node, dst),
+                        dense.next_link(node, dst),
+                        "{}",
+                        what()
+                    );
+                    assert_eq!(lines.cost(node, dst), dense.cost(node, dst), "{}", what());
+                }
+            }
+            assert_eq!(lines.fingerprint_words(), dense.fingerprint_words());
+        }
+    }
+
+    #[test]
+    fn line_tables_scale_to_128x128() {
+        // The dense tables needed ~9.6 GB at this size.
+        let t = mesh(sized(128, 128, LinkTechnology::Electronic));
+        let r = RoutingTable::compute_xy(&t);
+        let n = t.num_nodes();
+        for i in 0..500usize {
+            let a = NodeId(((i * 7_919) % n) as u16);
+            let b = NodeId(((i * 104_729 + 4_099) % n) as u16);
+            let manhattan = t.coord(a).manhattan(t.coord(b));
+            // Electronic mesh: cost = hops × (3 router + 1 link).
+            assert_eq!(r.cost(a, b), 4 * manhattan, "{a}->{b}");
+            assert_eq!(r.hops(&t, a, b), manhattan, "{a}->{b}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 is not internally connected")]
+    fn xy_rejects_broken_row() {
+        // 3×2 grid whose row 1 lacks the (1,1)–(2,1) span: (2,1) still
+        // reaches the others through column 2, but not inside its row.
+        let mut t = Topology::empty("broken row", 3, 2);
+        for (a, b) in [(0, 1), (1, 2), (3, 4), (0, 3), (1, 4), (2, 5)] {
+            t.add_bidi(
+                NodeId(a),
+                NodeId(b),
+                LinkClass::Regular,
+                LinkTechnology::Electronic,
+                Micrometers::from_mm(1.0),
+                1,
+                Gbps::new(50.0),
+            );
+        }
+        let _ = RoutingTable::compute_xy(&t);
+    }
+
+    #[test]
+    fn fingerprint_words_name_the_builder() {
+        let t = mesh4();
+        let words = [
+            RoutingTable::compute_xy(&t).fingerprint_words(),
+            RoutingTable::compute_xy_avoiding(&t)
+                .expect("healthy mesh routes")
+                .fingerprint_words(),
+            RoutingTable::compute(&t).fingerprint_words(),
+        ];
+        for i in 0..words.len() {
+            for j in i + 1..words.len() {
+                assert_ne!(words[i], words[j], "{i} vs {j}");
+            }
+        }
     }
 
     #[test]
@@ -549,13 +907,7 @@ mod tests {
     use crate::fault::FaultSpec;
 
     fn mesh4() -> Topology {
-        mesh(MeshSpec {
-            width: 4,
-            height: 4,
-            core_spacing_mm: 1.0,
-            base_tech: LinkTechnology::Electronic,
-            capacity: hyppi_phys::Gbps::new(50.0),
-        })
+        mesh(sized(4, 4, LinkTechnology::Electronic))
     }
 
     #[test]
@@ -620,13 +972,7 @@ mod tests {
 
     #[test]
     fn avoiding_rejects_disconnecting_faults() {
-        let healthy = mesh(MeshSpec {
-            width: 2,
-            height: 2,
-            core_spacing_mm: 1.0,
-            base_tech: LinkTechnology::Electronic,
-            capacity: hyppi_phys::Gbps::new(50.0),
-        });
+        let healthy = mesh(sized(2, 2, LinkTechnology::Electronic));
         // Killing both horizontal spans splits the mesh into two live columns.
         let t = FaultSpec::none()
             .dead_link(NodeId(0), NodeId(1))
