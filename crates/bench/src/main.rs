@@ -73,6 +73,32 @@ fn burst_flag(args: &[String]) -> BurstSpec {
     })
 }
 
+/// Parsed `--shards N` option (default 4). Every sharded subcommand cuts
+/// a 32×32 mesh, so a count of 0 or one whose near-square grid
+/// ([`ShardSpec::for_count`]) is wider or taller than 32 tiles exits 2.
+fn shards_flag(args: &[String]) -> usize {
+    let Some(s) = flag_value(args, "--shards") else {
+        return 4;
+    };
+    let n: usize = s.parse().unwrap_or_else(|_| {
+        eprintln!("bad --shards value '{s}'");
+        std::process::exit(2);
+    });
+    if n == 0 {
+        eprintln!("--shards must be at least 1");
+        std::process::exit(2);
+    }
+    let grid = ShardSpec::for_count(n);
+    if grid.sx > 32 || grid.sy > 32 {
+        eprintln!(
+            "--shards {n} needs a {}x{} shard grid, wider or taller than the 32x32 mesh",
+            grid.sx, grid.sy
+        );
+        std::process::exit(2);
+    }
+    n
+}
+
 /// Parsed `--metrics PATH` / `--trace PATH` / `--trace-cap N`
 /// flight-recorder options.
 fn telemetry_opts(args: &[String]) -> TelemetryOpts {
@@ -209,14 +235,7 @@ fn main() {
         // run to credit-limited NICs (accepted-load curves flatten at
         // the plateau instead of tracking offered load).
         ran = true;
-        let shards: usize = flag_value(&args, "--shards")
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --shards value '{s}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(4);
+        let shards = shards_flag(&args);
         let closed_loop: Option<usize> = flag_value(&args, "--closed-loop").map(|s| {
             let window = s.parse().unwrap_or_else(|_| {
                 eprintln!("bad --closed-loop value '{s}'");
@@ -250,14 +269,7 @@ fn main() {
         // A rescaled 1024-rank NPB window on the 32×32 mesh through the
         // sharded engine, bit-for-bit shard parity asserted inside.
         ran = true;
-        let shards: usize = flag_value(&args, "--shards")
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --shards value '{s}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(4);
+        let shards = shards_flag(&args);
         let kernels: Vec<NpbKernel> = match flag_value(&args, "--kernel") {
             None => vec![NpbKernel::Cg],
             Some(k) if k.eq_ignore_ascii_case("all") => NpbKernel::ALL.to_vec(),
@@ -332,14 +344,7 @@ fn main() {
         // and closed loop, 16x16 plus the sharded 32x32 scale-up; minutes
         // of runtime, on-demand only.
         ran = true;
-        let shards: usize = flag_value(&args, "--shards")
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --shards value '{s}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(4);
+        let shards = shards_flag(&args);
         let cold = args.iter().any(|a| a == "--cold");
         println!("## Fault sweep — saturation + tails vs. fault count ({shards} shards on 32x32)");
         let r = report_recorded(hyppi::experiments::fault_sweep_recorded(
@@ -356,14 +361,7 @@ fn main() {
         // the 32x32 and 64x64 meshes, open and closed loop; minutes of
         // runtime, on-demand only.
         ran = true;
-        let shards: usize = flag_value(&args, "--shards")
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --shards value '{s}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(4);
+        let shards = shards_flag(&args);
         println!(
             "## Tenant sweep — victim tails vs. aggressor load ({shards} shards, 32x32 + 64x64)"
         );

@@ -1,0 +1,35 @@
+//! `repro` command-line validation: malformed flags and unknown
+//! artefacts must exit with status 2 and a one-line message on stderr,
+//! never a panic — and before any simulation starts, so every case here
+//! returns immediately.
+
+use std::process::Command;
+
+#[test]
+fn bad_arguments_exit_2_without_panicking() {
+    let cases: &[&[&str]] = &[
+        &["npb32", "--shards", "0"],
+        &["tenant_sweep", "--shards", "0"],
+        &["load_sweep32", "--shards", "x"],
+        // 37 is prime: a 37x1 grid cannot cut the 32x32 mesh.
+        &["fault_sweep", "--shards", "37"],
+        &["npb32", "--shards", "2000"],
+        &["load_sweep32", "--closed-loop", "0"],
+        &["load_sweep", "--burst", "onoff:x"],
+        &["no_such_artefact"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(*args)
+            .output()
+            .expect("repro binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end().lines().count(),
+            1,
+            "{args:?}: expected a one-line message, got {stderr}"
+        );
+    }
+}

@@ -78,8 +78,9 @@
 //! freed in cycle `t` become visible in `t+1`, a message exchanged at the
 //! end of superstep `t` lands exactly where the in-shard calendar would
 //! have put it — so [`ShardedSimulator`] is **bit-for-bit
-//! `SimStats`-identical** to [`Simulator`], which is itself just the
-//! P=1 case of the same engine core (`shard::ShardState`).
+//! `SimStats`-identical** to [`Simulator`], which is itself a P=1
+//! [`ShardedSimulator`] plus a manual-stepping API — one worker loop and
+//! one run driver serve both.
 //! `tests/shard_parity.rs` pins this on 16×16 cells across seeds ×
 //! topologies × workloads. Head flits crossing a boundary carry their
 //! packet's metadata (size, injection cycle, dateline VC class); the

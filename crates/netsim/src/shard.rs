@@ -11,8 +11,11 @@
 //! [`hyppi_topology::Partition`]). `EnginePlan` holds everything
 //! read-only and shared: topology, routing, config, the partition tables,
 //! and the express-dateline memo. The single-shard engine
-//! ([`crate::Simulator`]) is literally a `ShardState` built over the
-//! trivial partition — there is one set of pipeline-stage loops, not two.
+//! ([`crate::Simulator`]) is a P=1 [`ShardedSimulator`] plus a
+//! manual-stepping API: there is one set of pipeline-stage loops, one
+//! worker loop (`worker_loop`) and one run driver
+//! (`ShardedSimulator::drive`) behind every `run_*` / `resume_*` entry
+//! point of both.
 //!
 //! Three hot-path structures keep the per-traversal cost low while
 //! staying observable-behavior-preserving (the frozen
@@ -64,6 +67,12 @@
 //!    calendar would have used — this is what makes the sharded engine
 //!    bit-for-bit identical to the single-shard engine.
 //!
+//! Every simulated cycle is one superstep. A conservative-lookahead
+//! window (exchanging every W cycles, W = the smallest boundary-link
+//! latency) cannot exceed W=2 on these meshes — HyPPI links take 2
+//! cycles — and W=2 measured no faster than W=1 at 64×64 on a 2-thread
+//! host, so the engine keeps the one-cycle exchange.
+//!
 //! ## Cross-shard packet identity
 //!
 //! Packet bookkeeping (`PacketInfo`, dateline `VcClass`) is shard-local.
@@ -110,10 +119,10 @@
 use crate::config::SimConfig;
 use crate::flit::{meta, Flit, PacketInfo};
 use crate::router::{Emission, NodeState};
-use crate::sim::{finish_or_pause, rescan_trace_cursor, restore_shards, RunOutcome, SimError};
+use crate::sim::{rescan_trace_cursor, RunOutcome, SimError};
 use crate::snapshot::{
-    EmissionImage, EventImage, FlitImage, GlobalState, NodeImage, PacketImage, SlotImage, Snapshot,
-    SnapshotError,
+    plan_fingerprint, synthetic_fingerprint, trace_fingerprint, EmissionImage, EventImage,
+    FlitImage, GlobalState, NodeImage, PacketImage, SlotImage, Snapshot, SnapshotError,
 };
 use crate::stats::SimStats;
 use crate::telemetry::{
@@ -207,16 +216,6 @@ impl CreditCell {
         } else {
             self.avail
         }
-    }
-
-    /// Applies a ripened lookahead credit: one credit whose free cycle
-    /// is already in the past becomes spendable *at* `now` (not `now+1`
-    /// — the next-cycle delay was served while the credit waited in the
-    /// ripening buffer).
-    #[inline]
-    fn ripen(&mut self, now: u64) {
-        self.normalize(now);
-        self.avail += 1;
     }
 }
 
@@ -336,17 +335,8 @@ pub(crate) struct EnginePlan<'a> {
     /// Out-port index (at the link's src node) driving each link: route
     /// computation maps `routes.next_link` through it.
     pub out_port_of_link: Vec<u8>,
-    /// Calendar wheel length (power of two > max link latency plus the
-    /// lookahead window, so mid-window ingests stay within one
-    /// revolution).
+    /// Calendar wheel length (power of two > max link latency).
     pub wheel_len: usize,
-    /// Conservative-lookahead window W in cycles: shards may run W
-    /// cycles between mailbox exchanges because no boundary link can
-    /// deliver a flit in fewer (W = the partition's minimum boundary
-    /// latency). Forced to 1 — the classic cycle-per-superstep
-    /// protocol — for single-shard plans and closed-loop configs
-    /// (whose source credits need next-cycle global visibility).
-    pub lookahead: u64,
     /// For each shard, the sorted shards that may address mail to it
     /// (boundary-flit senders and boundary-credit returners).
     pub inbox_sources: Vec<Vec<u16>>,
@@ -436,20 +426,7 @@ impl<'a> EnginePlan<'a> {
             .map(|l| u64::from(l.latency_cycles))
             .max()
             .unwrap_or(1);
-        // Safe superstep window: the minimum boundary-link latency. A
-        // closed-loop window degrades to the classic per-cycle protocol
-        // — its source credits (destination shard → origin shard, any
-        // pair) rely on next-cycle global visibility that a W-cycle
-        // window cannot provide conservatively.
-        let lookahead = if cfg.max_outstanding > 0 {
-            1
-        } else {
-            partition.min_boundary_latency.map_or(1, u64::from)
-        };
-        // A shard parked at a window start can hold ingested arrivals up
-        // to `lookahead - 1 + max_latency` cycles ahead, so the wheel
-        // must cover the window on top of the longest link.
-        let wheel_len = (max_latency + lookahead + 2).next_power_of_two() as usize;
+        let wheel_len = (max_latency + 2).next_power_of_two() as usize;
         // Shard mail adjacency: s receives flits over links into it and
         // credits over links out of it. Closed-loop source credits flow
         // from a packet's destination shard back to its origin shard —
@@ -522,7 +499,6 @@ impl<'a> EnginePlan<'a> {
             in_port_of_link,
             out_port_of_link,
             wheel_len,
-            lookahead,
             inbox_sources: sources,
             tenants: None,
         }
@@ -655,11 +631,8 @@ pub(crate) struct BoundaryFlit {
 pub(crate) struct OutBundle {
     /// Boundary link arrivals.
     pub flits: Vec<BoundaryFlit>,
-    /// Boundary credit returns: flattened `link * vcs + vc` index plus
-    /// the absolute cycle the credit was freed (always the exchanged
-    /// cycle under the classic protocol; any cycle of the window under
-    /// lookahead, where the receiver ripens it at `free cycle + 1`).
-    pub credits: Vec<(u32, u64)>,
+    /// Boundary credit returns, flattened `link * vcs + vc` indices.
+    pub credits: Vec<u32>,
     /// Closed-loop source credits: origin nodes (owned by the receiving
     /// shard) whose packet completed at a destination this shard owns.
     pub src_credits: Vec<u16>,
@@ -688,16 +661,6 @@ struct Shared {
     /// bundle allocations with zero steady-state allocation.
     mail: Vec<Vec<Mutex<OutBundle>>>,
     published: Vec<Published>,
-    /// Lookahead only: each shard's progress cycle (cycles `< progress`
-    /// executed), written before the exchange barrier of every round.
-    /// The minimum over all shards is the credit-visibility frontier —
-    /// every credit freed before it has been mailed and ingested.
-    progress: Vec<AtomicU64>,
-    /// Lookahead only: per-worker drained-and-exhausted marker
-    /// (`u64::MAX` = still live). A dead worker's value is the cycle
-    /// the per-cycle protocol would have rested at; all workers dead ⇒
-    /// the run ends at the maximum of these.
-    done_at: Vec<AtomicU64>,
     barrier: Barrier,
     /// Cycle-limit failure accumulators (error path only). Origins and
     /// completions are summed separately because a net-importer shard
@@ -723,8 +686,6 @@ impl Shared {
                     next_arrival: AtomicU64::new(u64::MAX),
                 })
                 .collect(),
-            progress: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            done_at: (0..workers).map(|_| AtomicU64::new(u64::MAX)).collect(),
             barrier: Barrier::new(workers),
             stuck_origins: AtomicU64::new(0),
             stuck_completed: AtomicU64::new(0),
@@ -770,16 +731,6 @@ pub(crate) struct ShardState {
     /// freed during a cycle become spendable next cycle without a
     /// separate end-of-cycle application pass.
     credits: Vec<CreditCell>,
-    /// Credit cells of every outgoing boundary link (flattened
-    /// `link * vcs + vc`): the cells whose frees arrive by mail. The
-    /// lookahead pre-check scans these — a zero reading beyond the
-    /// visibility frontier may be stale, so the shard stops its round
-    /// there instead of risking a divergent credit stall.
-    cut_out_cells: Vec<u32>,
-    /// Lookahead ripening buffer: mailed boundary credits not yet
-    /// spendable, as `(spendable_from_cycle, cell index)`. Drained into
-    /// the credit cells as the shard's cycle reaches each entry.
-    ripen: Vec<(u64, u32)>,
     // --- flattened per-port router control state ---
     /// Routed-VC bitmask per (node, out-port) — bit = in-VC index.
     routed_mask: Vec<u32>,
@@ -1003,15 +954,6 @@ impl ShardState {
         let mask_words = nodes.len().div_ceil(64).max(1);
         let n_local = nodes.len();
         let shards = plan.partition.num_shards();
-        let mut cut_out_cells = Vec::new();
-        for l in topo.links() {
-            let lid = l.id.index();
-            if usize::from(plan.partition.link_src_shard[lid]) == id
-                && usize::from(plan.partition.link_dst_shard[lid]) != id
-            {
-                cut_out_cells.extend((0..cfg.vcs).map(|vc| (lid * cfg.vcs + vc) as u32));
-            }
-        }
         ShardState {
             id,
             global_of_node,
@@ -1034,8 +976,6 @@ impl ShardState {
             src_shard_of_slot,
             nodes,
             credits: vec![CreditCell::new(cfg.buffer_depth as u16); topo.links().len() * cfg.vcs],
-            cut_out_cells,
-            ripen: Vec::new(),
             wheel: vec![Vec::new(); plan.wheel_len],
             wheel_mask: (plan.wheel_len - 1) as u64,
             wheel_occ: vec![0; plan.wheel_len.div_ceil(64)],
@@ -1622,7 +1562,7 @@ impl ShardState {
                         if owner == self.id {
                             self.credits[cred].free(now);
                         } else {
-                            self.outbox[owner].credits.push((cred as u32, now));
+                            self.outbox[owner].credits.push(cred as u32);
                         }
                     } else if self.nodes[node].emitting.is_some()
                         || !self.nodes[node].src_queue.is_empty()
@@ -1791,32 +1731,12 @@ impl ShardState {
     /// Ingests one incoming bundle: applies boundary credits and books
     /// boundary flits into the local calendar wheel, minting local packet
     /// handles for arriving heads (the exchange phase). `now` is the
-    /// shard's next unexecuted cycle. Under the classic protocol every
-    /// mailed credit was freed exactly at `now`, and lands in the
-    /// pending half of its [`CreditCell`] with that stamp — the same
-    /// next-cycle visibility as locally freed credits. Under lookahead
-    /// (`windowed`) the bundle spans a window: credits already due
-    /// (freed before `now`) are applied spendable-at-`now` directly,
-    /// later ones wait in the ripening buffer for their cycle.
-    pub(crate) fn ingest(
-        &mut self,
-        plan: &EnginePlan<'_>,
-        from: u16,
-        bundle: &mut OutBundle,
-        now: u64,
-        windowed: bool,
-    ) {
-        for (idx, freed) in bundle.credits.drain(..) {
-            if windowed {
-                if freed < now {
-                    self.credits[idx as usize].ripen(now);
-                } else {
-                    self.ripen.push((freed + 1, idx));
-                }
-            } else {
-                debug_assert_eq!(freed, now, "classic exchange credit from another cycle");
-                self.credits[idx as usize].free(now);
-            }
+    /// superstep being exchanged: mailbox credits land in the pending
+    /// half of their [`CreditCell`] with this stamp, giving them the
+    /// same next-cycle visibility as locally freed credits.
+    fn ingest(&mut self, plan: &EnginePlan<'_>, from: u16, bundle: &mut OutBundle, now: u64) {
+        for idx in bundle.credits.drain(..) {
+            self.credits[idx as usize].free(now);
         }
         for src in bundle.src_credits.drain(..) {
             self.apply_source_credit(plan, NodeId(src));
@@ -1848,46 +1768,12 @@ impl ShardState {
         }
     }
 
-    /// Applies every ripening-buffer credit due at or before `now`
-    /// (lookahead rounds call this at the top of each cycle, before the
-    /// staleness pre-check and arbitration read any cell).
-    fn apply_ripe_credits(&mut self, now: u64) {
-        if self.ripen.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.ripen.len() {
-            let (due, idx) = self.ripen[i];
-            if due <= now {
-                self.credits[idx as usize].ripen(now);
-                self.ripen.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Whether cycle `now` is safe to execute beyond the visibility
-    /// frontier: every outgoing-boundary credit cell reads non-zero.
-    /// (A non-zero cell can only be under-counted — missed remote frees
-    /// never invent credits — and switch allocation takes at most one
-    /// credit per cell per cycle, so any cell that starts the cycle
-    /// non-zero is consulted with the same zero/non-zero answer the
-    /// per-cycle protocol would see. A zero cell beyond the frontier
-    /// may be a stale zero, so the round must stop here.)
-    fn lookahead_safe(&self, now: u64) -> bool {
-        self.cut_out_cells
-            .iter()
-            .all(|&c| self.credits[c as usize].peek(now) > 0)
-    }
-
     /// Drains every mailbox addressed to this shard (the exchange phase).
     fn collect_inboxes<P: Probe>(
         &mut self,
         plan: &EnginePlan<'_>,
         shared: &Shared,
         now: u64,
-        windowed: bool,
         probe: &mut P,
     ) {
         for &from in &plan.inbox_sources[self.id] {
@@ -1909,7 +1795,7 @@ impl ShardState {
                     now,
                 );
             }
-            self.ingest(plan, from, &mut scratch, now, windowed);
+            self.ingest(plan, from, &mut scratch, now);
             // Return the drained allocation for the sender to reuse.
             let mut cell = shared.mail[usize::from(from)][self.id]
                 .lock()
@@ -2217,6 +2103,23 @@ pub(crate) enum Workload<'w> {
     },
 }
 
+impl Workload<'_> {
+    /// The snapshot workload fingerprint: the trace's content, or the
+    /// synthetic `(warmup, measure, seed)` — the traffic matrix is
+    /// deliberately left out so warm-start sweeps can switch rates.
+    fn fingerprint(&self) -> u64 {
+        match *self {
+            Workload::Trace(trace) => trace_fingerprint(trace),
+            Workload::Synthetic {
+                warmup,
+                measure,
+                seed,
+                ..
+            } => synthetic_fingerprint(warmup, measure, seed),
+        }
+    }
+}
+
 // ---- the lockstep worker loop ------------------------------------------
 
 /// The run loop's resumable position: everything the loop itself owns
@@ -2316,7 +2219,7 @@ fn lap(mark: &mut Option<std::time::Instant>) -> u64 {
 /// so all workers step/jump/stop on the same cycles.
 ///
 /// The probe observes this worker's shards only; probed runs are
-/// single-worker (see [`run_sharded_until_probed`]) so one probe sees
+/// single-worker (see [`ShardedSimulator::drive`]) so one probe sees
 /// everything. `prof`, when set, receives this worker's superstep phase
 /// times (step / exchange / barrier) on exit.
 #[allow(clippy::too_many_arguments)]
@@ -2492,7 +2395,7 @@ fn worker_loop<P: Probe>(
             acc.barrier_ns += lap(&mut mark);
             // --- superstep: exchange phase ---
             for s in my.iter_mut() {
-                s.collect_inboxes(plan, shared, now, false, probe);
+                s.collect_inboxes(plan, shared, now, probe);
             }
         }
         // Publish post-step activity for next cycle's lockstep decision.
@@ -2551,521 +2454,6 @@ fn worker_loop<P: Probe>(
     Ok(RunEnd::Done(now))
 }
 
-/// [`worker_loop`] under conservative lookahead: supersteps cover
-/// windows of up to `plan.lookahead` (= W) cycles instead of one.
-///
-/// Soundness rests on three facts (see `docs/ARCHITECTURE.md`,
-/// "Conservative lookahead"):
-///
-/// * **Flits**: a boundary flit sent at any cycle of window `[T, T+W)`
-///   travels a link of latency ≥ W, so it arrives ≥ T+W — always
-///   bookable at the inter-round exchange before its receiver executes
-///   the next window.
-/// * **Credits**: arbitration only ever compares a boundary credit cell
-///   against zero, and takes at most one credit per cell per cycle.
-///   Missed remote frees under-count, never over-count, so a non-zero
-///   reading is exact. A *zero* reading beyond the visibility frontier
-///   (the minimum shard progress at the last exchange) may be stale —
-///   the shard stops its round there and retries after the next
-///   exchange, when ripened credits or a grown frontier resolve it.
-///   The minimum-progress shard is always at its own frontier, so every
-///   round advances the global state: worst case degrades to the
-///   per-cycle protocol, never past it.
-/// * **Consensus**: termination and idle fast-forward decisions move to
-///   window boundaries, where every worker sees barrier-fresh published
-///   state. Each worker tracks the cycle the per-cycle protocol would
-///   rest at (`candidate`: past every executed cycle, onto every real
-///   idle-jump target); a drained run ends at the maximum over workers
-///   — bit-equal to the classic `RunEnd::Done` cycle.
-///
-/// Closed-loop configs force `plan.lookahead == 1` (their source
-/// credits need next-cycle global visibility) and probed runs keep the
-/// per-cycle loop (probes observe every cycle in order), so this loop
-/// never runs for either.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop_windowed(
-    plan: &EnginePlan<'_>,
-    shared: &Shared,
-    my: &mut [ShardState],
-    workload: Workload<'_>,
-    dump_on_stall: bool,
-    worker_index: usize,
-    start: RunCursor,
-    stop_at: u64,
-    prof: Option<&ProfileSink>,
-) -> Result<RunEnd, SimError> {
-    let mut acc = ProfFlush {
-        sink: prof,
-        step_ns: 0,
-        exchange_ns: 0,
-        barrier_ns: 0,
-        supersteps: 0,
-    };
-    // Shard-id → index into `my` (MAX = not mine).
-    let mut mine = vec![usize::MAX; plan.partition.num_shards()];
-    for (i, s) in my.iter().enumerate() {
-        mine[s.id] = i;
-    }
-    let probe = &mut NoopProbe;
-    let window = plan.lookahead;
-    debug_assert!(window > 1, "windowed loop needs a lookahead window");
-    let mut next_event = start.next_event as usize; // full-trace cursor
-    let mut rng = StdRng::from_state(start.rng);
-    // Pure per-(seed, node, cycle) factors: valid from any window start.
-    let mut burst = match workload {
-        Workload::Synthetic { seed, .. } => {
-            BurstState::new(plan.cfg.burst, seed, plan.topo.num_nodes())
-        }
-        Workload::Trace(_) => BurstState::steady(),
-    };
-    // Cycles before this force-step (and draw the per-cycle synthetic
-    // RNG); traces have no forced window.
-    let inject_end = match workload {
-        Workload::Synthetic {
-            warmup, measure, ..
-        } => warmup + measure,
-        Workload::Trace(_) => 0,
-    };
-    // The cycle the per-cycle protocol would rest at were everything
-    // else drained: bumped past every executed cycle and onto every
-    // real (not window-clamped) idle-jump target.
-    let mut candidate = start.now;
-    // Credit-visibility frontier: minimum shard progress at the last
-    // exchange. Cycles ≤ frontier see every remote free exactly.
-    let mut frontier = start.now;
-    let mut t = start.now; // current window start (identical across workers)
-    let mut u = start.now; // this worker's cycle within the window
-    let mut ran_window = false;
-    loop {
-        // ---- window boundary: every shard is at `t` and the last
-        // round's published state is barrier-fresh ----
-        let done = shared
-            .done_at
-            .iter()
-            .map(|d| d.load(Ordering::Acquire))
-            .max()
-            .unwrap_or(u64::MAX);
-        if done != u64::MAX {
-            // Every worker drained and exhausted its workload. All
-            // resting cycles are ≤ stop_at, so a resting point below it
-            // is a genuine drain; otherwise the per-cycle protocol
-            // would have paused at stop_at first.
-            if done < stop_at {
-                return Ok(RunEnd::Done(done));
-            }
-            return Ok(RunEnd::Stopped(RunCursor {
-                now: stop_at,
-                next_event: next_event as u64,
-                rng: rng.state(),
-            }));
-        }
-        if t >= stop_at {
-            return Ok(RunEnd::Stopped(RunCursor {
-                now: t,
-                next_event: next_event as u64,
-                rng: rng.state(),
-            }));
-        }
-        if ran_window && t > plan.cfg.max_cycles {
-            // Same error protocol as the per-cycle loop (which checks
-            // after every executed cycle; windows clamp at
-            // `max_cycles + 1`, so `t` lands exactly there).
-            if dump_on_stall {
-                for s in my.iter() {
-                    s.dump_blocked(plan, t);
-                }
-            }
-            let origins: u64 = my.iter().map(|s| s.origin_packets).sum();
-            let completed: u64 = my.iter().map(|s| s.completed_packets).sum();
-            shared.stuck_origins.fetch_add(origins, Ordering::SeqCst);
-            shared
-                .stuck_completed
-                .fetch_add(completed, Ordering::SeqCst);
-            shared.barrier.wait();
-            return Err(SimError::CycleLimit {
-                stuck_packets: shared.stuck_origins.load(Ordering::SeqCst)
-                    - shared.stuck_completed.load(Ordering::SeqCst),
-            });
-        }
-        // Global idle fast-forward: everyone quiescent — jump the whole
-        // window frame to the next booked arrival or admission. Every
-        // worker computes the same target from published data and its
-        // own (identical) admission cursor.
-        if shared
-            .published
-            .iter()
-            .all(|p| !p.active.load(Ordering::Acquire))
-        {
-            let next_arrival = shared
-                .published
-                .iter()
-                .map(|p| p.next_arrival.load(Ordering::Acquire))
-                .min()
-                .unwrap_or(u64::MAX);
-            let next_admission = match workload {
-                Workload::Trace(trace) => trace.events.get(next_event).map(|e| e.cycle),
-                Workload::Synthetic { .. } => (t < inject_end).then_some(t),
-            };
-            let target = match (next_arrival, next_admission) {
-                // Fully drained *and* exhausted is settled by the
-                // `done_at` consensus above once a round has published
-                // it; until then, run the (no-op) round below.
-                (u64::MAX, None) => None,
-                (u64::MAX, Some(c)) => Some(c),
-                (a, None) => Some(a),
-                (a, Some(c)) => Some(a.min(c)),
-            };
-            if let Some(target) = target {
-                let target = target.min(stop_at);
-                if target > t {
-                    // The skipped cycles are provably no-ops everywhere
-                    // (nothing buffered, booked, or admissible), so the
-                    // frontier rides along.
-                    candidate = target;
-                    t = target;
-                    u = target;
-                    frontier = target;
-                    continue;
-                }
-            }
-        }
-        // ---- one window: rounds of up-to-W cycles ----
-        let end = (t + window)
-            .min(stop_at)
-            .min((plan.cfg.max_cycles + 1).max(t + 1));
-        ran_window = true;
-        loop {
-            // -- run [u, end), as far as credit visibility allows --
-            let mut mark = acc.sink.map(|_| std::time::Instant::now());
-            'cycles: while u < end {
-                for s in my.iter_mut() {
-                    s.apply_ripe_credits(u);
-                }
-                // Staleness pre-check, before admission so a stopped
-                // round re-admits nothing (and re-draws no RNG) when it
-                // retries this cycle. Admission cannot make a flit
-                // consult a boundary credit in the same cycle (a fresh
-                // emission's ready stamp is beyond `u`), so checking
-                // first covers everything arbitration will read.
-                if u > frontier && !my.iter().all(|s| s.lookahead_safe(u)) {
-                    break 'cycles;
-                }
-                // Admission at `u` — the same global stream every
-                // worker replays, cycle for cycle.
-                let mut must_step = false;
-                match workload {
-                    Workload::Trace(trace) => {
-                        while next_event < trace.events.len() && trace.events[next_event].cycle <= u
-                        {
-                            let e = &trace.events[next_event];
-                            next_event += 1;
-                            let shard = usize::from(plan.partition.shard_of_node[e.src.index()]);
-                            if !plan.routes.reachable(e.src, e.dst) {
-                                if mine[shard] != usize::MAX {
-                                    my[mine[shard]].stats.unreachable_pairs += 1;
-                                }
-                                continue;
-                            }
-                            must_step = true;
-                            if mine[shard] != usize::MAX {
-                                my[mine[shard]].admit(plan, e.src, e.dst, e.flits, e.cycle);
-                            }
-                        }
-                    }
-                    Workload::Synthetic { tables, warmup, .. } => {
-                        if u < inject_end {
-                            must_step = true;
-                            let factors = burst.factors_at(u);
-                            tables.inject_cycle(
-                                &mut rng,
-                                u,
-                                warmup,
-                                factors,
-                                |src, dst, inject_cycle| {
-                                    let shard =
-                                        usize::from(plan.partition.shard_of_node[src.index()]);
-                                    if mine[shard] == usize::MAX {
-                                        return;
-                                    }
-                                    if !plan.routes.reachable(src, dst) {
-                                        my[mine[shard]].stats.unreachable_pairs += 1;
-                                        return;
-                                    }
-                                    my[mine[shard]].admit(plan, src, dst, 1, inject_cycle);
-                                },
-                            );
-                        }
-                    }
-                }
-                // Local idle jump: cycles this worker provably no-ops
-                // through (no admission, no buffered work, no booked
-                // arrival) are skipped without consensus — foreign mail
-                // cannot land before the window ends.
-                if !must_step && my.iter().all(|s| s.quiescent()) {
-                    let own_arrival = my
-                        .iter()
-                        .filter_map(|s| s.next_arrival_cycle(u))
-                        .min()
-                        .unwrap_or(u64::MAX);
-                    let next_evt = match workload {
-                        Workload::Trace(trace) => {
-                            trace.events.get(next_event).map_or(u64::MAX, |e| e.cycle)
-                        }
-                        Workload::Synthetic { .. } => u64::MAX, // injection over
-                    };
-                    let real = own_arrival.min(next_evt);
-                    if real > u {
-                        if real <= end {
-                            // A real timeline position the per-cycle
-                            // protocol would also land on; a clamp to
-                            // `end` is a window artifact and is not a
-                            // resting point.
-                            candidate = real;
-                        }
-                        u = real.min(end);
-                        continue 'cycles;
-                    }
-                }
-                for s in my.iter_mut() {
-                    s.step_probed(plan, u, probe);
-                }
-                u += 1;
-                candidate = u;
-            }
-            acc.step_ns += lap(&mut mark);
-            // -- exchange: post, sync, collect, publish --
-            for s in my.iter_mut() {
-                s.post_outboxes(shared);
-            }
-            for s in my.iter() {
-                shared.progress[s.id].store(u, Ordering::Release);
-            }
-            acc.exchange_ns += lap(&mut mark);
-            shared.barrier.wait();
-            acc.barrier_ns += lap(&mut mark);
-            for s in my.iter_mut() {
-                s.collect_inboxes(plan, shared, u, true, probe);
-            }
-            // Post-collect lockstep data. Deadness is evaluated after
-            // the mail landed, so any in-flight flit keeps some worker
-            // live and the drain consensus can never fire early.
-            let active = my.iter().any(|s| !s.quiescent());
-            shared.published[worker_index]
-                .active
-                .store(active, Ordering::Release);
-            let arr = my
-                .iter()
-                .filter_map(|s| s.next_arrival_cycle(u))
-                .min()
-                .unwrap_or(u64::MAX);
-            shared.published[worker_index]
-                .next_arrival
-                .store(arr, Ordering::Release);
-            let exhausted = match workload {
-                Workload::Trace(trace) => next_event >= trace.events.len(),
-                Workload::Synthetic { .. } => u >= inject_end,
-            };
-            let dead = !active && arr == u64::MAX && exhausted;
-            shared.done_at[worker_index]
-                .store(if dead { candidate } else { u64::MAX }, Ordering::Release);
-            // Frontier and window consensus from the published progress
-            // (stored before the exchange barrier, so the reads below
-            // are the same on every worker).
-            let minp = shared
-                .progress
-                .iter()
-                .map(|p| p.load(Ordering::Acquire))
-                .min()
-                .unwrap_or(u);
-            frontier = minp;
-            acc.exchange_ns += lap(&mut mark);
-            shared.barrier.wait();
-            acc.barrier_ns += lap(&mut mark);
-            acc.supersteps += 1;
-            if minp >= end {
-                break;
-            }
-        }
-        debug_assert_eq!(u, end, "window completed with a lagging shard");
-        t = end;
-    }
-}
-
-/// Runs a workload over `shards` from `start` until it drains or
-/// `stop_at` is reached, with up to `threads` worker threads.
-/// `threads == 1` runs everything on the calling thread (still
-/// exchanging through the mailbox grid when P > 1 — the protocol is
-/// identical, only the parallelism differs). The shards are left in
-/// their end-of-run state so the caller can snapshot or merge them.
-pub(crate) fn run_sharded_until(
-    plan: &EnginePlan<'_>,
-    shards: &mut [ShardState],
-    threads: usize,
-    workload: Workload<'_>,
-    dump_on_stall: bool,
-    start: RunCursor,
-    stop_at: u64,
-) -> Result<RunEnd, SimError> {
-    run_sharded_until_probed(
-        plan,
-        shards,
-        threads,
-        workload,
-        dump_on_stall,
-        start,
-        stop_at,
-        &mut NoopProbe,
-        None,
-    )
-}
-
-/// [`run_sharded_until`] with telemetry attached. A run with a real
-/// probe (`P::ENABLED`) is forced single-worker so one probe instance
-/// observes every shard of every cycle — statistics are bit-for-bit
-/// independent of the worker count, so this only affects wall clock.
-/// `prof`, when set, collects superstep phase times from all workers
-/// (profiling uses atomics, so it composes with threading).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sharded_until_probed<P: Probe>(
-    plan: &EnginePlan<'_>,
-    shards: &mut [ShardState],
-    threads: usize,
-    workload: Workload<'_>,
-    dump_on_stall: bool,
-    start: RunCursor,
-    stop_at: u64,
-    probe: &mut P,
-    prof: Option<&ProfileSink>,
-) -> Result<RunEnd, SimError> {
-    let nshards = shards.len();
-    let workers = if P::ENABLED {
-        1
-    } else {
-        threads.clamp(1, nshards)
-    };
-    // Acceptance window for `SimStats::accepted_flits`: the measurement
-    // window of a synthetic run, the whole run for traces.
-    let (accept_from, accept_until) = match workload {
-        Workload::Trace(_) => (0, u64::MAX),
-        Workload::Synthetic {
-            warmup, measure, ..
-        } => (warmup, warmup + measure),
-    };
-    for s in shards.iter_mut() {
-        s.accept_from = accept_from;
-        s.accept_until = accept_until;
-    }
-    let shared = Shared::new(nshards, workers);
-    // Contiguous chunks, sizes balanced to within one shard.
-    let base = nshards / workers;
-    let rem = nshards % workers;
-    let mut rest = &mut shards[..];
-    let mut chunks = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let take = base + usize::from(w < rem);
-        let (head, tail) = rest.split_at_mut(take);
-        chunks.push(head);
-        rest = tail;
-    }
-    // Publish pre-run activity. A resumed run starts with live shard
-    // state, and the very first lockstep decision reads the other
-    // workers' published flags — the default idle values would let a
-    // worker fast-forward past a restored neighbor's booked arrivals.
-    for (w, chunk) in chunks.iter().enumerate() {
-        let active = chunk.iter().any(|s| !s.quiescent());
-        shared.published[w].active.store(active, Ordering::Release);
-        let arr = chunk
-            .iter()
-            .filter_map(|s| s.next_arrival_cycle(start.now))
-            .min()
-            .unwrap_or(u64::MAX);
-        shared.published[w]
-            .next_arrival
-            .store(arr, Ordering::Release);
-    }
-    // Windowed supersteps need a multi-cycle window and cycle-exact
-    // probes force the per-cycle loop (probes observe every cycle, in
-    // order, including the exchange timing the windows amortize away).
-    let windowed = plan.lookahead > 1 && nshards > 1 && !P::ENABLED;
-    if workers == 1 {
-        let chunk = chunks.pop().expect("one worker has one chunk");
-        if windowed {
-            worker_loop_windowed(
-                plan,
-                &shared,
-                chunk,
-                workload,
-                dump_on_stall,
-                0,
-                start,
-                stop_at,
-                prof,
-            )
-        } else {
-            worker_loop(
-                plan,
-                &shared,
-                chunk,
-                workload,
-                dump_on_stall,
-                0,
-                start,
-                stop_at,
-                probe,
-                prof,
-            )
-        }
-    } else {
-        debug_assert!(!P::ENABLED, "a probed run is single-worker");
-        let shared_ref = &shared;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .enumerate()
-                .map(|(w, chunk)| {
-                    scope.spawn(move || {
-                        if windowed {
-                            worker_loop_windowed(
-                                plan,
-                                shared_ref,
-                                chunk,
-                                workload,
-                                dump_on_stall,
-                                w,
-                                start,
-                                stop_at,
-                                prof,
-                            )
-                        } else {
-                            worker_loop(
-                                plan,
-                                shared_ref,
-                                chunk,
-                                workload,
-                                dump_on_stall,
-                                w,
-                                start,
-                                stop_at,
-                                &mut NoopProbe,
-                                prof,
-                            )
-                        }
-                    })
-                })
-                .collect();
-            // Lockstep guarantees identical outcomes; keep the first.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .reduce(|a, b| {
-                    debug_assert_eq!(a, b, "workers diverged");
-                    a
-                })
-                .expect("at least one worker")
-        })
-    }
-}
-
 /// Merges the per-shard statistics of a finished run.
 pub(crate) fn merge_stats(plan: &EnginePlan<'_>, shards: &[ShardState], cycles: u64) -> SimStats {
     let mut merged = SimStats::new(plan.topo.links().len(), plan.topo.num_nodes());
@@ -3074,55 +2462,6 @@ pub(crate) fn merge_stats(plan: &EnginePlan<'_>, shards: &[ShardState], cycles: 
     }
     merged.cycles = cycles;
     merged
-}
-
-/// Runs a workload over `shards` to completion and merges the per-shard
-/// statistics (the unbounded wrapper around [`run_sharded_until`]).
-pub(crate) fn run_sharded(
-    plan: &EnginePlan<'_>,
-    shards: Vec<ShardState>,
-    threads: usize,
-    workload: Workload<'_>,
-    dump_on_stall: bool,
-) -> Result<SimStats, SimError> {
-    run_sharded_probed(
-        plan,
-        shards,
-        threads,
-        workload,
-        dump_on_stall,
-        &mut NoopProbe,
-        None,
-    )
-}
-
-/// [`run_sharded`] with telemetry attached — see
-/// [`run_sharded_until_probed`] for the probe and profiling contract.
-pub(crate) fn run_sharded_probed<P: Probe>(
-    plan: &EnginePlan<'_>,
-    mut shards: Vec<ShardState>,
-    threads: usize,
-    workload: Workload<'_>,
-    dump_on_stall: bool,
-    probe: &mut P,
-    prof: Option<&ProfileSink>,
-) -> Result<SimStats, SimError> {
-    let start = RunCursor::fresh(&workload);
-    let end = run_sharded_until_probed(
-        plan,
-        &mut shards,
-        threads,
-        workload,
-        dump_on_stall,
-        start,
-        u64::MAX,
-        probe,
-        prof,
-    )?;
-    let RunEnd::Done(cycles) = end else {
-        unreachable!("an unbounded run cannot pause");
-    };
-    Ok(merge_stats(plan, &shards, cycles))
 }
 
 // ---- snapshot export / import ------------------------------------------
@@ -3377,7 +2716,7 @@ pub(crate) fn snapshot_shards(
     workload_hash: u64,
 ) -> Snapshot {
     let gs = export_shards(plan, shards, cursor);
-    let plan_hash = crate::snapshot::plan_fingerprint(
+    let plan_hash = plan_fingerprint(
         plan.topo,
         plan.routes,
         &plan.cfg,
@@ -3684,16 +3023,39 @@ pub(crate) fn import_shards(
     ))
 }
 
+/// Decodes `snap` against `plan`, checks the workload fingerprint, and
+/// rebuilds shard state. `workload_hash` = 0 skips the workload check
+/// (manual-stepping snapshots don't pin one); a snapshot taken with
+/// hash 0 likewise resumes under any workload.
+fn restore_shards(
+    plan: &EnginePlan<'_>,
+    snap: &Snapshot,
+    workload_hash: u64,
+) -> Result<(Vec<ShardState>, RunCursor), SimError> {
+    let gs = snap.decode_for(plan_fingerprint(
+        plan.topo,
+        plan.routes,
+        &plan.cfg,
+        plan.baseline,
+        plan.tenants,
+    ))?;
+    let stored = snap.workload_hash();
+    if stored != 0 && workload_hash != 0 && stored != workload_hash {
+        return Err(SimError::Snapshot(SnapshotError::WorkloadMismatch));
+    }
+    Ok(import_shards(plan, &gs)?)
+}
+
 // ---- public sharded simulator ------------------------------------------
 
 /// A parallel simulator: the mesh partitioned into rectangular shards
 /// advancing in cycle-synchronous supersteps. Produces [`SimStats`]
-/// **bit-for-bit identical** to [`crate::Simulator`] (the P=1 case) on
-/// every workload — see the module docs for the protocol and
-/// `tests/shard_parity.rs` for the pins.
+/// **bit-for-bit identical** to [`crate::Simulator`] (the P=1 case,
+/// which wraps one of these) on every workload — see the module docs
+/// for the protocol and `tests/shard_parity.rs` for the pins.
 pub struct ShardedSimulator<'a> {
-    plan: EnginePlan<'a>,
-    shards: Vec<ShardState>,
+    pub(crate) plan: EnginePlan<'a>,
+    pub(crate) shards: Vec<ShardState>,
     threads: usize,
 }
 
@@ -3737,23 +3099,11 @@ impl<'a> ShardedSimulator<'a> {
         self
     }
 
-    /// Caps the conservative-lookahead window. The plan derives the
-    /// window from the cut's minimum boundary-link latency (and
-    /// closed-loop configs pin it to 1); this can only *shrink* it — a
-    /// window wider than the cut latency would not be conservative.
-    /// `0` keeps the derived window; `1` forces per-cycle exchanges
-    /// (the before-lookahead engine, useful for A/B profiling).
-    pub fn with_lookahead(mut self, window: u64) -> Self {
-        if window > 0 {
-            self.plan.lookahead = self.plan.lookahead.min(window);
-        }
-        self
-    }
-
-    /// The conservative-lookahead window this simulator will use:
-    /// cycles per superstep exchange (1 = classic per-cycle protocol).
+    /// Simulated cycles per superstep exchange: always 1, since every
+    /// cycle is one superstep (see the module docs). Kept as a constant
+    /// for callers that record it.
     pub fn lookahead(&self) -> u64 {
-        self.plan.lookahead
+        1
     }
 
     /// Installs the healthy-mesh baseline (topology + routes the faults
@@ -3782,20 +3132,22 @@ impl<'a> ShardedSimulator<'a> {
 
     /// Runs a trace to completion.
     pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let threads = self.effective_threads();
-        run_sharded(
-            &self.plan,
-            self.shards,
-            threads,
+        self.drive(
             Workload::Trace(trace),
+            None,
+            u64::MAX,
+            &mut NoopProbe,
+            None,
             false,
         )
+        .map(RunOutcome::expect_finished)
     }
 
-    /// Runs Bernoulli-injected synthetic traffic; identical semantics
-    /// (and, bit-for-bit, identical statistics) to
-    /// [`crate::Simulator::run_synthetic`].
+    /// Runs Bernoulli-injected synthetic traffic: each node injects 1-flit
+    /// packets at its row rate of `matrix`, destinations sampled from the
+    /// row distribution. Packets injected during the first `warmup` cycles
+    /// are not measured; injection stops after `warmup + measure` cycles and
+    /// the network drains.
     pub fn run_synthetic(
         self,
         matrix: &TrafficMatrix,
@@ -3804,19 +3156,14 @@ impl<'a> ShardedSimulator<'a> {
         seed: u64,
     ) -> Result<SimStats, SimError> {
         let tables = InjectTables::new(self.plan.topo, matrix);
-        let threads = self.effective_threads();
-        run_sharded(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Synthetic {
-                tables: &tables,
-                warmup,
-                measure,
-                seed,
-            },
-            false,
-        )
+        let workload = Workload::Synthetic {
+            tables: &tables,
+            warmup,
+            measure,
+            seed,
+        };
+        self.drive(workload, None, u64::MAX, &mut NoopProbe, None, false)
+            .map(RunOutcome::expect_finished)
     }
 
     // ---- telemetry -------------------------------------------------------
@@ -3830,17 +3177,8 @@ impl<'a> ShardedSimulator<'a> {
         trace: &Trace,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let threads = self.effective_threads();
-        run_sharded_probed(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Trace(trace),
-            false,
-            probe,
-            None,
-        )
+        self.drive(Workload::Trace(trace), None, u64::MAX, probe, None, false)
+            .map(RunOutcome::expect_finished)
     }
 
     /// [`Self::run_synthetic`] with a telemetry probe attached — same
@@ -3854,21 +3192,14 @@ impl<'a> ShardedSimulator<'a> {
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
         let tables = InjectTables::new(self.plan.topo, matrix);
-        let threads = self.effective_threads();
-        run_sharded_probed(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Synthetic {
-                tables: &tables,
-                warmup,
-                measure,
-                seed,
-            },
-            false,
-            probe,
-            None,
-        )
+        let workload = Workload::Synthetic {
+            tables: &tables,
+            warmup,
+            measure,
+            seed,
+        };
+        self.drive(workload, None, u64::MAX, probe, None, false)
+            .map(RunOutcome::expect_finished)
     }
 
     /// [`Self::run_trace`] with engine self-profiling: returns the
@@ -3876,19 +3207,18 @@ impl<'a> ShardedSimulator<'a> {
     /// exchange vs. barrier wait). Profiling composes with
     /// multi-threaded runs (atomics, flushed per worker on exit).
     pub fn run_trace_profiled(self, trace: &Trace) -> Result<(SimStats, EngineProfile), SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let threads = self.effective_threads();
-        let workers = threads.clamp(1, self.shards.len());
+        let workers = self.workers();
         let sink = ProfileSink::new();
-        let stats = run_sharded_probed(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Trace(trace),
-            false,
-            &mut NoopProbe,
-            Some(&sink),
-        )?;
+        let stats = self
+            .drive(
+                Workload::Trace(trace),
+                None,
+                u64::MAX,
+                &mut NoopProbe,
+                Some(&sink),
+                false,
+            )?
+            .expect_finished();
         Ok((stats, sink.profile(workers)))
     }
 
@@ -3901,35 +3231,32 @@ impl<'a> ShardedSimulator<'a> {
         measure: u64,
         seed: u64,
     ) -> Result<(SimStats, EngineProfile), SimError> {
-        let tables = InjectTables::new(self.plan.topo, matrix);
-        let threads = self.effective_threads();
-        let workers = threads.clamp(1, self.shards.len());
+        let workers = self.workers();
         let sink = ProfileSink::new();
-        let stats = run_sharded_probed(
-            &self.plan,
-            self.shards,
-            threads,
-            Workload::Synthetic {
-                tables: &tables,
-                warmup,
-                measure,
-                seed,
-            },
-            false,
-            &mut NoopProbe,
-            Some(&sink),
-        )?;
+        let tables = InjectTables::new(self.plan.topo, matrix);
+        let workload = Workload::Synthetic {
+            tables: &tables,
+            warmup,
+            measure,
+            seed,
+        };
+        let stats = self
+            .drive(workload, None, u64::MAX, &mut NoopProbe, Some(&sink), false)?
+            .expect_finished();
         Ok((stats, sink.profile(workers)))
     }
 
     // ---- checkpoint / restore -------------------------------------------
 
-    /// Serializes the engine state at the cycle boundary `now`. The
-    /// snapshot is partition-independent: all P shards' state is merged
-    /// into one global image, so it restores at any shard count
-    /// (including P=1 via [`crate::Simulator::restore`]). Pins no
-    /// workload; bounded runs ([`run_trace_until`](Self::run_trace_until))
-    /// produce their own snapshots instead.
+    /// Serializes the engine state at the cycle boundary `now` (cycles
+    /// `0..now` simulated, `now` not yet). The snapshot is
+    /// partition-independent: all P shards' state is merged into one
+    /// global image, so it restores at any shard count. For use with
+    /// manual stepping — the caller owns the clock, so it supplies the
+    /// boundary; the snapshot pins no workload (any `resume_*` accepts
+    /// it, rebuilding the trace cursor by scanning). Bounded runs
+    /// ([`run_trace_until`](Self::run_trace_until)) produce their own
+    /// snapshots instead.
     pub fn snapshot(&self, now: u64) -> Snapshot {
         let cursor = RunCursor {
             now,
@@ -3941,8 +3268,9 @@ impl<'a> ShardedSimulator<'a> {
 
     /// Rebuilds this simulator's state from a snapshot, re-partitioning
     /// it across this simulator's shard grid — the snapshot may have
-    /// been taken at any other shard count. Must match this simulator's
-    /// topology, routing, and configuration (fingerprint-checked).
+    /// been taken by any engine at any shard count. Must match this
+    /// simulator's topology, routing, and configuration
+    /// (fingerprint-checked).
     pub fn restore(self, snap: &Snapshot) -> Result<Self, SimError> {
         let ShardedSimulator { plan, threads, .. } = self;
         let (shards, _) = restore_shards(&plan, snap, 0)?;
@@ -3954,61 +3282,51 @@ impl<'a> ShardedSimulator<'a> {
     }
 
     /// Runs a trace, pausing at the cycle boundary `stop_at` if the
-    /// workload hasn't drained by then; bit-for-bit semantics of
-    /// [`crate::Simulator::run_trace_until`].
+    /// workload hasn't drained by then. Pausing at `c` and resuming
+    /// yields statistics bit-for-bit identical to the uninterrupted run
+    /// — `tests/snapshot_parity.rs` pins this.
     pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let threads = self.effective_threads();
-        let workload = Workload::Trace(trace);
-        let start = RunCursor::fresh(&workload);
-        finish_or_pause(
-            &self.plan,
-            self.shards,
-            threads,
-            workload,
-            start,
+        self.drive(
+            Workload::Trace(trace),
+            None,
             stop_at,
-            || crate::snapshot::trace_fingerprint(trace),
+            &mut NoopProbe,
+            None,
+            false,
         )
     }
 
     /// Resumes a paused trace run from `snap`, itself pausing again at
     /// `stop_at` if the trace hasn't drained (pass `u64::MAX` to run to
     /// completion). The snapshot may come from any engine at any shard
-    /// count.
+    /// count, and must carry this trace's fingerprint or none (manual
+    /// snapshots).
     pub fn resume_trace_until(
         self,
         snap: &Snapshot,
         trace: &Trace,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let threads = self.effective_threads();
-        let (shards, mut cursor) =
-            restore_shards(&self.plan, snap, crate::snapshot::trace_fingerprint(trace))?;
-        if snap.workload_hash() == 0 {
-            cursor.next_event = rescan_trace_cursor(trace, cursor.now);
-        }
-        finish_or_pause(
-            &self.plan,
-            shards,
-            threads,
+        self.drive(
             Workload::Trace(trace),
-            cursor,
+            Some(snap),
             stop_at,
-            || crate::snapshot::trace_fingerprint(trace),
+            &mut NoopProbe,
+            None,
+            false,
         )
     }
 
     /// Resumes a paused trace run to completion.
     pub fn resume_trace(self, snap: &Snapshot, trace: &Trace) -> Result<SimStats, SimError> {
-        Ok(self
-            .resume_trace_until(snap, trace, u64::MAX)?
-            .expect_finished())
+        self.resume_trace_until(snap, trace, u64::MAX)
+            .map(RunOutcome::expect_finished)
     }
 
     /// Runs synthetic traffic, pausing at the cycle boundary `stop_at`
-    /// if the run hasn't drained by then.
+    /// if the run hasn't drained by then. Pausing at the end of warmup
+    /// and resuming per load point is what makes warm-start sweeps cheap
+    /// (see [`crate::SweepConfig::cold`]).
     pub fn run_synthetic_until(
         self,
         matrix: &TrafficMatrix,
@@ -4017,7 +3335,6 @@ impl<'a> ShardedSimulator<'a> {
         seed: u64,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
-        let threads = self.effective_threads();
         let tables = InjectTables::new(self.plan.topo, matrix);
         let workload = Workload::Synthetic {
             tables: &tables,
@@ -4025,22 +3342,15 @@ impl<'a> ShardedSimulator<'a> {
             measure,
             seed,
         };
-        let start = RunCursor::fresh(&workload);
-        finish_or_pause(
-            &self.plan,
-            self.shards,
-            threads,
-            workload,
-            start,
-            stop_at,
-            || crate::snapshot::synthetic_fingerprint(warmup, measure, seed),
-        )
+        self.drive(workload, None, stop_at, &mut NoopProbe, None, false)
     }
 
-    /// Resumes a paused synthetic run to completion; same workload-
-    /// fingerprint rules as [`crate::Simulator::resume_synthetic`] (the
-    /// traffic matrix is deliberately not pinned, enabling warm-start
-    /// rate sweeps).
+    /// Resumes a paused synthetic run to completion. The snapshot must
+    /// match `(warmup, measure, seed)` — the traffic matrix is
+    /// deliberately *not* fingerprinted, so a post-warmup snapshot can
+    /// be resumed at each rate-grid point (the matrix only shapes
+    /// injections after the snapshot boundary; the RNG stream resumes
+    /// from the cursor either way).
     pub fn resume_synthetic(
         self,
         snap: &Snapshot,
@@ -4049,37 +3359,169 @@ impl<'a> ShardedSimulator<'a> {
         measure: u64,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        let threads = self.effective_threads();
         let tables = InjectTables::new(self.plan.topo, matrix);
-        let (shards, cursor) = restore_shards(
-            &self.plan,
-            snap,
-            crate::snapshot::synthetic_fingerprint(warmup, measure, seed),
-        )?;
         let workload = Workload::Synthetic {
             tables: &tables,
             warmup,
             measure,
             seed,
         };
-        Ok(finish_or_pause(
-            &self.plan,
-            shards,
-            threads,
-            workload,
-            cursor,
-            u64::MAX,
-            || 0,
-        )?
-        .expect_finished())
+        self.drive(workload, Some(snap), u64::MAX, &mut NoopProbe, None, false)
+            .map(RunOutcome::expect_finished)
     }
 
-    fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            self.shards.len()
-        } else {
-            self.threads
+    /// Worker threads a plain run uses: one per shard unless capped.
+    fn workers(&self) -> usize {
+        match self.threads {
+            0 => self.shards.len(),
+            t => t.min(self.shards.len()),
         }
+    }
+
+    /// The run driver behind every `run_*` / `resume_*` entry point (and
+    /// [`crate::Simulator`]'s, which delegate here). Restores `from`
+    /// when given (checking its workload fingerprint), runs `workload`
+    /// until it drains or reaches the cycle boundary `stop_at`, and
+    /// returns the merged statistics or the pause snapshot.
+    ///
+    /// The shards are split into contiguous chunks, one per worker; a
+    /// single worker runs everything on the calling thread (still
+    /// exchanging through the mailbox grid when P > 1 — the protocol is
+    /// identical, only the parallelism differs). A run with a real
+    /// probe (`P::ENABLED`) is forced single-worker so one probe
+    /// instance observes every shard of every cycle — statistics are
+    /// bit-for-bit independent of the worker count, so this only
+    /// affects wall clock. `prof`, when set, collects superstep phase
+    /// times from all workers. `dump_on_stall` prints a blocked-state
+    /// dump to stderr on a cycle-limit failure (deadlock triage).
+    pub(crate) fn drive<P: Probe>(
+        self,
+        workload: Workload<'_>,
+        from: Option<&Snapshot>,
+        stop_at: u64,
+        probe: &mut P,
+        prof: Option<&ProfileSink>,
+        dump_on_stall: bool,
+    ) -> Result<RunOutcome, SimError> {
+        if let Workload::Trace(trace) = workload {
+            assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
+        }
+        let workers = if P::ENABLED { 1 } else { self.workers() };
+        let ShardedSimulator {
+            plan, mut shards, ..
+        } = self;
+        let start = match from {
+            None => RunCursor::fresh(&workload),
+            Some(snap) => {
+                let (restored, mut cursor) = restore_shards(&plan, snap, workload.fingerprint())?;
+                // A snapshot that pins no trace (manual stepping) resumes
+                // at the first event not yet admitted at its boundary.
+                if let Workload::Trace(trace) = workload {
+                    if snap.workload_hash() == 0 {
+                        cursor.next_event = rescan_trace_cursor(trace, cursor.now);
+                    }
+                }
+                shards = restored;
+                cursor
+            }
+        };
+        // Acceptance window for `SimStats::accepted_flits`: the measurement
+        // window of a synthetic run, the whole run for traces.
+        let (accept_from, accept_until) = match workload {
+            Workload::Trace(_) => (0, u64::MAX),
+            Workload::Synthetic {
+                warmup, measure, ..
+            } => (warmup, warmup + measure),
+        };
+        for s in shards.iter_mut() {
+            s.accept_from = accept_from;
+            s.accept_until = accept_until;
+        }
+        let shared = Shared::new(shards.len(), workers);
+        // Contiguous chunks, sizes balanced to within one shard.
+        let base = shards.len() / workers;
+        let rem = shards.len() % workers;
+        let mut rest = &mut shards[..];
+        let mut chunks = Vec::with_capacity(workers);
+        for w in 0..workers {
+            let (head, tail) = rest.split_at_mut(base + usize::from(w < rem));
+            chunks.push(head);
+            rest = tail;
+        }
+        // Publish pre-run activity. A resumed run starts with live shard
+        // state, and the very first lockstep decision reads the other
+        // workers' published flags — the default idle values would let a
+        // worker fast-forward past a restored neighbor's booked arrivals.
+        for (w, chunk) in chunks.iter().enumerate() {
+            let active = chunk.iter().any(|s| !s.quiescent());
+            shared.published[w].active.store(active, Ordering::Release);
+            let arr = chunk
+                .iter()
+                .filter_map(|s| s.next_arrival_cycle(start.now))
+                .min()
+                .unwrap_or(u64::MAX);
+            shared.published[w]
+                .next_arrival
+                .store(arr, Ordering::Release);
+        }
+        let end = if workers == 1 {
+            let chunk = chunks.pop().expect("one worker has one chunk");
+            worker_loop(
+                &plan,
+                &shared,
+                chunk,
+                workload,
+                dump_on_stall,
+                0,
+                start,
+                stop_at,
+                probe,
+                prof,
+            )
+        } else {
+            debug_assert!(!P::ENABLED, "a probed run is single-worker");
+            let (plan, shared) = (&plan, &shared);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = chunks
+                    .into_iter()
+                    .enumerate()
+                    .map(|(w, chunk)| {
+                        scope.spawn(move || {
+                            worker_loop(
+                                plan,
+                                shared,
+                                chunk,
+                                workload,
+                                dump_on_stall,
+                                w,
+                                start,
+                                stop_at,
+                                &mut NoopProbe,
+                                prof,
+                            )
+                        })
+                    })
+                    .collect();
+                // Lockstep guarantees identical outcomes; keep the first.
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker thread panicked"))
+                    .reduce(|a, b| {
+                        debug_assert_eq!(a, b, "workers diverged");
+                        a
+                    })
+                    .expect("at least one worker")
+            })
+        }?;
+        Ok(match end {
+            RunEnd::Done(cycles) => RunOutcome::Finished(merge_stats(&plan, &shards, cycles)),
+            RunEnd::Stopped(cursor) => RunOutcome::Paused(snapshot_shards(
+                &plan,
+                &shards,
+                &cursor,
+                workload.fingerprint(),
+            )),
+        })
     }
 }
 

@@ -1,15 +1,14 @@
 //! The single-shard simulator facade.
 //!
-//! Since the shard refactor, the engine core — calendar wheel, active
-//! node bitsets, SoA flit slab, dirty-list route computation, mask-walk
-//! arbitration — lives in [`crate::shard`] as `ShardState`: per-cycle
-//! cost scales with the number of in-flight flits, not with network size
-//! (the seed engine survives verbatim in [`crate::reference`] as the
-//! parity oracle). [`Simulator`] is the P=1 case: one `ShardState` built
-//! over the trivial partition, driven by the same lockstep run loop the
-//! parallel [`crate::ShardedSimulator`] uses — with a single shard the
-//! mailbox grid and barriers degenerate to no-ops, so the hot path is
-//! identical to the pre-shard engine.
+//! The engine core — calendar wheel, active node bitsets, SoA flit
+//! slab, dirty-list route computation, mask-walk arbitration — lives in
+//! [`crate::shard`] as `ShardState`: per-cycle cost scales with the
+//! number of in-flight flits, not with network size (the seed engine
+//! survives verbatim in [`crate::reference`] as the parity oracle).
+//! [`Simulator`] is a P=1 [`ShardedSimulator`] plus a manual-stepping
+//! API: every `run_*` / `resume_*` / `snapshot` / `restore` call
+//! delegates to the one sharded run driver, where with a single shard
+//! the mailbox grid and barriers degenerate to no-ops.
 //!
 //! Stage order, arbitration order, credit timing, and statistics are
 //! bit-for-bit identical to the reference engine; `tests/parity.rs`
@@ -17,18 +16,12 @@
 //! `tests/shard_parity.rs` pins the sharded engine against this one.
 
 use crate::config::SimConfig;
-use crate::shard::{
-    import_shards, merge_stats, run_sharded, run_sharded_probed, run_sharded_until,
-    snapshot_shards, EnginePlan, InjectTables, RunCursor, RunEnd, ShardState, Workload,
-};
-use crate::snapshot::{
-    plan_fingerprint, synthetic_fingerprint, trace_fingerprint, Snapshot, SnapshotError,
-};
+use crate::shard::{ShardedSimulator, Workload};
+use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::SimStats;
-use crate::telemetry::Probe;
-use hyppi_topology::{NodeId, Partition, RoutingTable, Topology};
+use crate::telemetry::{NoopProbe, Probe};
+use hyppi_topology::{NodeId, RoutingTable, ShardSpec, Topology};
 use hyppi_traffic::{Trace, TrafficMatrix};
-use rand::{rngs::StdRng, SeedableRng};
 
 /// Simulation failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,31 +95,6 @@ impl RunOutcome {
     }
 }
 
-/// Decodes `snap` against `plan`, checks the workload fingerprint, and
-/// rebuilds shard state. `workload_hash` = 0 skips the workload check
-/// (manual-stepping snapshots don't pin one); a snapshot taken with
-/// hash 0 likewise resumes under any workload, with the trace cursor
-/// rebuilt by scanning for the first event at or after the snapshot
-/// cycle.
-pub(crate) fn restore_shards(
-    plan: &EnginePlan<'_>,
-    snap: &Snapshot,
-    workload_hash: u64,
-) -> Result<(Vec<ShardState>, RunCursor), SimError> {
-    let gs = snap.decode_for(plan_fingerprint(
-        plan.topo,
-        plan.routes,
-        &plan.cfg,
-        plan.baseline,
-        plan.tenants,
-    ))?;
-    let stored = snap.workload_hash();
-    if stored != 0 && workload_hash != 0 && stored != workload_hash {
-        return Err(SimError::Snapshot(SnapshotError::WorkloadMismatch));
-    }
-    Ok(import_shards(plan, &gs)?)
-}
-
 /// Trace-event cursor for a snapshot that didn't pin this trace: the
 /// first event not yet admitted at the snapshot boundary.
 pub(crate) fn rescan_trace_cursor(trace: &Trace, now: u64) -> u64 {
@@ -140,8 +108,8 @@ pub(crate) fn rescan_trace_cursor(trace: &Trace, now: u64) -> u64 {
 /// The simulator. Construct once per (topology, routing) pair and run a
 /// trace or a synthetic load.
 pub struct Simulator<'a> {
-    pub(crate) plan: EnginePlan<'a>,
-    pub(crate) shard: ShardState,
+    /// The P=1 engine every run delegates to.
+    engine: ShardedSimulator<'a>,
 }
 
 impl<'a> Simulator<'a> {
@@ -149,32 +117,33 @@ impl<'a> Simulator<'a> {
     /// (use [`RoutingTable::compute_xy`] — the deadlock-freedom argument
     /// assumes X-then-Y ordering).
     pub fn new(topo: &'a Topology, routes: &'a RoutingTable, cfg: SimConfig) -> Self {
-        let plan = EnginePlan::new(topo, routes, cfg, Partition::single(topo));
-        let shard = ShardState::new(&plan, 0);
-        Simulator { plan, shard }
+        Simulator {
+            engine: ShardedSimulator::new(topo, routes, cfg, ShardSpec::SINGLE),
+        }
     }
 
     /// Whether the deterministic route src → dst crosses an express link
     /// (always `false` on topologies without express links).
     pub fn route_uses_express(&self, src: NodeId, dst: NodeId) -> bool {
-        self.plan.route_uses_express(src, dst)
+        self.engine.plan.route_uses_express(src, dst)
     }
 
     /// Installs the healthy-mesh baseline (topology + routes the faults
     /// were applied to) so admitted packets are charged
     /// [`SimStats::rerouted_hops`] for detours versus the healthy route.
-    pub fn with_baseline(mut self, topo: &'a Topology, routes: &'a RoutingTable) -> Self {
-        self.plan.set_baseline(topo, routes);
-        self
+    pub fn with_baseline(self, topo: &'a Topology, routes: &'a RoutingTable) -> Self {
+        Simulator {
+            engine: self.engine.with_baseline(topo, routes),
+        }
     }
 
     /// Installs a node → tenant map: the run's [`SimStats`] then carries
     /// per-tenant lanes (see [`crate::TenantStats`]) split out of the
     /// aggregate.
-    pub fn with_tenants(mut self, map: &'a hyppi_traffic::TenantMap) -> Self {
-        self.plan.set_tenants(map);
-        self.shard.stats.init_tenants(map.tenants);
-        self
+    pub fn with_tenants(self, map: &'a hyppi_traffic::TenantMap) -> Self {
+        Simulator {
+            engine: self.engine.with_tenants(map),
+        }
     }
 
     // ---- manual stepping (instrumentation API) --------------------------
@@ -191,22 +160,24 @@ impl<'a> Simulator<'a> {
     /// topologies: a pair with no route is dropped and counted in
     /// [`SimStats::unreachable_pairs`] instead of being queued.
     pub fn admit(&mut self, src: NodeId, dst: NodeId, flits: u32, cycle: u64) {
-        if !self.plan.routes.reachable(src, dst) {
-            self.shard.stats.unreachable_pairs += 1;
+        let ShardedSimulator { plan, shards, .. } = &mut self.engine;
+        if !plan.routes.reachable(src, dst) {
+            shards[0].stats.unreachable_pairs += 1;
             return;
         }
-        self.shard.admit(&self.plan, src, dst, flits, cycle);
+        shards[0].admit(plan, src, dst, flits, cycle);
     }
 
     /// Runs one simulated cycle (all five pipeline stages plus the
     /// credit drain). Call with a monotonically increasing `now`.
     pub fn step(&mut self, now: u64) {
-        self.shard.step(&self.plan, now);
+        let ShardedSimulator { plan, shards, .. } = &mut self.engine;
+        shards[0].step(plan, now);
     }
 
     /// The statistics accumulated so far.
     pub fn stats(&self) -> &SimStats {
-        &self.shard.stats
+        &self.engine.shards[0].stats
     }
 
     /// Flits currently inside the network: buffered in router VCs plus
@@ -215,52 +186,48 @@ impl<'a> Simulator<'a> {
     /// conservation ledger: injected = delivered + in-network, at every
     /// cycle boundary.
     pub fn in_network_flits(&self) -> u64 {
-        self.shard
-            .ctl
-            .iter()
-            .map(|c| u64::from(c.buffered))
-            .sum::<u64>()
-            + self.shard.inflight_arrivals
+        let shard = &self.engine.shards[0];
+        shard.ctl.iter().map(|c| u64::from(c.buffered)).sum::<u64>() + shard.inflight_arrivals
     }
 
     /// Packets admitted but not yet fully emitted (NIC queues plus
     /// in-progress emissions).
     pub fn pending_packets(&self) -> u64 {
-        self.shard.pending_sources
+        self.engine.shards[0].pending_sources
     }
 
     /// Closed-loop window occupancy per node (packets emitted but not yet
     /// fully ejected), node-id indexed. All-zero on open-loop
     /// configurations.
     pub fn outstanding_packets(&self) -> &[u32] {
-        &self.shard.outstanding
+        &self.engine.shards[0].outstanding
     }
+
+    // ---- runs: every one delegates to the P=1 sharded engine -------------
 
     /// Runs a trace to completion.
     pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.run_trace_impl(trace, false)
+        self.engine.run_trace(trace)
     }
 
     /// Like [`run_trace`](Self::run_trace), but on a cycle-limit failure
     /// prints a blocked-state dump to stderr before returning the error
     /// (deadlock triage aid).
     pub fn run_trace_debug(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.run_trace_impl(trace, true)
+        self.engine
+            .drive(
+                Workload::Trace(trace),
+                None,
+                u64::MAX,
+                &mut NoopProbe,
+                None,
+                true,
+            )
+            .map(RunOutcome::expect_finished)
     }
 
-    /// The single trace-driven run loop; `dump_on_stall` enables the
-    /// deadlock-triage dump on cycle-limit failure.
-    fn run_trace_impl(self, trace: &Trace, dump_on_stall: bool) -> Result<SimStats, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let Simulator { plan, shard } = self;
-        run_sharded(&plan, vec![shard], 1, Workload::Trace(trace), dump_on_stall)
-    }
-
-    /// Runs Bernoulli-injected synthetic traffic: each node injects 1-flit
-    /// packets at its row rate of `matrix`, destinations sampled from the
-    /// row distribution. Packets injected during the first `warmup` cycles
-    /// are not measured; injection stops after `warmup + measure` cycles and
-    /// the network drains.
+    /// Runs Bernoulli-injected synthetic traffic; see
+    /// [`ShardedSimulator::run_synthetic`].
     pub fn run_synthetic(
         self,
         matrix: &TrafficMatrix,
@@ -268,23 +235,8 @@ impl<'a> Simulator<'a> {
         measure: u64,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        let Simulator { plan, shard } = self;
-        let tables = InjectTables::new(plan.topo, matrix);
-        run_sharded(
-            &plan,
-            vec![shard],
-            1,
-            Workload::Synthetic {
-                tables: &tables,
-                warmup,
-                measure,
-                seed,
-            },
-            false,
-        )
+        self.engine.run_synthetic(matrix, warmup, measure, seed)
     }
-
-    // ---- telemetry -------------------------------------------------------
 
     /// [`Self::run_trace`] with a telemetry probe attached (see
     /// [`crate::telemetry`]). The statistics are bit-for-bit those of
@@ -295,17 +247,7 @@ impl<'a> Simulator<'a> {
         trace: &Trace,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let Simulator { plan, shard } = self;
-        run_sharded_probed(
-            &plan,
-            vec![shard],
-            1,
-            Workload::Trace(trace),
-            false,
-            probe,
-            None,
-        )
+        self.engine.run_trace_probed(trace, probe)
     }
 
     /// [`Self::run_synthetic`] with a telemetry probe attached — same
@@ -318,109 +260,50 @@ impl<'a> Simulator<'a> {
         seed: u64,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        let Simulator { plan, shard } = self;
-        let tables = InjectTables::new(plan.topo, matrix);
-        run_sharded_probed(
-            &plan,
-            vec![shard],
-            1,
-            Workload::Synthetic {
-                tables: &tables,
-                warmup,
-                measure,
-                seed,
-            },
-            false,
-            probe,
-            None,
-        )
+        self.engine
+            .run_synthetic_probed(matrix, warmup, measure, seed, probe)
     }
 
-    // ---- checkpoint / restore -------------------------------------------
-
-    /// Serializes the engine state at the cycle boundary `now` (cycles
-    /// `0..now` simulated, `now` not yet). For use with the manual
-    /// stepping API — the caller owns the clock, so it supplies the
-    /// boundary; the snapshot pins no workload (any `resume_*` accepts
-    /// it, rebuilding the trace cursor by scanning). Bounded runs
-    /// ([`run_trace_until`](Self::run_trace_until)) produce their own
-    /// snapshots instead.
+    /// Serializes the engine state at the cycle boundary `now`; see
+    /// [`ShardedSimulator::snapshot`].
     pub fn snapshot(&self, now: u64) -> Snapshot {
-        let cursor = RunCursor {
-            now,
-            next_event: 0,
-            rng: StdRng::seed_from_u64(0).state(),
-        };
-        snapshot_shards(&self.plan, std::slice::from_ref(&self.shard), &cursor, 0)
+        self.engine.snapshot(now)
     }
 
-    /// Rebuilds a simulator from a snapshot, replacing this one's
-    /// (necessarily fresh) state. The snapshot may have been taken by
-    /// any engine at any shard count — the format is
-    /// partition-independent — but must match this simulator's topology,
-    /// routing, and configuration (fingerprint-checked). Continue with
-    /// the manual stepping API from cycle [`Snapshot::now`], or use a
+    /// Rebuilds a simulator from a snapshot taken by any engine at any
+    /// shard count; see [`ShardedSimulator::restore`]. Continue with the
+    /// manual stepping API from cycle [`Snapshot::now`], or use a
     /// `resume_*` entry point to rejoin a paused run.
     pub fn restore(self, snap: &Snapshot) -> Result<Self, SimError> {
-        let Simulator { plan, .. } = self;
-        let (mut shards, _) = restore_shards(&plan, snap, 0)?;
-        let shard = shards.pop().expect("single partition has one shard");
-        debug_assert!(shards.is_empty());
-        Ok(Simulator { plan, shard })
-    }
-
-    /// Runs a trace, pausing at the cycle boundary `stop_at` if the
-    /// workload hasn't drained by then. Pausing at `c` and resuming
-    /// yields statistics bit-for-bit identical to the uninterrupted run
-    /// — `tests/snapshot_parity.rs` pins this.
-    pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let Simulator { plan, shard } = self;
-        let workload = Workload::Trace(trace);
-        let start = RunCursor::fresh(&workload);
-        finish_or_pause(&plan, vec![shard], 1, workload, start, stop_at, || {
-            trace_fingerprint(trace)
+        Ok(Simulator {
+            engine: self.engine.restore(snap)?,
         })
     }
 
-    /// Resumes a paused trace run from `snap`, itself pausing again at
-    /// `stop_at` if the trace hasn't drained (pass `u64::MAX` to run to
-    /// completion). The snapshot must carry this trace's fingerprint, or
-    /// none (manual snapshots).
+    /// Runs a trace, pausing at the cycle boundary `stop_at`; see
+    /// [`ShardedSimulator::run_trace_until`].
+    pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
+        self.engine.run_trace_until(trace, stop_at)
+    }
+
+    /// Resumes a paused trace run, pausing again at `stop_at`; see
+    /// [`ShardedSimulator::resume_trace_until`].
     pub fn resume_trace_until(
         self,
         snap: &Snapshot,
         trace: &Trace,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
-        assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
-        let Simulator { plan, .. } = self;
-        let (shards, mut cursor) = restore_shards(&plan, snap, trace_fingerprint(trace))?;
-        if snap.workload_hash() == 0 {
-            cursor.next_event = rescan_trace_cursor(trace, cursor.now);
-        }
-        finish_or_pause(
-            &plan,
-            shards,
-            1,
-            Workload::Trace(trace),
-            cursor,
-            stop_at,
-            || trace_fingerprint(trace),
-        )
+        self.engine.resume_trace_until(snap, trace, stop_at)
     }
 
     /// Resumes a paused trace run to completion.
     pub fn resume_trace(self, snap: &Snapshot, trace: &Trace) -> Result<SimStats, SimError> {
-        Ok(self
-            .resume_trace_until(snap, trace, u64::MAX)?
-            .expect_finished())
+        self.engine.resume_trace(snap, trace)
     }
 
-    /// Runs synthetic traffic, pausing at the cycle boundary `stop_at`
-    /// if the run hasn't drained by then. Pausing at the end of warmup
-    /// and resuming per load point is what makes warm-start sweeps cheap
-    /// (see [`crate::SweepConfig::cold`]).
+    /// Runs synthetic traffic, pausing at the cycle boundary `stop_at`;
+    /// see [`ShardedSimulator::run_synthetic_until`].
     pub fn run_synthetic_until(
         self,
         matrix: &TrafficMatrix,
@@ -429,26 +312,12 @@ impl<'a> Simulator<'a> {
         seed: u64,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
-        let Simulator { plan, shard } = self;
-        let tables = InjectTables::new(plan.topo, matrix);
-        let workload = Workload::Synthetic {
-            tables: &tables,
-            warmup,
-            measure,
-            seed,
-        };
-        let start = RunCursor::fresh(&workload);
-        finish_or_pause(&plan, vec![shard], 1, workload, start, stop_at, || {
-            synthetic_fingerprint(warmup, measure, seed)
-        })
+        self.engine
+            .run_synthetic_until(matrix, warmup, measure, seed, stop_at)
     }
 
-    /// Resumes a paused synthetic run to completion. The snapshot must
-    /// match `(warmup, measure, seed)` — the traffic matrix is
-    /// deliberately *not* fingerprinted, so a post-warmup snapshot can
-    /// be resumed at each rate-grid point (the matrix only shapes
-    /// injections after the snapshot boundary; the RNG stream resumes
-    /// from the cursor either way).
+    /// Resumes a paused synthetic run to completion; see
+    /// [`ShardedSimulator::resume_synthetic`].
     pub fn resume_synthetic(
         self,
         snap: &Snapshot,
@@ -457,39 +326,9 @@ impl<'a> Simulator<'a> {
         measure: u64,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        let Simulator { plan, .. } = self;
-        let tables = InjectTables::new(plan.topo, matrix);
-        let (shards, cursor) =
-            restore_shards(&plan, snap, synthetic_fingerprint(warmup, measure, seed))?;
-        let workload = Workload::Synthetic {
-            tables: &tables,
-            warmup,
-            measure,
-            seed,
-        };
-        Ok(finish_or_pause(&plan, shards, 1, workload, cursor, u64::MAX, || 0)?.expect_finished())
+        self.engine
+            .resume_synthetic(snap, matrix, warmup, measure, seed)
     }
-}
-
-/// Shared tail of every bounded run: drive the engine, then either merge
-/// final statistics or serialize the pause snapshot (fingerprinting the
-/// workload via `workload_hash`, evaluated only on pause).
-pub(crate) fn finish_or_pause(
-    plan: &EnginePlan<'_>,
-    mut shards: Vec<ShardState>,
-    threads: usize,
-    workload: Workload<'_>,
-    start: RunCursor,
-    stop_at: u64,
-    workload_hash: impl FnOnce() -> u64,
-) -> Result<RunOutcome, SimError> {
-    let end = run_sharded_until(plan, &mut shards, threads, workload, false, start, stop_at)?;
-    Ok(match end {
-        RunEnd::Done(cycles) => RunOutcome::Finished(merge_stats(plan, &shards, cycles)),
-        RunEnd::Stopped(cursor) => {
-            RunOutcome::Paused(snapshot_shards(plan, &shards, &cursor, workload_hash()))
-        }
-    })
 }
 
 #[cfg(test)]
@@ -844,8 +683,9 @@ mod tests {
             .map(|l| u64::from(l.latency_cycles))
             .max()
             .unwrap();
-        assert!(sim.shard.wheel.len() as u64 > max_lat);
-        assert!(sim.shard.wheel.len().is_power_of_two());
+        let shard = &sim.engine.shards[0];
+        assert!(shard.wheel.len() as u64 > max_lat);
+        assert!(shard.wheel.len().is_power_of_two());
     }
 
     #[test]
@@ -855,18 +695,19 @@ mod tests {
         let t = small_mesh(4, 4);
         let routes = RoutingTable::compute_xy(&t);
         let mut sim = Simulator::new(&t, &routes, SimConfig::paper());
-        sim.shard.admit(&sim.plan, NodeId(0), NodeId(15), 32, 0);
+        sim.admit(NodeId(0), NodeId(15), 32, 0);
         let mut now = 0;
-        while !(sim.shard.active_flits == 0 && sim.shard.pending_sources == 0) {
-            sim.shard.step(&sim.plan, now);
+        while !(sim.engine.shards[0].active_flits == 0 && sim.pending_packets() == 0) {
+            sim.step(now);
             now += 1;
             assert!(now < 10_000, "run did not drain");
         }
-        assert!(sim.shard.quiescent());
-        assert!(sim.shard.rc_dirty.is_empty());
-        assert!(sim.shard.wheel.iter().all(|b| b.is_empty()));
-        assert_eq!(sim.shard.inflight_arrivals, 0);
-        assert!(sim.shard.ctl.iter().all(|c| c.buffered == 0));
-        assert_eq!(sim.shard.stats.flits_delivered, 32);
+        let shard = &sim.engine.shards[0];
+        assert!(shard.quiescent());
+        assert!(shard.rc_dirty.is_empty());
+        assert!(shard.wheel.iter().all(|b| b.is_empty()));
+        assert_eq!(shard.inflight_arrivals, 0);
+        assert!(shard.ctl.iter().all(|c| c.buffered == 0));
+        assert_eq!(shard.stats.flits_delivered, 32);
     }
 }

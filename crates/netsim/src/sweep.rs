@@ -1,8 +1,8 @@
 //! Load sweeps, saturation search, and the parallel batch runner.
 //!
 //! The paper's headline results are latency-vs-load curves and saturation
-//! throughput; this module turns the single-run [`Simulator`] into a
-//! batch instrument:
+//! throughput; this module turns single engine runs into a batch
+//! instrument:
 //!
 //! * [`parallel_map`] — the workspace's scoped-thread fan-out (moved here
 //!   from `hyppi-analytic`, which re-exports it, so the simulator crate
@@ -14,9 +14,11 @@
 //!   offered load whose mean latency exceeds a configured multiple of the
 //!   zero-load latency (or whose run no longer completes).
 //!
-//! The [`SweepConfig`] knobs compose: [`SweepConfig::with_shards`]
-//! routes every run through the sharded engine (opening 32×32+ meshes)
-//! and [`SweepConfig::closed_loop`] switches every run to credit-limited
+//! Every run goes through one engine path, a [`ShardedSimulator`] over
+//! [`ShardSpec::for_count`]`(shards)` — one tile is the P=1 engine. The
+//! [`SweepConfig`] knobs compose: [`SweepConfig::with_shards`] cuts
+//! every run into more tiles (opening 32×32+ meshes) and
+//! [`SweepConfig::closed_loop`] switches every run to credit-limited
 //! NICs — together they power `repro load_sweep32 --closed-loop WINDOW
 //! --shards P`, the large-mesh accepted-load curves. Results are
 //! bit-for-bit independent of either knob's wall-clock effect.
@@ -27,7 +29,7 @@
 //! seed)** instead of once per rate-grid point: it runs the anchor
 //! matrix (the pattern at [`SweepConfig::zero_load_rate`]) up to the
 //! warm-up boundary, snapshots the engine there
-//! ([`Simulator::run_synthetic_until`]), and resumes that [`Snapshot`]
+//! ([`ShardedSimulator::run_synthetic_until`]), and resumes that [`Snapshot`]
 //! for every probed rate — the measurement window then runs under the
 //! point's own matrix (the snapshot workload fingerprint deliberately
 //! excludes the matrix to permit exactly this rate switch). Anchors are
@@ -46,7 +48,7 @@
 
 use crate::config::SimConfig;
 use crate::shard::ShardedSimulator;
-use crate::sim::{RunOutcome, SimError, Simulator};
+use crate::sim::{RunOutcome, SimError};
 use crate::snapshot::Snapshot;
 use crate::stats::{LatencyStats, SimStats};
 use crate::telemetry::Probe;
@@ -133,12 +135,6 @@ pub struct SweepConfig {
     /// shard; 1 keeps intra-run execution on the batch worker's thread
     /// (useful when the seed × rate fan-out already saturates the host).
     pub threads: usize,
-    /// Conservative-lookahead cap per sharded run: 0 (default) keeps
-    /// the window the partition derives from its minimum boundary-link
-    /// latency; 1 forces per-cycle exchanges (the pre-lookahead
-    /// engine); ≥ 2 caps the derived window. Results are bit-for-bit
-    /// identical at any setting — another wall-clock knob.
-    pub lookahead: u64,
     /// Closed-loop NIC window per run: 0 (default) is open-loop
     /// injection; > 0 caps each source at that many in-network packets
     /// (see [`crate::SimConfig::max_outstanding`]). Closed-loop sweeps
@@ -189,7 +185,6 @@ impl SweepConfig {
             run_max_cycles: 2_000_000,
             shards: 1,
             threads: 0,
-            lookahead: 0,
             max_outstanding: 0,
             accept_epsilon: 0.05,
             faults: None,
@@ -204,13 +199,6 @@ impl SweepConfig {
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard required");
         self.shards = shards;
-        self
-    }
-
-    /// Caps the conservative-lookahead window of every sharded run
-    /// (see [`SweepConfig::lookahead`]).
-    pub fn with_lookahead(mut self, window: u64) -> Self {
-        self.lookahead = window;
         self
     }
 
@@ -357,7 +345,7 @@ pub struct LoadCurve {
     pub saturation: SaturationSearch,
 }
 
-/// Batch runner: fans independent [`Simulator`] runs over a rate grid ×
+/// Batch runner: fans independent [`ShardedSimulator`] runs over a rate grid ×
 /// seed matrix via [`parallel_map`] and reduces them to [`LoadPoint`]s.
 ///
 /// The traffic pattern is supplied as a rate → [`TrafficMatrix`] generator
@@ -452,39 +440,34 @@ impl<'a> SweepRunner<'a> {
         &self.cfg
     }
 
-    fn run_one(&self, matrix: &TrafficMatrix, seed: u64) -> Result<SimStats, SimError> {
-        // Faulted sweeps simulate the faulted pair with the healthy pair
-        // as the rerouted-hops baseline; healthy sweeps run as given.
-        let (topo, routes, baseline) = match &self.faulted {
-            Some((t, r)) => (t, r, Some((self.topo, self.routes))),
-            None => (self.topo, self.routes, None),
+    /// One engine configured for a sweep run: the faulted pair (with the
+    /// healthy pair as the rerouted-hops baseline) or the topology as
+    /// given, over a near-square grid of [`SweepConfig::shards`] tiles
+    /// (one tile is the P=1 engine).
+    fn engine(&self) -> ShardedSimulator<'_> {
+        let (topo, routes) = match &self.faulted {
+            Some((t, r)) => (t, r),
+            None => (self.topo, self.routes),
         };
-        if self.cfg.shards > 1 {
-            let mut sim = ShardedSimulator::new(
-                topo,
-                routes,
-                self.sim,
-                ShardSpec::for_count(self.cfg.shards),
-            )
-            .with_threads(self.cfg.threads)
-            .with_lookahead(self.cfg.lookahead);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic(matrix, self.cfg.warmup, self.cfg.measure, seed)
-        } else {
-            let mut sim = Simulator::new(topo, routes, self.sim);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic(matrix, self.cfg.warmup, self.cfg.measure, seed)
+        let mut sim = ShardedSimulator::new(
+            topo,
+            routes,
+            self.sim,
+            ShardSpec::for_count(self.cfg.shards),
+        )
+        .with_threads(self.cfg.threads);
+        if self.faulted.is_some() {
+            sim = sim.with_baseline(self.topo, self.routes);
         }
+        if let Some(tm) = &self.tenant_map {
+            sim = sim.with_tenants(tm);
+        }
+        sim
+    }
+
+    fn run_one(&self, matrix: &TrafficMatrix, seed: u64) -> Result<SimStats, SimError> {
+        self.engine()
+            .run_synthetic(matrix, self.cfg.warmup, self.cfg.measure, seed)
     }
 
     /// Like [`run_one`](Self::run_one) but pausing at the cycle
@@ -495,37 +478,8 @@ impl<'a> SweepRunner<'a> {
         seed: u64,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
-        let (topo, routes, baseline) = match &self.faulted {
-            Some((t, r)) => (t, r, Some((self.topo, self.routes))),
-            None => (self.topo, self.routes, None),
-        };
-        let (warmup, measure) = (self.cfg.warmup, self.cfg.measure);
-        if self.cfg.shards > 1 {
-            let mut sim = ShardedSimulator::new(
-                topo,
-                routes,
-                self.sim,
-                ShardSpec::for_count(self.cfg.shards),
-            )
-            .with_threads(self.cfg.threads)
-            .with_lookahead(self.cfg.lookahead);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic_until(matrix, warmup, measure, seed, stop_at)
-        } else {
-            let mut sim = Simulator::new(topo, routes, self.sim);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic_until(matrix, warmup, measure, seed, stop_at)
-        }
+        self.engine()
+            .run_synthetic_until(matrix, self.cfg.warmup, self.cfg.measure, seed, stop_at)
     }
 
     /// Resumes one seed's anchor snapshot under `matrix` — the
@@ -536,37 +490,8 @@ impl<'a> SweepRunner<'a> {
         matrix: &TrafficMatrix,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        let (topo, routes, baseline) = match &self.faulted {
-            Some((t, r)) => (t, r, Some((self.topo, self.routes))),
-            None => (self.topo, self.routes, None),
-        };
-        let (warmup, measure) = (self.cfg.warmup, self.cfg.measure);
-        if self.cfg.shards > 1 {
-            let mut sim = ShardedSimulator::new(
-                topo,
-                routes,
-                self.sim,
-                ShardSpec::for_count(self.cfg.shards),
-            )
-            .with_threads(self.cfg.threads)
-            .with_lookahead(self.cfg.lookahead);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.resume_synthetic(snap, matrix, warmup, measure, seed)
-        } else {
-            let mut sim = Simulator::new(topo, routes, self.sim);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.resume_synthetic(snap, matrix, warmup, measure, seed)
-        }
+        self.engine()
+            .resume_synthetic(snap, matrix, self.cfg.warmup, self.cfg.measure, seed)
     }
 
     /// Returns the pattern's per-seed anchor snapshots (building and
@@ -723,36 +648,8 @@ impl<'a> SweepRunner<'a> {
         seed: u64,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        let (topo, routes, baseline) = match &self.faulted {
-            Some((t, r)) => (t, r, Some((self.topo, self.routes))),
-            None => (self.topo, self.routes, None),
-        };
-        if self.cfg.shards > 1 {
-            let mut sim = ShardedSimulator::new(
-                topo,
-                routes,
-                self.sim,
-                ShardSpec::for_count(self.cfg.shards),
-            )
-            .with_threads(self.cfg.threads)
-            .with_lookahead(self.cfg.lookahead);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic_probed(matrix, self.cfg.warmup, self.cfg.measure, seed, probe)
-        } else {
-            let mut sim = Simulator::new(topo, routes, self.sim);
-            if let Some((bt, br)) = baseline {
-                sim = sim.with_baseline(bt, br);
-            }
-            if let Some(tm) = &self.tenant_map {
-                sim = sim.with_tenants(tm);
-            }
-            sim.run_synthetic_probed(matrix, self.cfg.warmup, self.cfg.measure, seed, probe)
-        }
+        self.engine()
+            .run_synthetic_probed(matrix, self.cfg.warmup, self.cfg.measure, seed, probe)
     }
 
     /// Sweeps a rate grid: all (rate × seed) runs fan out across threads

@@ -1,12 +1,11 @@
 //! The unified parity-cell catalog.
 //!
 //! Every parity suite (`parity.rs`, `shard_parity.rs`,
-//! `snapshot_parity.rs`, `telemetry_parity.rs`, `lookahead_parity.rs`)
-//! iterates the same cell matrix — topology family × {open, closed}
-//! loop × {trace, synthetic} workload — so a cell added here is pinned
-//! across every engine dimension at once: P=1 vs the frozen reference,
-//! sharded vs P=1 (per-cycle and conservative-lookahead), spliced vs
-//! whole, probed vs plain.
+//! `snapshot_parity.rs`, `telemetry_parity.rs`) iterates the same cell
+//! matrix — topology family × {open, closed} loop × {trace, synthetic}
+//! workload — so a cell added here is pinned across every engine
+//! dimension at once: P=1 vs the frozen reference, sharded vs P=1,
+//! spliced vs whole, probed vs plain.
 //!
 //! The topology families:
 //!
@@ -16,14 +15,13 @@
 //! * **faulted** — the plain mesh with dead links, a degraded span and a
 //!   dead router (up*/down* detours + admission drops + baseline
 //!   accounting);
-//! * **hyppi** — all-optical 8×8 (every link 2 cycles): every shard cut
-//!   has minimum boundary latency 2, so the sharded engine runs
-//!   conservative-lookahead W=2 windows on these cells;
+//! * **hyppi** — all-optical 8×8 (every link 2 cycles, the paper's
+//!   HyPPI latency): every mailbox flit lands two cycles out;
 //! * **hyppi-faulted** — the all-optical mesh with faults sitting on the
-//!   default shard-cut lines (degradation raises latencies, so cuts keep
-//!   W=2 while the fault machinery runs under windowed exchanges).
+//!   default shard-cut lines (degraded cut links mail their flits with
+//!   the raised latency).
 //!
-//! Keep the meshes small: five suites iterate the full matrix in debug
+//! Keep the meshes small: four suites iterate the full matrix in debug
 //! mode under `cargo test -q`.
 
 use hyppi_netsim::{
@@ -72,8 +70,7 @@ pub fn express(w: u16, h: u16, span: u16) -> Topology {
     )
 }
 
-/// All-optical mesh: every link is a 2-cycle HyPPI link, so every shard
-/// cut classifies at minimum boundary latency 2 (lookahead W=2).
+/// All-optical mesh: every link is a 2-cycle HyPPI link.
 pub fn hyppi_mesh(w: u16, h: u16) -> Topology {
     mesh(MeshSpec {
         width: w,
@@ -167,9 +164,6 @@ pub struct Cell {
     /// per-tenant `SimStats` lanes are recorded); `None` on
     /// single-tenant cells.
     pub tenants: Option<(TenantSpec, TenantMap)>,
-    /// The conservative-lookahead window the sharded engine derives on
-    /// this cell for the default grids (1 = per-cycle exchanges).
-    pub expected_lookahead: u64,
 }
 
 /// The shard grids every sharded suite pins cells on: vertical halves,
@@ -265,10 +259,9 @@ impl Cell {
         sim
     }
 
-    /// Runs the cell on the sharded engine; `lookahead` caps the window
-    /// (0 = the derived window, 1 = per-cycle exchanges).
-    pub fn run_sharded(&self, spec: ShardSpec, threads: usize, lookahead: u64) -> SimStats {
-        let sim = self.sharded(spec, threads).with_lookahead(lookahead);
+    /// Runs the cell on the sharded engine.
+    pub fn run_sharded(&self, spec: ShardSpec, threads: usize) -> SimStats {
+        let sim = self.sharded(spec, threads);
         match self.workload {
             CellWorkload::Trace { .. } => sim
                 .run_trace(&self.trace().expect("trace cell"))
@@ -283,27 +276,19 @@ impl Cell {
 
     /// Runs the cell on the sharded engine, pausing at `stop_at` and
     /// resuming the snapshot on a fresh instance — the mid-run splice
-    /// every snapshot suite pins. `lookahead` caps both halves' windows.
-    pub fn run_sharded_spliced(
-        &self,
-        spec: ShardSpec,
-        threads: usize,
-        lookahead: u64,
-        stop_at: u64,
-    ) -> SimStats {
+    /// every snapshot suite pins.
+    pub fn run_sharded_spliced(&self, spec: ShardSpec, threads: usize, stop_at: u64) -> SimStats {
         match self.workload {
             CellWorkload::Trace { .. } => {
                 let trace = self.trace().expect("trace cell");
                 match self
                     .sharded(spec, threads)
-                    .with_lookahead(lookahead)
                     .run_trace_until(&trace, stop_at)
                     .expect("bounded run completes")
                 {
                     RunOutcome::Finished(stats) => stats,
                     RunOutcome::Paused(snap) => self
                         .sharded(spec, threads)
-                        .with_lookahead(lookahead)
                         .resume_trace(&snap, &trace)
                         .expect("resumed run completes"),
                 }
@@ -312,14 +297,12 @@ impl Cell {
                 let (m, seed) = self.matrix().expect("synthetic cell");
                 match self
                     .sharded(spec, threads)
-                    .with_lookahead(lookahead)
                     .run_synthetic_until(&m, WARMUP, MEASURE, seed, stop_at)
                     .expect("bounded run completes")
                 {
                     RunOutcome::Finished(stats) => stats,
                     RunOutcome::Paused(snap) => self
                         .sharded(spec, threads)
-                        .with_lookahead(lookahead)
                         .resume_synthetic(&snap, &m, WARMUP, MEASURE, seed)
                         .expect("resumed run completes"),
                 }
@@ -423,8 +406,6 @@ fn electronic_faults() -> FaultSpec {
 /// Fault set for the all-optical 8×8 mesh, sitting on the default shard
 /// cuts (x = 3↔4 and y = 3↔4 for the quadrant grid): a dead span and a
 /// degraded span across the column cut, a dead span across the row cut.
-/// Degradation *raises* latency, so every cut keeps its minimum boundary
-/// latency of 2 and the lookahead window survives the faults.
 fn hyppi_faults() -> FaultSpec {
     FaultSpec::none()
         .dead_link(NodeId(3 * 8 + 3), NodeId(3 * 8 + 4))
@@ -439,7 +420,6 @@ fn build(
     cfg: SimConfig,
     loop_name: &str,
     workload: CellWorkload,
-    expected_lookahead: u64,
 ) -> Cell {
     let wl_name = match workload {
         CellWorkload::Trace { .. } => "trace",
@@ -457,7 +437,6 @@ fn build(
                 cfg,
                 workload,
                 tenants: None,
-                expected_lookahead,
             }
         }
         Some(spec) => {
@@ -473,7 +452,6 @@ fn build(
                 cfg,
                 workload,
                 tenants: None,
-                expected_lookahead,
             }
         }
     }
@@ -482,45 +460,36 @@ fn build(
 /// The full cell matrix: 5 topology families × {open, closed(4)} ×
 /// {trace, synthetic} = 20 base cells, plus six bursty / multi-tenant
 /// cells. Closed-loop synthetic cells run past the small-mesh knee so
-/// windows actually fill; closed-loop cells pin `expected_lookahead = 1`
-/// (source credits need next-cycle global visibility — the plan refuses
-/// to open a window).
+/// NIC windows actually fill.
 ///
 /// The extra cells pin the dynamic-traffic and multi-tenancy subsystems
 /// across every suite:
 ///
 /// * `plain/open/synthetic-onoff` — ON/OFF modulated injection;
-/// * `hyppi/open/synthetic-mmpp` — MMPP arrivals under W=2 windowed
-///   exchanges (lookahead sees non-steady traffic);
+/// * `hyppi/open/synthetic-mmpp` — MMPP arrivals over 2-cycle cut
+///   links;
 /// * `hyppi-faulted/open/synthetic-onoff` — bursty sources while the
 ///   shard-cut links are faulted (bursty-on-faulted-cut);
 /// * `plain/open/tenant` — hotspot|uniform tenant pair, per-tenant
 ///   stats lanes absorbed across shards and snapshots;
-/// * `plain/closed/tenant` — the same pair under source credits
-///   (closed-loop forces the per-cycle protocol);
-/// * `hyppi/open/tenant-mmpp` — tenants *and* bursty modulation under
-///   W=2 windows.
+/// * `plain/closed/tenant` — the same pair under source credits;
+/// * `hyppi/open/tenant-mmpp` — tenants *and* bursty modulation on the
+///   all-optical mesh.
 pub fn catalog() -> Vec<Cell> {
-    type Family = (
-        &'static str,
-        fn() -> Topology,
-        Option<fn() -> FaultSpec>,
-        u64,
-    );
+    type Family = (&'static str, fn() -> Topology, Option<fn() -> FaultSpec>);
     let families: Vec<Family> = vec![
-        ("plain", (|| plain_mesh(6, 6)) as fn() -> Topology, None, 1),
-        ("express", || express(8, 4, 3), None, 1),
-        ("faulted", || plain_mesh(6, 6), Some(electronic_faults), 1),
-        ("hyppi", || hyppi_mesh(8, 8), None, 2),
-        ("hyppi-faulted", || hyppi_mesh(8, 8), Some(hyppi_faults), 2),
+        ("plain", (|| plain_mesh(6, 6)) as fn() -> Topology, None),
+        ("express", || express(8, 4, 3), None),
+        ("faulted", || plain_mesh(6, 6), Some(electronic_faults)),
+        ("hyppi", || hyppi_mesh(8, 8), None),
+        ("hyppi-faulted", || hyppi_mesh(8, 8), Some(hyppi_faults)),
     ];
     let mut cells = Vec::new();
-    for (family, mk_topo, mk_faults, open_lookahead) in families {
+    for (family, mk_topo, mk_faults) in families {
         for (loop_name, cfg, open) in [
             ("open", SimConfig::paper(), true),
             ("closed", SimConfig::paper_closed_loop(4), false),
         ] {
-            let lookahead = if open { open_lookahead } else { 1 };
             // Seeds vary per (family, loop) so cells don't share traffic.
             let seed_base = 1000 + cells.len() as u64;
             let rate = if open { 0.08 } else { 0.25 };
@@ -534,7 +503,6 @@ pub fn catalog() -> Vec<Cell> {
                     seed: seed_base,
                     packets: 400,
                 },
-                lookahead,
             ));
             cells.push(build(
                 family,
@@ -546,7 +514,6 @@ pub fn catalog() -> Vec<Cell> {
                     rate,
                     seed: seed_base + 1,
                 },
-                lookahead,
             ));
         }
     }
@@ -558,16 +525,15 @@ pub fn catalog() -> Vec<Cell> {
     onoff_cfg.burst = BurstSpec::onoff(4.0);
     let mut mmpp_cfg = SimConfig::paper();
     mmpp_cfg.burst = BurstSpec::mmpp(3.0);
-    for (family, topo, faults, cfg, suffix, lookahead) in [
-        ("plain", plain_mesh(6, 6), None, onoff_cfg, "onoff", 1),
-        ("hyppi", hyppi_mesh(8, 8), None, mmpp_cfg, "mmpp", 2),
+    for (family, topo, faults, cfg, suffix) in [
+        ("plain", plain_mesh(6, 6), None, onoff_cfg, "onoff"),
+        ("hyppi", hyppi_mesh(8, 8), None, mmpp_cfg, "mmpp"),
         (
             "hyppi-faulted",
             hyppi_mesh(8, 8),
             Some(hyppi_faults()),
             onoff_cfg,
             "onoff",
-            2,
         ),
     ] {
         let seed = 2000 + cells.len() as u64;
@@ -578,7 +544,6 @@ pub fn catalog() -> Vec<Cell> {
             cfg,
             "open",
             CellWorkload::Synthetic { rate: 0.08, seed },
-            lookahead,
         );
         cell.name = format!("{}-{suffix}", cell.name);
         cells.push(cell);
@@ -598,7 +563,7 @@ pub fn catalog() -> Vec<Cell> {
         },
     );
     let closed_pair = pair.with_rate(0, 0.18).with_rate(1, 0.22);
-    for (family, topo, cfg, spec, loop_name, suffix, lookahead) in [
+    for (family, topo, cfg, spec, loop_name, suffix) in [
         (
             "plain",
             plain_mesh(6, 6),
@@ -606,7 +571,6 @@ pub fn catalog() -> Vec<Cell> {
             pair.clone(),
             "open",
             "tenant",
-            1,
         ),
         (
             "plain",
@@ -615,7 +579,6 @@ pub fn catalog() -> Vec<Cell> {
             closed_pair,
             "closed",
             "tenant",
-            1,
         ),
         (
             "hyppi",
@@ -624,7 +587,6 @@ pub fn catalog() -> Vec<Cell> {
             pair,
             "open",
             "tenant-mmpp",
-            2,
         ),
     ] {
         let seed = 2000 + cells.len() as u64;
@@ -635,7 +597,6 @@ pub fn catalog() -> Vec<Cell> {
             cfg,
             loop_name,
             CellWorkload::Synthetic { rate: 0.08, seed },
-            lookahead,
         );
         cell.name = format!("{family}/{loop_name}/{suffix}");
         let map = spec.map(&cell.topo);

@@ -18,7 +18,7 @@ use hyppi_traffic::{Trace, TraceEvent};
 
 /// The unified cell catalog (`tests/common/cells.rs`): every cell's P=1
 /// run must equal the frozen reference engine bit-for-bit. The sharded,
-/// snapshot, telemetry, and lookahead suites iterate the same catalog,
+/// snapshot, and telemetry suites iterate the same catalog,
 /// so a cell added there is transitively pinned to the seed semantics
 /// through this test.
 #[test]

@@ -1,10 +1,13 @@
 //! Sharded-engine parity: `ShardedSimulator` must reproduce the P=1
 //! `Simulator`'s `SimStats` **bit-for-bit** — same latency histograms,
-//! same per-link utilization, same cycle counts — on 16×16 cells across
-//! seeds × {plain mesh, express mesh with dateline VCs} × {trace,
-//! synthetic, saturation}. Combined with `tests/parity.rs` (P=1 vs the
-//! frozen seed engine) this transitively pins the sharded engine to the
-//! seed semantics.
+//! same per-link utilization, same cycle counts — on every cell of the
+//! unified catalog (`tests/common/cells.rs`) on every shard grid, on
+//! vertical/horizontal strip and per-row partitions of the all-optical
+//! cells, on 16×16 cells across seeds × {plain mesh, express mesh with
+//! dateline VCs} × {trace, synthetic, saturation}, and on random
+//! partition shapes × seeds with a mid-run snapshot splice. Combined
+//! with `tests/parity.rs` (P=1 vs the frozen seed engine) this
+//! transitively pins the sharded engine to the seed semantics.
 //!
 //! Every fixture runs both sequentially (`threads = 1`, full mailbox
 //! protocol on one thread) and threaded, so scheduler nondeterminism has
@@ -13,10 +16,11 @@
 mod common;
 
 use common::cells::{self, express, fixture_trace, uniform_matrix, GRIDS};
-use hyppi_netsim::{ShardedSimulator, SimConfig, SimStats, Simulator};
+use hyppi_netsim::{RunOutcome, ShardedSimulator, SimConfig, SimStats, Simulator};
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{mesh, FaultSpec, MeshSpec, NodeId, RoutingTable, ShardSpec, Topology};
 use hyppi_traffic::{Trace, TraceEvent};
+use proptest::prelude::*;
 
 fn paper_mesh() -> Topology {
     mesh(MeshSpec::paper(LinkTechnology::Electronic))
@@ -26,22 +30,168 @@ fn paper_express(span: u16) -> Topology {
     express(16, 16, span)
 }
 
-/// The unified cell catalog (`tests/common/cells.rs`) under per-cycle
-/// exchanges (`with_lookahead(1)`): every cell × every grid must equal
-/// P=1 bit-for-bit. The windowed protocol over the same catalog is
-/// pinned by `tests/lookahead_parity.rs`; this suite owns the classic
-/// mailbox protocol plus the 16×16 paper-mesh fixtures below.
+/// The unified cell catalog (`tests/common/cells.rs`): every cell ×
+/// every grid × {sequential, threaded} must equal P=1 bit-for-bit (one
+/// superstep per simulated cycle).
 #[test]
 fn catalog_per_cycle_matches_p1_on_all_grids() {
     for cell in cells::catalog() {
         let single = cell.run_single();
         for grid in GRIDS {
-            let sharded = cell.run_sharded(grid, 0, 1);
+            for threads in [1, 0] {
+                let sharded = cell.run_sharded(grid, threads);
+                assert_eq!(
+                    sharded, single,
+                    "catalog cell diverged: {}, grid {}x{}, threads {threads}",
+                    cell.name, grid.sx, grid.sy
+                );
+            }
+        }
+    }
+}
+
+/// Strip and row partitions on the all-optical cells: vertical strips
+/// (cuts crossed only by horizontal links), horizontal strips, and one
+/// shard per mesh row all stay bit-for-bit with P=1.
+#[test]
+fn strip_partitions_match_p1() {
+    for cell in cells::catalog()
+        .into_iter()
+        .filter(|c| c.name.starts_with("hyppi"))
+    {
+        let single = cell.run_single();
+        for spec in [
+            ShardSpec { sx: 4, sy: 1 },
+            ShardSpec { sx: 1, sy: 4 },
+            ShardSpec { sx: 1, sy: 8 },
+        ] {
+            let sharded = cell.run_sharded(spec, 0);
             assert_eq!(
                 sharded, single,
-                "catalog cell diverged: {}, grid {}x{}",
-                cell.name, grid.sx, grid.sy
+                "{}: strips {}x{}",
+                cell.name, spec.sx, spec.sy
             );
+        }
+    }
+}
+
+/// The catalog itself is well-formed: 20 base cells plus the bursty and
+/// multi-tenant cells, every (family, loop, workload) combination
+/// present exactly once, tenant cells carry lanes that partition the
+/// aggregate, and the all-optical cells deliver traffic.
+#[test]
+fn catalog_shape() {
+    let cells = cells::catalog();
+    assert_eq!(cells.len(), 26);
+    let names: std::collections::BTreeSet<_> = cells.iter().map(|c| c.name.clone()).collect();
+    assert_eq!(names.len(), 26, "cell names are unique");
+    for family in ["plain", "express", "faulted", "hyppi", "hyppi-faulted"] {
+        for lp in ["open", "closed"] {
+            for wl in ["trace", "synthetic"] {
+                assert!(
+                    names.contains(&format!("{family}/{lp}/{wl}")),
+                    "missing cell {family}/{lp}/{wl}"
+                );
+            }
+        }
+    }
+    for extra in [
+        "plain/open/synthetic-onoff",
+        "hyppi/open/synthetic-mmpp",
+        "hyppi-faulted/open/synthetic-onoff",
+        "plain/open/tenant",
+        "plain/closed/tenant",
+        "hyppi/open/tenant-mmpp",
+    ] {
+        assert!(names.contains(extra), "missing cell {extra}");
+    }
+    for cell in cells.iter().filter(|c| c.tenants.is_some()) {
+        let stats = cell.run_single();
+        assert_eq!(stats.tenants.len(), 2, "{}: tenant lanes", cell.name);
+        let lane_sum: u64 = stats.tenants.iter().map(|t| t.flits_delivered).sum();
+        assert_eq!(
+            lane_sum, stats.flits_delivered,
+            "{}: tenant lanes partition the aggregate",
+            cell.name
+        );
+    }
+    for cell in cells.iter().filter(|c| c.name.starts_with("hyppi")) {
+        let stats = cell.run_single();
+        assert!(stats.flits_delivered > 0, "{}: vacuous cell", cell.name);
+    }
+}
+
+/// Completes a bounded run: a pause snapshot is handed to `resume`; a
+/// run that drained before its stop cycle is already finished.
+fn spliced(
+    paused: RunOutcome,
+    resume: impl FnOnce(&hyppi_netsim::Snapshot) -> SimStats,
+) -> SimStats {
+    match paused {
+        RunOutcome::Finished(stats) => stats,
+        RunOutcome::Paused(snap) => resume(&snap),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random partition shape × threads × seed on the all-optical mesh
+    /// ⇒ sharded == P=1 bit-for-bit in `SimStats` (latency histograms
+    /// included), with a random mid-run splice thrown in.
+    #[test]
+    fn random_shape_seed_parity(
+        shape in prop_oneof![
+            Just(ShardSpec { sx: 2, sy: 1 }),
+            Just(ShardSpec { sx: 2, sy: 2 }),
+            Just(ShardSpec { sx: 4, sy: 1 }),
+            Just(ShardSpec { sx: 1, sy: 4 }),
+            Just(ShardSpec { sx: 4, sy: 2 }),
+            Just(ShardSpec { sx: 1, sy: 8 }),
+        ],
+        threads in prop_oneof![Just(1usize), Just(0)],
+        synthetic in prop_oneof![Just(false), Just(true)],
+        seed in 0u64..1000,
+        split in 1u64..600,
+    ) {
+        let topo = cells::hyppi_mesh(8, 8);
+        let routes = RoutingTable::compute_xy(&topo);
+        let cfg = SimConfig::paper();
+        let engine = || ShardedSimulator::new(&topo, &routes, cfg, shape).with_threads(threads);
+        if synthetic {
+            let m = cells::uniform_matrix(&topo, 0.02 + (seed % 7) as f64 * 0.02);
+            let single = Simulator::new(&topo, &routes, cfg)
+                .run_synthetic(&m, 100, 400, seed)
+                .expect("P=1 run completes");
+            let sharded = engine()
+                .run_synthetic(&m, 100, 400, seed)
+                .expect("sharded run completes");
+            prop_assert_eq!(&sharded, &single);
+            let paused = engine()
+                .run_synthetic_until(&m, 100, 400, seed, split)
+                .expect("bounded run completes");
+            let resumed = spliced(paused, |snap| {
+                engine()
+                    .resume_synthetic(snap, &m, 100, 400, seed)
+                    .expect("resumed run completes")
+            });
+            prop_assert_eq!(&resumed, &single);
+        } else {
+            let trace = cells::fixture_trace(&topo, seed, 300);
+            let single = Simulator::new(&topo, &routes, cfg)
+                .run_trace(&trace)
+                .expect("P=1 run completes");
+            let sharded = engine().run_trace(&trace).expect("sharded run completes");
+            prop_assert_eq!(&sharded, &single);
+            let paused = engine()
+                .run_trace_until(&trace, split)
+                .expect("bounded run completes");
+            let resumed = spliced(paused, |snap| {
+                engine()
+                    .resume_trace(snap, &trace)
+                    .expect("resumed run completes")
+            });
+            prop_assert_eq!(&resumed, &single);
         }
     }
 }

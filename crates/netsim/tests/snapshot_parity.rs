@@ -43,8 +43,7 @@ const SPLITS: [u64; 4] = [1, 57, 300, 2048];
 
 /// The unified cell catalog (`tests/common/cells.rs`): every cell's P=1
 /// whole run must equal its spliced run (pause + snapshot + resume) at
-/// every split, and the sharded engine's spliced run — windowed on the
-/// all-optical cells, per-cycle elsewhere — must match too.
+/// every split, and the sharded engine's spliced run must match too.
 #[test]
 fn catalog_splices_match_whole_runs() {
     for cell in cells::catalog() {
@@ -52,7 +51,7 @@ fn catalog_splices_match_whole_runs() {
         for split in [57u64, 300] {
             let spliced = cell.run_single_spliced(split);
             assert_eq!(spliced, whole, "{}: P=1 splice at {split}", cell.name);
-            let sharded = cell.run_sharded_spliced(ShardSpec { sx: 2, sy: 1 }, 0, 0, split);
+            let sharded = cell.run_sharded_spliced(ShardSpec { sx: 2, sy: 1 }, 0, split);
             assert_eq!(sharded, whole, "{}: sharded splice at {split}", cell.name);
         }
     }

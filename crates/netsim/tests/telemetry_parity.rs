@@ -30,9 +30,8 @@ fn grid(w: u16, h: u16) -> Topology {
 
 /// The unified cell catalog (`tests/common/cells.rs`): a fully-probed
 /// run of every cell must equal the plain run bit-for-bit, on the P=1
-/// engine and on the sharded engine (probed runs are single-worker and
-/// per-cycle — windows would batch what the probe observes, so the
-/// windowed cells also pin the probe-forces-classic dispatch).
+/// engine and on the sharded engine (probed runs are single-worker, so
+/// one probe observes every shard of every cycle).
 #[test]
 fn catalog_probed_runs_match_plain() {
     for cell in cells::catalog() {

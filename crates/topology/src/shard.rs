@@ -51,26 +51,6 @@ impl ShardSpec {
         }
     }
 
-    /// `shards` vertical strips: every cut is a vertical line, crossed
-    /// only by horizontal links (including horizontal express spans).
-    pub fn vstrips(shards: u16) -> Self {
-        assert!(shards >= 1, "at least one strip required");
-        ShardSpec { sx: shards, sy: 1 }
-    }
-
-    /// `shards` horizontal strips: every cut is a horizontal line,
-    /// crossed only by vertical links.
-    pub fn hstrips(shards: u16) -> Self {
-        assert!(shards >= 1, "at least one strip required");
-        ShardSpec { sx: 1, sy: shards }
-    }
-
-    /// One shard per mesh row (the finest horizontal slicing): a
-    /// `height`-row mesh yields `height` single-row shards.
-    pub fn rows(height: u16) -> Self {
-        Self::hstrips(height)
-    }
-
     /// Total tile count.
     pub fn count(&self) -> usize {
         usize::from(self.sx) * usize::from(self.sy)
@@ -95,13 +75,6 @@ pub struct Partition {
     /// Shard owning each link's destination endpoint (receives its
     /// arrivals), link-id indexed.
     pub link_dst_shard: Vec<u16>,
-    /// Minimum latency in cycles over all boundary links — the safe
-    /// conservative-lookahead window W: a flit sent on any cut at cycle
-    /// `t` cannot arrive before `t + W`, so shards may run `W` cycles
-    /// between mailbox exchanges without missing a cross-cut arrival.
-    /// `None` when no link crosses a boundary (single shard, or a
-    /// disconnected partition).
-    pub min_boundary_latency: Option<u32>,
 }
 
 impl Partition {
@@ -150,12 +123,6 @@ impl Partition {
             .iter()
             .map(|l| shard_of_node[l.dst.index()])
             .collect();
-        let min_boundary_latency = topo
-            .links()
-            .iter()
-            .filter(|l| shard_of_node[l.src.index()] != shard_of_node[l.dst.index()])
-            .map(|l| l.latency_cycles)
-            .min();
         Partition {
             spec,
             shard_of_node,
@@ -163,7 +130,6 @@ impl Partition {
             nodes_of_shard,
             link_src_shard,
             link_dst_shard,
-            min_boundary_latency,
         }
     }
 
@@ -309,64 +275,28 @@ mod tests {
 
     #[test]
     fn strip_and_row_shapes() {
-        assert_eq!(ShardSpec::vstrips(4), ShardSpec { sx: 4, sy: 1 });
-        assert_eq!(ShardSpec::hstrips(4), ShardSpec { sx: 1, sy: 4 });
-        assert_eq!(ShardSpec::rows(16), ShardSpec { sx: 1, sy: 16 });
         // Vertical strips cut only horizontal links; horizontal strips
         // cut only vertical links.
         let t = grid(8, 8);
-        let v = Partition::new(&t, ShardSpec::vstrips(4));
+        let v = Partition::new(&t, ShardSpec { sx: 4, sy: 1 });
         for l in t.links() {
             if v.is_boundary_link(l.id) {
                 assert_eq!(t.coord(l.src).y, t.coord(l.dst).y);
             }
         }
-        let h = Partition::new(&t, ShardSpec::hstrips(4));
+        let h = Partition::new(&t, ShardSpec { sx: 1, sy: 4 });
         for l in t.links() {
             if h.is_boundary_link(l.id) {
                 assert_eq!(t.coord(l.src).x, t.coord(l.dst).x);
             }
         }
         // Per-row slices: 8 single-row shards of 8 nodes each.
-        let r = Partition::new(&t, ShardSpec::rows(8));
+        let r = Partition::new(&t, ShardSpec { sx: 1, sy: 8 });
         assert_eq!(r.num_shards(), 8);
         for nodes in &r.nodes_of_shard {
             assert_eq!(nodes.len(), 8);
             let y = t.coord(nodes[0]).y;
             assert!(nodes.iter().all(|&n| t.coord(n).y == y));
         }
-    }
-
-    #[test]
-    fn min_boundary_latency_classifies_cuts() {
-        // Electronic base: regular latency-1 links always cross the cut.
-        let t = grid(16, 16);
-        let p = Partition::new(&t, ShardSpec::quadrants());
-        assert_eq!(p.min_boundary_latency, Some(1));
-        // Single shard: no cuts at all.
-        assert_eq!(Partition::single(&t).min_boundary_latency, None);
-        // All-optical base: every link (and therefore every cut) has
-        // latency 2 — the conservative-lookahead window is 2 cycles.
-        let o = mesh(MeshSpec::paper(LinkTechnology::Hyppi));
-        for spec in [
-            ShardSpec::quadrants(),
-            ShardSpec::vstrips(4),
-            ShardSpec::hstrips(2),
-            ShardSpec::rows(16),
-        ] {
-            let p = Partition::new(&o, spec);
-            assert_eq!(p.min_boundary_latency, Some(2), "spec {spec:?}");
-        }
-        // Express spans don't raise the window on an electronic base:
-        // the latency-1 regular links still cross every cut.
-        let e = express_mesh(
-            MeshSpec::paper(LinkTechnology::Electronic),
-            ExpressSpec {
-                span: 5,
-                tech: LinkTechnology::Hyppi,
-            },
-        );
-        let p = Partition::new(&e, ShardSpec::quadrants());
-        assert_eq!(p.min_boundary_latency, Some(1));
     }
 }
