@@ -30,24 +30,34 @@ fn paper_express(span: u16) -> Topology {
     express(16, 16, span)
 }
 
-/// The unified cell catalog (`tests/common/cells.rs`): every cell ×
-/// every grid × {sequential, threaded} must equal P=1 bit-for-bit (one
-/// superstep per simulated cycle).
-#[test]
-fn catalog_per_cycle_matches_p1_on_all_grids() {
+/// Every cell of the unified catalog (`tests/common/cells.rs`) on every
+/// grid, with the given worker-thread count, must equal P=1 bit-for-bit
+/// (one superstep per simulated cycle).
+fn assert_catalog_matches_p1(threads: usize) {
     for cell in cells::catalog() {
         let single = cell.run_single();
         for grid in GRIDS {
-            for threads in [1, 0] {
-                let sharded = cell.run_sharded(grid, threads);
-                assert_eq!(
-                    sharded, single,
-                    "catalog cell diverged: {}, grid {}x{}, threads {threads}",
-                    cell.name, grid.sx, grid.sy
-                );
-            }
+            let sharded = cell.run_sharded(grid, threads);
+            assert_eq!(
+                sharded, single,
+                "catalog cell diverged: {}, grid {}x{}, threads {threads}",
+                cell.name, grid.sx, grid.sy
+            );
         }
     }
+}
+
+/// The catalog on every grid, one worker thread per shard.
+#[test]
+fn catalog_per_cycle_matches_p1_on_all_grids() {
+    assert_catalog_matches_p1(0);
+}
+
+/// The catalog on every grid, all shards stepped on one thread: the full
+/// mailbox protocol without scheduler nondeterminism.
+#[test]
+fn catalog_sequential_matches_p1_on_all_grids() {
+    assert_catalog_matches_p1(1);
 }
 
 /// Strip and row partitions on the all-optical cells: vertical strips
