@@ -12,9 +12,9 @@
 //!
 //! Since the active-set engine rewrite, [`NodeState`] carries only the
 //! *cold* control state of a router: port wiring and the NIC source
-//! queue. Route computation asks the shared `RoutingTable::next_link`
-//! for the next link and maps it to an out-port through the engine
-//! plan's per-link `out_port_of_link` table. Everything the arbitration
+//! queue. Route computation reads the out-port straight from the shared
+//! routing table (`RoutingTable::next_port`), which stores next hops in
+//! this port numbering. Everything the arbitration
 //! hot path touches — VC flit rings, per-VC state machines (packed
 //! metadata words, `crate::flit::meta`), round-robin pointers,
 //! output-VC holder bitmasks, routed/active bitmasks, per-node control
@@ -122,10 +122,8 @@ impl NodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::EnginePlan;
-    use crate::SimConfig;
     use hyppi_phys::LinkTechnology;
-    use hyppi_topology::{mesh, MeshSpec, Partition, RoutingTable};
+    use hyppi_topology::{mesh, MeshSpec, RoutingTable};
 
     #[test]
     fn node_state_ports_match_topology() {
@@ -143,21 +141,20 @@ mod tests {
     fn route_ports_point_at_real_links() {
         let t = mesh(MeshSpec::paper(LinkTechnology::Electronic));
         let r = RoutingTable::compute_xy(&t);
-        let plan = EnginePlan::new(&t, &r, SimConfig::paper(), Partition::single(&t));
-        // Every link's out-port drives that link at its source.
-        for l in t.links() {
-            let port = usize::from(plan.out_port_of_link[l.id.index()]);
-            assert!(port >= 1, "{}: port 0 is ejection", l.id);
-            assert_eq!(NodeState::new(&t, l.src).out_links[port - 1], l.id);
-        }
-        // Every routed hop from node 0 leaves through one of its own ports.
-        let n = NodeState::new(&t, NodeId(0));
-        for dst in t.nodes().skip(1) {
-            let lid = r
-                .next_link(NodeId(0), dst)
-                .expect("healthy mesh routes every pair");
-            let port = usize::from(plan.out_port_of_link[lid.index()]);
-            assert_eq!(n.out_links[port - 1], lid);
+        for node in [NodeId(0), NodeId(17), NodeId(255)] {
+            let n = NodeState::new(&t, node);
+            for dst in t.nodes() {
+                let port = usize::from(r.next_port(node, dst));
+                if dst == node {
+                    assert_eq!(port, 0, "{node}: home packets eject");
+                    continue;
+                }
+                // Every routed hop leaves through one of the node's own
+                // link ports, the one driving the table's next link.
+                assert!((1..n.out_ports()).contains(&port), "{node}->{dst}");
+                assert_eq!(Some(n.out_links[port - 1]), r.next_link(node, dst));
+                assert_eq!(t.link(n.out_links[port - 1]).src, node);
+            }
         }
     }
 

@@ -332,9 +332,6 @@ pub(crate) struct EnginePlan<'a> {
     express_on_path: Vec<Vec<bool>>,
     /// In-port index (at the link's dst node) fed by each link.
     pub in_port_of_link: Vec<u8>,
-    /// Out-port index (at the link's src node) driving each link: route
-    /// computation maps `routes.next_link` through it.
-    pub out_port_of_link: Vec<u8>,
     /// Calendar wheel length (power of two > max link latency).
     pub wheel_len: usize,
     /// For each shard, the sorted shards that may address mail to it
@@ -401,13 +398,9 @@ impl<'a> EnginePlan<'a> {
             }
         }
         let mut in_port_of_link = vec![0u8; topo.links().len()];
-        let mut out_port_of_link = vec![0u8; topo.links().len()];
         for node in topo.nodes() {
             for (i, &lid) in topo.incoming(node).iter().enumerate() {
                 in_port_of_link[lid.index()] = (i + 1) as u8;
-            }
-            for (i, &lid) in topo.outgoing(node).iter().enumerate() {
-                out_port_of_link[lid.index()] = (i + 1) as u8;
             }
         }
         // Calendar sized to cover the longest link latency. Zero-latency
@@ -483,6 +476,16 @@ impl<'a> EnginePlan<'a> {
             }
             out
         };
+        let (degraded_class_a_mask, degraded_class_b_mask) =
+            (halve_low(class_a_mask), halve_low(class_b_mask));
+        // The class shortcut of VC allocation (`alloc_and_traverse`) skips
+        // the head packet's class without a dateline; that is exact only
+        // while both classes open the same VCs, healthy and degraded.
+        debug_assert!(
+            dateline
+                || (class_a_mask == class_b_mask && degraded_class_a_mask == degraded_class_b_mask),
+            "classes differ without a dateline"
+        );
         EnginePlan {
             topo,
             routes,
@@ -492,12 +495,11 @@ impl<'a> EnginePlan<'a> {
             class_b_start,
             class_a_mask,
             class_b_mask,
-            degraded_class_a_mask: halve_low(class_a_mask),
-            degraded_class_b_mask: halve_low(class_b_mask),
+            degraded_class_a_mask,
+            degraded_class_b_mask,
             baseline: None,
             express_on_path,
             in_port_of_link,
-            out_port_of_link,
             wheel_len,
             inbox_sources: sources,
             tenants: None,
@@ -1371,11 +1373,11 @@ impl ShardState {
             let head = &self.flit_buf[slot * self.ring + meta::head(m)];
             debug_assert!(head.is_head, "queue head after Idle must be a head flit");
             let node = usize::from(self.node_of_slot[slot]);
-            // No next hop: the packet is home, out-port 0 ejects it.
+            // The table stores router out-ports; 0 (no next hop: the
+            // packet is home) ejects.
             let out_port = plan
                 .routes
-                .next_link(NodeId(self.global_of_node[node]), head.dst)
-                .map_or(0, |l| plan.out_port_of_link[l.index()]);
+                .next_port(NodeId(self.global_of_node[node]), head.dst);
             let idx = slot - self.ctl[node].vc_base as usize;
             self.slot_meta[slot] =
                 (m & meta::STATE_CLEAR) | meta::ROUTED | (u32::from(out_port) << meta::PORT_SHIFT);
@@ -1425,24 +1427,37 @@ impl ShardState {
                         // Fault-degraded links expose only the low half of
                         // each class's VCs (ejection ports never degrade).
                         let degraded = self.out_port_info[pb + p].degraded;
+                        // Class shortcut: without a dateline both classes
+                        // share one mask (asserted in `EnginePlan::new`),
+                        // so the head's class is read only under one.
+                        let classless_open = if degraded {
+                            plan.degraded_class_a_mask
+                        } else {
+                            plan.class_a_mask
+                        };
                         for idx in cyclic_bits(mask, start) {
                             let m = self.slot_meta[base + idx];
                             debug_assert_eq!(meta::tag(m), meta::ROUTED);
                             debug_assert_eq!(meta::out_port(m), p);
                             debug_assert!(meta::len(m) > 0, "Routed VC holds its head flit");
-                            let head_packet =
-                                self.flit_buf[(base + idx) * self.ring + meta::head(m)].packet;
+                            let head = (base + idx) * self.ring + meta::head(m);
                             // Free VCs open to this packet's class, as a
                             // bitmask: lowest set bit = the VC the range
                             // scan would have found.
-                            let class = self.class_of[head_packet as usize];
-                            let open = if degraded {
-                                plan.degraded_class_mask(class)
+                            let open = if plan.dateline {
+                                let class = self.class_of[self.flit_buf[head].packet as usize];
+                                if degraded {
+                                    plan.degraded_class_mask(class)
+                                } else {
+                                    plan.class_mask(class)
+                                }
                             } else {
-                                plan.class_mask(class)
+                                classless_open
                             };
                             let free = !self.holder_mask[pb + p] & open;
                             if free != 0 {
+                                // Only a grant needs the packet id.
+                                let head_packet = self.flit_buf[head].packet;
                                 let ovc = free.trailing_zeros() as usize;
                                 if P::ENABLED {
                                     let info = &self.packets[head_packet as usize];
@@ -2004,7 +2019,19 @@ impl ShardState {
 // ---- workloads ----------------------------------------------------------
 
 /// Precomputed per-node injection rates and destination CDFs of a
-/// synthetic run (prefix-sum tables, binary-searched per draw).
+/// synthetic run: per source, the prefix sums `acc` of its destination
+/// shares, in destination order.
+///
+/// A draw `u ∈ [0, 1)` picks the first entry with `acc ≥ u`
+/// ([`first_at_least`]). Instead of bisecting the whole row, the search
+/// starts at the guide-table guess `⌊u·len⌋` (Chen & Asau, 1974) and
+/// checks it against its left neighbour; only a wrong guess gallops
+/// (steps 1, 2, 4, …) and then bisects the bracket it found. Rows are
+/// nondecreasing, so "`acc < u`" is true on a prefix and false after it:
+/// any search that finds that boundary returns the index a full binary
+/// search would, whatever its probe order. On uniform rows the guess is
+/// right (O(1), two adjacent loads); skewed rows such as hotspot traffic
+/// cost O(log len) at worst.
 pub(crate) struct InjectTables {
     rates: Vec<f64>,
     cdf_acc: Vec<Vec<f64>>,
@@ -2069,10 +2096,9 @@ impl InjectTables {
         for (src, (&rate, &factor)) in self.rates.iter().zip(factors).enumerate() {
             if rate > 0.0 && rng.gen::<f64>() < rate * factor {
                 let u: f64 = rng.gen();
-                // First entry with acc ≥ u (prefix sums are
-                // nondecreasing); the last entry backstops floating-point
-                // shortfall at u ≈ 1.
-                let i = self.cdf_acc[src].partition_point(|&acc| acc < u);
+                // First entry with acc ≥ u; the last entry backstops
+                // floating-point shortfall at u ≈ 1.
+                let i = first_at_least(&self.cdf_acc[src], u);
                 let dst = *self.cdf_dst[src]
                     .get(i)
                     .unwrap_or_else(|| self.cdf_dst[src].last().expect("nonempty cdf"));
@@ -2086,6 +2112,42 @@ impl InjectTables {
                 admit(NodeId(src as u16), dst, inject_cycle);
             }
         }
+    }
+}
+
+/// Index of the first entry of the nondecreasing, nonempty row `acc` that
+/// is `≥ u` (`acc.len()` when none is) — `acc.partition_point(|&a| a < u)`
+/// found from the guess `⌊u·len⌋` (see [`InjectTables`]).
+#[inline]
+fn first_at_least(acc: &[f64], u: f64) -> usize {
+    let len = acc.len();
+    debug_assert!(len > 0, "empty destination row");
+    // `u < 1`, but the product may round up to `len`.
+    let guess = ((u * len as f64) as usize).min(len - 1);
+    if acc[guess] < u {
+        // The boundary lies right of the guess: gallop until an entry is
+        // ≥ u (or the row ends), keeping every entry before `lo` < u.
+        let (mut lo, mut hi, mut step) = (guess + 1, guess + 1, 1);
+        while hi < len && acc[hi] < u {
+            lo = hi + 1;
+            hi = lo + step;
+            step <<= 1;
+        }
+        let hi = hi.min(len);
+        lo + acc[lo..hi].partition_point(|&a| a < u)
+    } else {
+        // `acc[guess] ≥ u`: gallop left until an entry is < u (or the row
+        // starts), keeping `acc[hi] ≥ u`.
+        let (mut hi, mut step) = (guess, 1);
+        while hi > 0 {
+            let lo = hi.saturating_sub(step);
+            if acc[lo] < u {
+                return lo + 1 + acc[lo + 1..hi].partition_point(|&a| a < u);
+            }
+            hi = lo;
+            step <<= 1;
+        }
+        0
     }
 }
 
@@ -3813,6 +3875,75 @@ mod tests {
         assert_eq!(c.peek(6), 2);
         assert_eq!(c.normalize(8), 2);
         assert_eq!(c.peek(8), 2);
+    }
+
+    #[test]
+    fn destination_search_matches_binary_search() {
+        // Rows the way `InjectTables::new` builds them: prefix sums of
+        // `weight / total` over the positive weights.
+        fn prefix_row(weights: &[f64], scale: f64) -> Vec<f64> {
+            let total: f64 = weights.iter().sum();
+            let mut acc = 0.0;
+            weights
+                .iter()
+                .map(|w| {
+                    acc += w / total;
+                    acc * scale
+                })
+                .collect()
+        }
+        let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut rows: Vec<Vec<f64>> = vec![
+            // Transpose and complement: one destination per source.
+            vec![1.0],
+            vec![below_one],
+            prefix_row(&[1.0], 1.0),
+        ];
+        for _ in 0..120 {
+            let len = 1 + (rng.next_u64() % 2048) as usize;
+            // Random shares, some tiny enough to leave plateaus.
+            let random: Vec<f64> = (0..len)
+                .map(|_| match rng.next_u64() % 8 {
+                    0 => 1e-300,
+                    _ => rng.gen::<f64>(),
+                })
+                .collect();
+            rows.push(prefix_row(&random, 1.0));
+            rows.push(prefix_row(&vec![1.0; len], 1.0));
+            // Hotspot: a uniform background plus a few heavy entries.
+            let mut hot = vec![1.0; len];
+            for _ in 0..4 {
+                hot[(rng.next_u64() % len as u64) as usize] = 50.0;
+            }
+            rows.push(prefix_row(&hot, 1.0));
+            // A final prefix sum that rounds below the largest draws.
+            rows.push(prefix_row(&random, 1.0 - 1e-12));
+        }
+        for row in &rows {
+            assert!(row.windows(2).all(|w| w[0] <= w[1]), "nondecreasing");
+            let mut us = vec![0.0, below_one];
+            us.extend((0..64).map(|_| rng.gen::<f64>()));
+            for &a in row.iter().step_by(1 + row.len() / 64) {
+                us.extend([
+                    a,
+                    f64::from_bits(a.to_bits() + 1),
+                    f64::from_bits(a.to_bits() - 1),
+                ]);
+            }
+            for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                let got = first_at_least(row, u);
+                assert_eq!(
+                    got,
+                    row.partition_point(|&a| a < u),
+                    "u={u} len={}",
+                    row.len()
+                );
+                // `inject_cycle` falls back to the last entry only when
+                // rounding left every prefix sum below `u`.
+                assert_eq!(got == row.len(), row[row.len() - 1] < u);
+            }
+        }
     }
 
     #[test]

@@ -29,25 +29,35 @@
 //!
 //! ## Storage forms and complexity
 //!
-//! The builder picks how its table is stored; queries look the same. For
-//! an N = W×H mesh:
+//! Every entry stores its next hop as a one-byte **out-port**: the index
+//! into `topo.outgoing(node)` plus one, with 0 meaning "no hop" (the
+//! packet is home, or the pair is unroutable) — the port numbering the
+//! engines' routers use, so route computation needs no link→port remap.
+//! [`RoutingTable::next_port`] answers with it; [`RoutingTable::next_link`]
+//! maps it back through a compact copy of the adjacency. Outgoing lists
+//! ascend by link id, so the smallest-link-id tie-break is also the
+//! smallest-port one. The builder picks how its table is stored; queries
+//! look the same. For an N = W×H mesh:
 //!
 //! * **Per line** (`compute_xy`). An XY route is an X leg inside the
 //!   source row followed by a Y leg inside the destination column, and
 //!   each leg depends on its own line only. The table keeps one
 //!   row-restricted reverse Dijkstra per (row, target column) and one
-//!   column-restricted one per (column, target row): N·(W+H) entries,
-//!   built in O(N·(W+H)·log) time. [`RoutingTable::next_link`] and
-//!   [`RoutingTable::cost`] compose the two legs from `u16` grid
-//!   coordinates, much as BookSim derives dimension-order hops from router
-//!   coordinates. A 64×64 mesh takes 6 MiB, a 128×128 mesh 48 MiB.
+//!   column-restricted one per (column, target row): N·(W+H) entries of
+//!   5 bytes (port + `u32` cost), built in O(N·(W+H)·log) time.
+//!   [`RoutingTable::next_port`] and [`RoutingTable::cost`] compose the
+//!   two legs from a per-node `u16` coordinate table, with no division,
+//!   much as BookSim derives dimension-order hops from router coordinates.
+//!   A 64×64 mesh takes 2.5 MiB, a 128×128 mesh 20 MiB.
 //! * **Dense** (`compute_xy_avoiding`, `compute`). Up\*/down\* detours and
 //!   unrestricted shortest paths do not split into line legs, so these
-//!   keep next hop and cost for all N² pairs, one full reverse Dijkstra
-//!   per destination: O(N²) memory and O(N²·log N) time. Only faulted
-//!   runs and the static analyses pay for it.
+//!   keep port and cost for all N² pairs (5·N² bytes: 80 MiB at 64×64),
+//!   one full reverse Dijkstra per destination: O(N²) memory and
+//!   O(N²·log N) time. Only faulted runs and the static analyses pay for
+//!   it.
 //!
-//! `NodeId` is a `u16`, so a topology holds at most 65,536 nodes.
+//! `NodeId` is a `u16`, so a topology holds at most 65,536 nodes; a
+//! router has at most 255 outgoing links.
 
 use crate::graph::Topology;
 use crate::ids::{Coord, LinkId, NodeId};
@@ -88,6 +98,10 @@ impl std::error::Error for RouteError {}
 pub struct RoutingTable {
     n: usize,
     rule: Rule,
+    /// Out-port `p ≥ 1` of node `v` drives `out_links[out_base[v] + p - 1]`
+    /// (= `topo.outgoing(v)[p - 1]`); `out_base` has N + 1 entries.
+    out_base: Vec<u32>,
+    out_links: Vec<LinkId>,
     tables: Tables,
 }
 
@@ -104,8 +118,8 @@ enum Rule {
 enum Tables {
     Lines(LineTables),
     Dense {
-        /// `next[dst][node]` = link to take at `node` toward `dst`.
-        next: Vec<Vec<Option<LinkId>>>,
+        /// `port[dst][node]` = out-port to take at `node` toward `dst`.
+        port: Vec<Vec<u8>>,
         /// `dist[dst][node]` = total path cost in cycles.
         dist: Vec<Vec<u32>>,
     },
@@ -116,6 +130,8 @@ enum Tables {
 struct LineTables {
     width: u16,
     height: u16,
+    /// Grid coordinate of every node, so queries need no division.
+    coord: Vec<Coord>,
     /// X legs: entry `(y·W + tx)·W + sx` routes `(sx, y)` toward `(tx, y)`
     /// inside row `y`.
     row: Legs,
@@ -124,12 +140,31 @@ struct LineTables {
     col: Legs,
 }
 
-/// Next hops and costs of one family of line legs. A leg that starts at
-/// its target has no next hop and costs 0.
+/// Out-ports and costs of one family of line legs. A leg that starts at
+/// its target has no next hop (port 0) and costs 0.
 #[derive(Debug, Clone)]
 struct Legs {
-    next: Vec<Option<LinkId>>,
+    port: Vec<u8>,
     dist: Vec<u32>,
+}
+
+/// Out-port (at the link's source) of every link, for the table builders:
+/// `outgoing(v)[p - 1]` has port `p`.
+fn ports_of_links(topo: &Topology) -> Vec<u8> {
+    let mut port = vec![0u8; topo.links().len()];
+    for v in topo.nodes() {
+        let out = topo.outgoing(v);
+        assert!(
+            out.len() <= usize::from(u8::MAX),
+            "{v} has {} outgoing links; ports are one byte",
+            out.len()
+        );
+        debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "{v}: unsorted ports");
+        for (i, &lid) in out.iter().enumerate() {
+            port[lid.index()] = (i + 1) as u8;
+        }
+    }
+    port
 }
 
 /// One grid row or column. An XY leg may use only the links joining two
@@ -170,49 +205,43 @@ impl fmt::Display for Line {
 impl Legs {
     fn with_capacity(entries: usize) -> Self {
         Legs {
-            next: Vec::with_capacity(entries),
+            port: Vec::with_capacity(entries),
             dist: Vec::with_capacity(entries),
         }
     }
 
-    /// Appends the `len` legs of `line` toward its position `target`: one
-    /// reverse Dijkstra over the links joining two nodes of the line, with
-    /// the per-hop cost and smallest-link-id tie-break of
-    /// [`RoutingTable::dijkstra_filtered`].
+    /// Appends the legs of `line` toward its position `target`: one
+    /// reverse Dijkstra over the links joining two nodes of the line
+    /// (`links`, gathered for `line`), with the per-hop cost and
+    /// smallest-link-id tie-break of [`RoutingTable::dijkstra_filtered`].
     ///
     /// # Panics
     ///
     /// Panics if some node of the line cannot reach the target inside it.
     fn push_line(
         &mut self,
-        topo: &Topology,
+        links: &LineLinks,
         line: Line,
-        len: u16,
         target: u16,
         heap: &mut BinaryHeap<Reverse<(u32, u16)>>,
     ) {
         let base = self.dist.len();
-        self.next.resize(base + usize::from(len), None);
-        self.dist.resize(base + usize::from(len), u32::MAX);
-        let (next, dist) = (&mut self.next[base..], &mut self.dist[base..]);
+        let len = links.first.len() - 1;
+        self.port.resize(base + len, 0);
+        self.dist.resize(base + len, u32::MAX);
+        let (port, dist) = (&mut self.port[base..], &mut self.dist[base..]);
         dist[usize::from(target)] = 0;
         heap.push(Reverse((0, target)));
         while let Some(Reverse((d, p))) = heap.pop() {
             if d > dist[usize::from(p)] {
                 continue;
             }
-            for &lid in topo.incoming(topo.node_at(line.at(p))) {
-                let link = topo.link(lid);
-                let Some(sp) = line.pos(topo.coord(link.src)) else {
-                    continue;
-                };
+            for &(sp, hop, lp) in links.feeding(p) {
                 let src = usize::from(sp);
-                let cand = d + ROUTER_PIPELINE_CYCLES + link.latency_cycles;
-                let better = cand < dist[src]
-                    || (cand == dist[src] && next[src].is_some_and(|cur| lid < cur));
-                if better {
+                let cand = d + hop;
+                if cand < dist[src] || (cand == dist[src] && lp < port[src]) {
                     dist[src] = cand;
-                    next[src] = Some(lid);
+                    port[src] = lp;
                     heap.push(Reverse((cand, sp)));
                 }
             }
@@ -227,25 +256,65 @@ impl Legs {
     }
 }
 
+/// The links joining two nodes of one line, gathered once per line for
+/// its W (or H) target Dijkstras: `hops[first[p]..first[p + 1]]` feed
+/// position `p`, each as (source position, hop cost, out-port at the
+/// source).
+#[derive(Default)]
+struct LineLinks {
+    first: Vec<u32>,
+    hops: Vec<(u16, u32, u8)>,
+}
+
+impl LineLinks {
+    /// Refills the lists for `line`, which has `len` positions.
+    fn gather(&mut self, topo: &Topology, port_of: &[u8], line: Line, len: u16) {
+        self.first.clear();
+        self.hops.clear();
+        for p in 0..len {
+            self.first.push(self.hops.len() as u32);
+            for &lid in topo.incoming(topo.node_at(line.at(p))) {
+                let link = topo.link(lid);
+                if let Some(sp) = line.pos(topo.coord(link.src)) {
+                    let hop = ROUTER_PIPELINE_CYCLES + link.latency_cycles;
+                    self.hops.push((sp, hop, port_of[lid.index()]));
+                }
+            }
+        }
+        self.first.push(self.hops.len() as u32);
+    }
+
+    /// The links into position `p`.
+    fn feeding(&self, p: u16) -> &[(u16, u32, u8)] {
+        let p = usize::from(p);
+        &self.hops[self.first[p] as usize..self.first[p + 1] as usize]
+    }
+}
+
 impl LineTables {
     fn build(topo: &Topology) -> Self {
         let (w, h) = (topo.width, topo.height);
+        let port_of = ports_of_links(topo);
         let mut heap = BinaryHeap::new();
+        let mut links = LineLinks::default();
         let mut row = Legs::with_capacity(topo.num_nodes() * usize::from(w));
         for y in 0..h {
+            links.gather(topo, &port_of, Line::Row(y), w);
             for tx in 0..w {
-                row.push_line(topo, Line::Row(y), w, tx, &mut heap);
+                row.push_line(&links, Line::Row(y), tx, &mut heap);
             }
         }
         let mut col = Legs::with_capacity(topo.num_nodes() * usize::from(h));
         for x in 0..w {
+            links.gather(topo, &port_of, Line::Column(x), h);
             for ty in 0..h {
-                col.push_line(topo, Line::Column(x), h, ty, &mut heap);
+                col.push_line(&links, Line::Column(x), ty, &mut heap);
             }
         }
         LineTables {
             width: w,
             height: h,
+            coord: topo.nodes().map(|v| topo.coord(v)).collect(),
             row,
             col,
         }
@@ -265,31 +334,22 @@ impl LineTables {
         (usize::from(x) * h + usize::from(ty)) * h + usize::from(sy)
     }
 
-    /// [`Topology::coord`], from the stored width.
-    #[inline]
-    fn coord(&self, v: NodeId) -> Coord {
-        Coord {
-            x: v.0 % self.width,
-            y: v.0 / self.width,
-        }
-    }
-
     /// The X leg while the column differs, then the Y leg (which has no
     /// next hop once `node == dst`).
     #[inline]
-    fn next_link(&self, node: NodeId, dst: NodeId) -> Option<LinkId> {
-        let (a, b) = (self.coord(node), self.coord(dst));
+    fn next_port(&self, node: NodeId, dst: NodeId) -> u8 {
+        let (a, b) = (self.coord[node.index()], self.coord[dst.index()]);
         if a.x != b.x {
-            self.row.next[self.row_at(a.y, b.x, a.x)]
+            self.row.port[self.row_at(a.y, b.x, a.x)]
         } else {
-            self.col.next[self.col_at(a.x, b.y, a.y)]
+            self.col.port[self.col_at(a.x, b.y, a.y)]
         }
     }
 
     /// The X leg to `(dst.x, src.y)` plus the Y leg down column `dst.x`.
     #[inline]
     fn cost(&self, src: NodeId, dst: NodeId) -> u32 {
-        let (a, b) = (self.coord(src), self.coord(dst));
+        let (a, b) = (self.coord[src.index()], self.coord[dst.index()]);
         self.row.dist[self.row_at(a.y, b.x, a.x)] + self.col.dist[self.col_at(b.x, b.y, a.y)]
     }
 }
@@ -309,10 +369,25 @@ impl RoutingTable {
     ///
     /// Panics if some row or column is not internally connected.
     pub fn compute_xy(topo: &Topology) -> Self {
+        Self::new(topo, Rule::Xy, Tables::Lines(LineTables::build(topo)))
+    }
+
+    /// Wraps built tables with the compact adjacency copy `next_link`
+    /// maps ports through.
+    fn new(topo: &Topology, rule: Rule, tables: Tables) -> Self {
+        let mut out_base = Vec::with_capacity(topo.num_nodes() + 1);
+        let mut out_links = Vec::with_capacity(topo.links().len());
+        for v in topo.nodes() {
+            out_base.push(out_links.len() as u32);
+            out_links.extend_from_slice(topo.outgoing(v));
+        }
+        out_base.push(out_links.len() as u32);
         RoutingTable {
             n: topo.num_nodes(),
-            rule: Rule::Xy,
-            tables: Tables::Lines(LineTables::build(topo)),
+            rule,
+            out_base,
+            out_links,
+            tables,
         }
     }
 
@@ -343,8 +418,8 @@ impl RoutingTable {
     /// parent), so **all live pairs within a component route**. A fault
     /// set that splits the live routers into ≥ 2 components is rejected
     /// with [`RouteError::Unreachable`]. Routers with no surviving links
-    /// are **dead**: pairs involving them stay unroutable (`next_link` =
-    /// `None`) without being an error — engines drop such traffic at
+    /// are **dead**: pairs involving them stay unroutable (`next_port` =
+    /// 0) without being an error — engines drop such traffic at
     /// admission and count it in `unreachable_pairs`.
     ///
     /// Stored densely: O(N²) entries.
@@ -378,12 +453,14 @@ impl RoutingTable {
             }
         }
         let ord = |v: NodeId| (level[v.index()], v.0);
+        let port_of = ports_of_links(topo);
         // Down-subnetwork: links that increase the (level, id) order.
-        let (down_next, down_dist) = Self::restricted(topo, |_, l| ord(l.dst) > ord(l.src));
+        let (down_port, down_dist) =
+            Self::restricted(topo, &port_of, |_, l| ord(l.dst) > ord(l.src));
         // Ascending order: an up link's target entry is already final.
         let mut order: Vec<NodeId> = topo.nodes().collect();
         order.sort_by_key(|&v| ord(v));
-        let mut next = vec![vec![None; n]; n];
+        let mut port = vec![vec![0u8; n]; n];
         let mut dist = vec![vec![u32::MAX; n]; n];
         for dst in topo.nodes() {
             let di = dst.index();
@@ -394,12 +471,12 @@ impl RoutingTable {
                     continue;
                 }
                 if down_dist[di][ni] != u32::MAX {
-                    next[di][ni] = down_next[di][ni];
+                    port[di][ni] = down_port[di][ni];
                     dist[di][ni] = down_dist[di][ni];
                     continue;
                 }
                 // Down-unreachable: cheapest up first hop.
-                for &lid in topo.outgoing(node) {
+                for (i, &lid) in topo.outgoing(node).iter().enumerate() {
                     let link = topo.link(lid);
                     if ord(link.dst) > ord(link.src) {
                         continue; // down link
@@ -409,31 +486,31 @@ impl RoutingTable {
                         continue;
                     }
                     let cand = tail + ROUTER_PIPELINE_CYCLES + link.latency_cycles;
-                    let better = cand < dist[di][ni]
-                        || (cand == dist[di][ni] && next[di][ni].is_some_and(|cur| lid < cur));
-                    if better {
+                    let lp = (i + 1) as u8;
+                    if cand < dist[di][ni] || (cand == dist[di][ni] && lp < port[di][ni]) {
                         dist[di][ni] = cand;
-                        next[di][ni] = Some(lid);
+                        port[di][ni] = lp;
                     }
                 }
-                if next[di][ni].is_none() && live[ni] && live[di] {
+                if port[di][ni] == 0 && live[ni] && live[di] {
                     return Err(RouteError::Unreachable { src: node, dst });
                 }
             }
         }
-        Ok(Self::dense(Rule::UpDown, next, dist))
+        Ok(Self::new(topo, Rule::UpDown, Tables::Dense { port, dist }))
     }
 
-    /// Dense next-hop and cost tables over the links accepted by `allow`,
+    /// Dense out-port and cost tables over the links accepted by `allow`,
     /// leaving unreachable pairs at `u32::MAX` (callers must only consult
     /// pairs valid for the restriction).
     #[allow(clippy::type_complexity)]
     fn restricted(
         topo: &Topology,
+        port_of: &[u8],
         allow: impl Fn(&Topology, &Link) -> bool,
-    ) -> (Vec<Vec<Option<LinkId>>>, Vec<Vec<u32>>) {
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u32>>) {
         topo.nodes()
-            .map(|d| Self::dijkstra_filtered(topo, d, &allow))
+            .map(|d| Self::dijkstra_filtered(topo, port_of, d, &allow))
             .unzip()
     }
 
@@ -445,40 +522,27 @@ impl RoutingTable {
     /// Panics if the topology is not strongly connected — every node must
     /// reach every other node.
     pub fn compute(topo: &Topology) -> Self {
-        let (next, dist) = topo
-            .nodes()
-            .map(|d| Self::reverse_dijkstra(topo, d))
-            .unzip();
-        Self::dense(Rule::Shortest, next, dist)
-    }
-
-    fn dense(rule: Rule, next: Vec<Vec<Option<LinkId>>>, dist: Vec<Vec<u32>>) -> Self {
-        RoutingTable {
-            n: next.len(),
-            rule,
-            tables: Tables::Dense { next, dist },
+        let (port, dist) = Self::restricted(topo, &ports_of_links(topo), |_, _| true);
+        for (dst, d) in dist.iter().enumerate() {
+            assert!(
+                d.iter().all(|&d| d != u32::MAX),
+                "topology is not strongly connected toward {}",
+                NodeId(dst as u16)
+            );
         }
-    }
-
-    /// One reverse Dijkstra rooted at destination `dst`.
-    fn reverse_dijkstra(topo: &Topology, dst: NodeId) -> (Vec<Option<LinkId>>, Vec<u32>) {
-        let (next, dist) = Self::dijkstra_filtered(topo, dst, &|_, _| true);
-        assert!(
-            dist.iter().all(|&d| d != u32::MAX),
-            "topology is not strongly connected toward {dst}"
-        );
-        (next, dist)
+        Self::new(topo, Rule::Shortest, Tables::Dense { port, dist })
     }
 
     /// Reverse Dijkstra over the subgraph of links accepted by `allow`.
     fn dijkstra_filtered(
         topo: &Topology,
+        port_of: &[u8],
         dst: NodeId,
         allow: &impl Fn(&Topology, &Link) -> bool,
-    ) -> (Vec<Option<LinkId>>, Vec<u32>) {
+    ) -> (Vec<u8>, Vec<u32>) {
         let n = topo.num_nodes();
         let mut dist = vec![u32::MAX; n];
-        let mut next: Vec<Option<LinkId>> = vec![None; n];
+        let mut port = vec![0u8; n];
         let mut heap = BinaryHeap::new();
         dist[dst.index()] = 0;
         heap.push(Reverse((0u32, dst)));
@@ -495,35 +559,48 @@ impl RoutingTable {
                 let cost = ROUTER_PIPELINE_CYCLES + link.latency_cycles;
                 let cand = d + cost;
                 let src = link.src.index();
-                // Strictly-better, or equal-cost with a smaller link id:
-                // deterministic and independent of heap pop order.
-                let better = cand < dist[src]
-                    || (cand == dist[src] && next[src].is_some_and(|cur| lid < cur));
-                if better {
+                // Strictly-better, or equal-cost with a smaller link id
+                // (= smaller port): deterministic and independent of heap
+                // pop order.
+                let lp = port_of[lid.index()];
+                if cand < dist[src] || (cand == dist[src] && lp < port[src]) {
                     dist[src] = cand;
-                    next[src] = Some(lid);
+                    port[src] = lp;
                     heap.push(Reverse((cand, link.src)));
                 }
             }
         }
-        (next, dist)
+        (port, dist)
+    }
+
+    /// Out-port to take at `node` toward `dst`: the index into
+    /// `topo.outgoing(node)` plus one, or 0 when there is no next hop
+    /// (already there, or the pair is unroutable). This is the engines'
+    /// router port numbering, with out-port 0 ejecting.
+    #[inline]
+    pub fn next_port(&self, node: NodeId, dst: NodeId) -> u8 {
+        match &self.tables {
+            Tables::Lines(lines) => lines.next_port(node, dst),
+            Tables::Dense { port, .. } => port[dst.index()][node.index()],
+        }
     }
 
     /// Link to take at `node` toward `dst`; `None` when already there.
     #[inline]
     pub fn next_link(&self, node: NodeId, dst: NodeId) -> Option<LinkId> {
-        match &self.tables {
-            Tables::Lines(lines) => lines.next_link(node, dst),
-            Tables::Dense { next, .. } => next[dst.index()][node.index()],
-        }
+        let p = usize::from(self.next_port(node, dst));
+        (p != 0).then(|| self.out_links[self.out_base[node.index()] as usize + p - 1])
     }
 
     /// Whether the table routes `src` to `dst`. Always true for healthy
-    /// tables; false for pairs a fault-aware table left unroutable (dead
-    /// endpoints).
+    /// (per-line) tables; false for pairs a fault-aware table left
+    /// unroutable (dead endpoints).
     #[inline]
     pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        src == dst || self.next_link(src, dst).is_some()
+        match &self.tables {
+            Tables::Lines(_) => true,
+            Tables::Dense { port, .. } => src == dst || port[dst.index()][src.index()] != 0,
+        }
     }
 
     /// Total path cost in clock cycles (router pipelines + link latencies
@@ -625,11 +702,12 @@ mod tests {
     /// as the oracle that form must match pair for pair.
     fn compute_xy_dense(topo: &Topology) -> RoutingTable {
         let n = topo.num_nodes();
-        let (row_next, row_dist) =
-            RoutingTable::restricted(topo, |t, l| t.coord(l.src).y == t.coord(l.dst).y);
-        let (col_next, col_dist) =
-            RoutingTable::restricted(topo, |t, l| t.coord(l.src).x == t.coord(l.dst).x);
-        let mut next = vec![vec![None; n]; n];
+        let port_of = ports_of_links(topo);
+        let (row_port, row_dist) =
+            RoutingTable::restricted(topo, &port_of, |t, l| t.coord(l.src).y == t.coord(l.dst).y);
+        let (col_port, col_dist) =
+            RoutingTable::restricted(topo, &port_of, |t, l| t.coord(l.src).x == t.coord(l.dst).x);
+        let mut port = vec![vec![0u8; n]; n];
         let mut dist = vec![vec![0u32; n]; n];
         for dst in topo.nodes() {
             let (d, dc) = (dst.index(), topo.coord(dst));
@@ -639,15 +717,29 @@ mod tests {
                 // the Y-phase then descends the column.
                 let r = topo.node_at(Coord { x: dc.x, y: nc.y }).index();
                 if nc.x != dc.x {
-                    next[d][v] = row_next[r][v];
+                    port[d][v] = row_port[r][v];
                     dist[d][v] = row_dist[r][v] + col_dist[d][r];
                 } else {
-                    next[d][v] = col_next[d][v];
+                    port[d][v] = col_port[d][v];
                     dist[d][v] = col_dist[d][v];
                 }
             }
         }
-        RoutingTable::dense(Rule::Xy, next, dist)
+        RoutingTable::new(topo, Rule::Xy, Tables::Dense { port, dist })
+    }
+
+    /// `next_port` is 0 exactly when there is no next hop, and otherwise
+    /// names the out-port driving `next_link`; `reachable` agrees.
+    fn assert_ports_match_links(t: &Topology, r: &RoutingTable, node: NodeId, dst: NodeId) {
+        let port = usize::from(r.next_port(node, dst));
+        match r.next_link(node, dst) {
+            None => assert_eq!(port, 0, "{}: {node}->{dst}", t.name),
+            Some(lid) => {
+                assert_ne!(port, 0, "{}: {node}->{dst}", t.name);
+                assert_eq!(t.outgoing(node)[port - 1], lid, "{}: {node}->{dst}", t.name);
+            }
+        }
+        assert_eq!(r.reachable(node, dst), node == dst || port != 0);
     }
 
     #[test]
@@ -671,11 +763,18 @@ mod tests {
                 for node in t.nodes() {
                     let what = || format!("{}: {node}->{dst}", t.name);
                     assert_eq!(
+                        lines.next_port(node, dst),
+                        dense.next_port(node, dst),
+                        "{}",
+                        what()
+                    );
+                    assert_eq!(
                         lines.next_link(node, dst),
                         dense.next_link(node, dst),
                         "{}",
                         what()
                     );
+                    assert_ports_match_links(t, &lines, node, dst);
                     assert_eq!(lines.cost(node, dst), dense.cost(node, dst), "{}", what());
                 }
             }
@@ -684,10 +783,44 @@ mod tests {
     }
 
     #[test]
+    fn dense_ports_point_at_next_links() {
+        // The faulted 6×6 parity cell's fault set (a dead span, a degraded
+        // span, a dead router) under up*/down*, and shortest paths on an
+        // express mesh.
+        let faulted = FaultSpec::none()
+            .dead_link(NodeId(14), NodeId(15))
+            .degraded_span(NodeId(20), NodeId(26))
+            .dead_router(NodeId(28))
+            .apply(&mesh(sized(6, 6, LinkTechnology::Electronic)));
+        let updown = RoutingTable::compute_xy_avoiding(&faulted).expect("connected");
+        let express = hyppi_express(sized(12, 5, LinkTechnology::Electronic), 5);
+        let shortest = RoutingTable::compute(&express);
+        for (t, r) in [(&faulted, &updown), (&express, &shortest)] {
+            assert!(matches!(r.tables, Tables::Dense { .. }), "{}", t.name);
+            for dst in t.nodes() {
+                for node in t.nodes() {
+                    assert_ports_match_links(t, r, node, dst);
+                }
+            }
+        }
+        // The dead router's pairs are the unroutable ones.
+        assert_eq!(updown.next_port(NodeId(0), NodeId(28)), 0);
+        assert!(!updown.reachable(NodeId(28), NodeId(0)));
+    }
+
+    #[test]
     fn line_tables_scale_to_128x128() {
         // The dense tables needed ~9.6 GB at this size.
         let t = mesh(sized(128, 128, LinkTechnology::Electronic));
         let r = RoutingTable::compute_xy(&t);
+        let Tables::Lines(lines) = &r.tables else {
+            panic!("compute_xy stores per line");
+        };
+        // 5 B per leg entry (port + cost) over N·(W+H) entries, plus the
+        // 4 B-per-node coordinate table: about 20 MiB.
+        let legs = |l: &Legs| l.port.len() + 4 * l.dist.len();
+        let bytes = legs(&lines.row) + legs(&lines.col) + 4 * lines.coord.len();
+        assert_eq!(bytes, 128 * 128 * 256 * 5 + 128 * 128 * 4);
         let n = t.num_nodes();
         for i in 0..500usize {
             let a = NodeId(((i * 7_919) % n) as u16);
