@@ -33,11 +33,12 @@
 //! cycles (a packet may walk *away* from its destination to reach an
 //! express endpoint — e.g. the span-15 "ring wrap"). We break these with a
 //! dateline discipline: VCs are split into class A = `{0, 1}` and class
-//! B = `{2, 3}`; a packet starts in class A and moves permanently to class
-//! B after its first express traversal. Post-express walks never re-enter
-//! an express link on a minimal route, so class-B dependencies are acyclic,
-//! and class transitions only go A → B. Topologies without express links
-//! use all VCs as one class (X-then-Y alone is acyclic there).
+//! B = `{2, 3}`; every packet is admitted in class A and moves permanently
+//! to class B when switch traversal sends it over its first express link.
+//! Post-express walks never re-enter an express link on a minimal route,
+//! so class-B dependencies are acyclic, and class transitions only go
+//! A → B. Topologies without express links use all VCs as one class
+//! (X-then-Y alone is acyclic there).
 
 use hyppi_topology::{LinkId, NodeId, Topology};
 use std::collections::VecDeque;

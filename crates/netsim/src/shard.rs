@@ -10,12 +10,13 @@
 //! the mesh's nodes (node subsets come from
 //! [`hyppi_topology::Partition`]). `EnginePlan` holds everything
 //! read-only and shared: topology, routing, config, the partition tables,
-//! and the express-dateline memo. The single-shard engine
-//! ([`crate::Simulator`]) is a P=1 [`ShardedSimulator`] plus a
-//! manual-stepping API: there is one set of pipeline-stage loops, one
-//! worker loop (`worker_loop`) and one run driver
-//! (`ShardedSimulator::drive`) behind every `run_*` / `resume_*` entry
-//! point of both.
+//! and the dateline VC-class masks (every packet is admitted in class A
+//! and switches to class B when it crosses an express link). The
+//! single-shard engine ([`crate::Simulator`]) is a P=1
+//! [`ShardedSimulator`] plus a manual-stepping API: there is one set of
+//! pipeline-stage loops, one worker loop (`worker_loop`) and one run
+//! driver (`ShardedSimulator::drive`) behind every `run_*` / `resume_*`
+//! entry point of both.
 //!
 //! Three hot-path structures keep the per-traversal cost low while
 //! staying observable-behavior-preserving (the frozen
@@ -135,15 +136,14 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-/// Dateline VC class of a packet (see the `router` module docs).
+/// Dateline VC class of a packet (see the `router` module docs). Without
+/// express links both classes open every VC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum VcClass {
-    /// The route never crosses an express link: any VC is safe.
-    Free,
-    /// Express route, before the first express traversal: class A VCs.
-    PreExpress,
-    /// Express route, after the first express traversal: class B VCs.
-    PostExpress,
+    /// Before the first express traversal (every packet at admission).
+    A,
+    /// After the first express traversal, for the rest of the walk.
+    B,
 }
 
 /// One booked link arrival: (link, destination VC, flit).
@@ -256,7 +256,7 @@ struct OutPortInfo {
     latency: u8,
     /// Express link (dateline class-B transition on traversal).
     express: bool,
-    /// Fault-degraded link (halved usable-VC set, see `degraded_class_mask`).
+    /// Fault-degraded link (halved usable-VC set, see `EnginePlan::class_mask`).
     degraded: bool,
 }
 
@@ -301,8 +301,9 @@ fn cyclic_bits(mask: u32, start: usize) -> CyclicBits {
 // ---- shared read-only plan ---------------------------------------------
 
 /// Everything shared and immutable across the shards of one simulation:
-/// topology, routing, configuration, partition tables, and the
-/// express-dateline route memo.
+/// topology, routing, configuration, partition tables, and the dateline
+/// VC-class masks. A packet's class needs no per-route table: it is
+/// class A from admission and turns class B at its first express hop.
 pub(crate) struct EnginePlan<'a> {
     pub topo: &'a Topology,
     pub routes: &'a RoutingTable,
@@ -310,16 +311,14 @@ pub(crate) struct EnginePlan<'a> {
     pub partition: Partition,
     /// Express-dateline VC classes in force (see `router` module docs).
     pub dateline: bool,
-    /// First class-B VC when the dateline is in force (see `vc_range`).
-    pub class_b_start: usize,
-    /// Bitmask of the VCs open to `Free`/`PreExpress` packets (bit =
-    /// VC index) — the packed form of [`Self::vc_range`], consumed by
-    /// the trailing-zeros free-VC search in VC allocation.
+    /// Bitmask of the VCs open to class-A packets (bit = VC index; see
+    /// [`Self::class_mask`]), consumed by the trailing-zeros free-VC
+    /// search in VC allocation and by injection-VC selection.
     pub class_a_mask: u32,
-    /// Bitmask of the VCs open to `PostExpress` packets.
+    /// Bitmask of the VCs open to class-B packets.
     pub class_b_mask: u32,
     /// `class_a_mask` restricted to a fault-degraded link: the lowest
-    /// `max(1, half)` of the class's VCs (see `degraded_class_mask`).
+    /// `max(1, half)` of the class's VCs (see [`Self::class_mask`]).
     pub degraded_class_a_mask: u32,
     /// `class_b_mask` restricted to a fault-degraded link.
     pub degraded_class_b_mask: u32,
@@ -327,9 +326,6 @@ pub(crate) struct EnginePlan<'a> {
     /// faulted topology: used to charge `SimStats::rerouted_hops` for the
     /// extra hops a packet takes versus its healthy route.
     pub baseline: Option<(&'a Topology, &'a RoutingTable)>,
-    /// `express_on_path[dst][node]`: does the route node→dst cross an
-    /// express link? Only populated when the dateline is in force.
-    express_on_path: Vec<Vec<bool>>,
     /// In-port index (at the link's dst node) fed by each link.
     pub in_port_of_link: Vec<u8>,
     /// Calendar wheel length (power of two > max link latency).
@@ -354,49 +350,6 @@ impl<'a> EnginePlan<'a> {
         assert_eq!(routes.num_nodes(), topo.num_nodes());
         cfg.validate();
         let dateline = topo.count_links(|l| l.is_express()) > 0;
-        // Which (node → dst) routes cross an express link: walk each
-        // destination's next-hop tree once, memoized.
-        let mut express_on_path: Vec<Vec<bool>> = Vec::new();
-        if dateline {
-            express_on_path.reserve(topo.num_nodes());
-            for dst in topo.nodes() {
-                let mut table = vec![false; topo.num_nodes()];
-                let mut visited = vec![false; topo.num_nodes()];
-                visited[dst.index()] = true;
-                for start in topo.nodes() {
-                    if visited[start.index()] {
-                        continue;
-                    }
-                    let mut chain = Vec::new();
-                    let mut at = start;
-                    while !visited[at.index()] {
-                        chain.push(at);
-                        // Unreachable pairs (faulted topologies) have no
-                        // next hop; the chain inherits `false` below.
-                        let Some(lid) = routes.next_link(at, dst) else {
-                            break;
-                        };
-                        let link = topo.link(lid);
-                        if link.is_express() {
-                            // Everything up the chain routes through here.
-                            for &n in &chain {
-                                table[n.index()] = true;
-                                visited[n.index()] = true;
-                            }
-                            chain.clear();
-                        }
-                        at = link.dst;
-                    }
-                    // Remaining chain inherits the memoized answer at `at`.
-                    let tail = table[at.index()];
-                    for &n in &chain {
-                        table[n.index()] = tail;
-                        visited[n.index()] = true;
-                    }
-                }
-                express_on_path.push(table);
-            }
-        }
         let mut in_port_of_link = vec![0u8; topo.links().len()];
         for node in topo.nodes() {
             for (i, &lid) in topo.incoming(node).iter().enumerate() {
@@ -448,14 +401,14 @@ impl<'a> EnginePlan<'a> {
                 v.sort_unstable();
             }
         }
-        let class_b_start = cfg.vcs - (cfg.vcs / 4).max(1);
         let all_vcs: u32 = if cfg.vcs == 32 {
             u32::MAX
         } else {
             (1u32 << cfg.vcs) - 1
         };
         let (class_a_mask, class_b_mask) = if dateline {
-            let a = (1u32 << class_b_start) - 1;
+            // Class B takes the top quarter of the VCs (see `class_mask`).
+            let a = all_vcs >> (cfg.vcs / 4).max(1);
             (a, all_vcs & !a)
         } else {
             (all_vcs, all_vcs)
@@ -492,13 +445,11 @@ impl<'a> EnginePlan<'a> {
             cfg,
             partition,
             dateline,
-            class_b_start,
             class_a_mask,
             class_b_mask,
             degraded_class_a_mask,
             degraded_class_b_mask,
             baseline: None,
-            express_on_path,
             in_port_of_link,
             wheel_len,
             inbox_sources: sources,
@@ -540,64 +491,30 @@ impl<'a> EnginePlan<'a> {
         faulted.saturating_sub(healthy)
     }
 
-    /// VC index range usable by a packet of the given dateline class.
+    /// Bitmask of the VCs a packet of the given dateline class may
+    /// request on an out-port (bit = VC index).
     ///
     /// Class B (post-express walks — short and comparatively rare) gets
-    /// the top quarter of the VCs; everything else (packets before their
-    /// express traversal and packets that never touch an express link)
-    /// shares the rest. Class-B channels are only ever requested by
-    /// post-express packets, whose walks are monotone, so class-B
-    /// dependencies are acyclic and no dependency points from class B back
-    /// to class A (see the `router` module docs). Without express links no
-    /// discipline is needed and every VC is open.
+    /// the top quarter of the VCs; class A (packets before their first
+    /// express traversal, which includes every packet whose route never
+    /// touches an express link) shares the rest. Class-B channels are
+    /// only ever requested by post-express packets, whose walks are
+    /// monotone, so class-B dependencies are acyclic and no dependency
+    /// points from class B back to class A (see the `router` module
+    /// docs). Without express links no discipline is needed and both
+    /// classes open every VC.
+    ///
+    /// A fault-`degraded` link keeps the lowest `max(1, half)` VCs of the
+    /// class. Every mask is a contiguous run of its class's low VCs, so
+    /// walking it with `trailing_zeros` visits the VCs the reference
+    /// engine's range scans visit, in the same ascending order.
     #[inline]
-    pub fn vc_range(&self, class: VcClass) -> std::ops::Range<usize> {
-        if !self.dateline {
-            return 0..self.cfg.vcs;
-        }
-        match class {
-            VcClass::Free | VcClass::PreExpress => 0..self.class_b_start,
-            VcClass::PostExpress => self.class_b_start..self.cfg.vcs,
-        }
-    }
-
-    /// Packed form of [`Self::vc_range`]: a bitmask of the VCs a packet
-    /// of the given dateline class may request (bit = VC index).
-    /// Walking this mask with `trailing_zeros` visits exactly the VCs
-    /// `vc_range` yields, in the same ascending order, so the free-VC
-    /// search stays bit-for-bit with the range scan it replaces.
-    #[inline]
-    pub(crate) fn class_mask(&self, class: VcClass) -> u32 {
-        match class {
-            VcClass::Free | VcClass::PreExpress => self.class_a_mask,
-            VcClass::PostExpress => self.class_b_mask,
-        }
-    }
-
-    /// [`Self::class_mask`] restricted to a fault-degraded link: the
-    /// lowest `max(1, half)` VCs of the class. Contiguous-low-bits form,
-    /// so the range scan in the reference engine visits the same VCs.
-    #[inline]
-    pub(crate) fn degraded_class_mask(&self, class: VcClass) -> u32 {
-        match class {
-            VcClass::Free | VcClass::PreExpress => self.degraded_class_a_mask,
-            VcClass::PostExpress => self.degraded_class_b_mask,
-        }
-    }
-
-    /// Whether the deterministic route src → dst crosses an express link
-    /// (always `false` on topologies without express links).
-    pub fn route_uses_express(&self, src: NodeId, dst: NodeId) -> bool {
-        self.dateline && src != dst && self.express_on_path[dst.index()][src.index()]
-    }
-
-    /// Initial dateline class of a new packet.
-    #[inline]
-    pub fn initial_class(&self, src: NodeId, dst: NodeId) -> VcClass {
-        if self.route_uses_express(src, dst) {
-            VcClass::PreExpress
-        } else {
-            VcClass::Free
+    pub(crate) fn class_mask(&self, class: VcClass, degraded: bool) -> u32 {
+        match (class, degraded) {
+            (VcClass::A, false) => self.class_a_mask,
+            (VcClass::B, false) => self.class_b_mask,
+            (VcClass::A, true) => self.degraded_class_a_mask,
+            (VcClass::B, true) => self.degraded_class_b_mask,
         }
     }
 }
@@ -801,9 +718,6 @@ pub(crate) struct ShardState {
     remap: Vec<u32>,
     /// Outgoing mailbox staging, one bundle per destination shard.
     outbox: Vec<OutBundle>,
-    /// Flits resident in this shard (emission/ingest increment, ejection/
-    /// boundary send decrement) — a debug gauge, not control state.
-    pub(crate) active_flits: i64,
     /// Closed-loop window occupancy per local node: packets emitted but
     /// not yet fully ejected. Only maintained when the plan has a window
     /// (`cfg.max_outstanding > 0`); stays all-zero open-loop.
@@ -993,7 +907,6 @@ impl ShardState {
             import_of: Vec::new(),
             remap: vec![u32::MAX; topo.links().len() * cfg.vcs],
             outbox: (0..shards).map(|_| OutBundle::default()).collect(),
-            active_flits: 0,
             outstanding: vec![0; n_local],
             accept_from: 0,
             accept_until: u64::MAX,
@@ -1163,7 +1076,7 @@ impl ShardState {
             flits,
             ejected: 0,
         });
-        self.class_of.push(plan.initial_class(src, dst));
+        self.class_of.push(VcClass::A);
         self.import_of.push((u16::MAX, 0));
         self.nodes[local].src_queue.push_back(pid);
         self.pending_sources += 1;
@@ -1272,11 +1185,12 @@ impl ShardState {
                             );
                         }
                         if window_open {
-                            // Pick an injection VC in the packet's class.
+                            // Pick the lowest class-A injection VC with
+                            // room: a packet still at its NIC has crossed
+                            // no express link.
                             let info = self.packets[pid as usize];
-                            let range = plan.vc_range(self.class_of[pid as usize]);
                             let base = self.ctl[node].vc_base as usize; // in-port 0 ⇒ slot = base + vc
-                            let pick = range.clone().find(|&v| {
+                            let pick = cyclic_bits(plan.class_a_mask, 0).find(|&v| {
                                 meta::len(self.slot_meta[base + v]) < plan.cfg.buffer_depth
                             });
                             if let Some(v) = pick {
@@ -1333,7 +1247,6 @@ impl ShardState {
                             );
                         }
                         pushed = true;
-                        self.active_flits += 1;
                         self.stats.flits_injected += 1;
                         if let Some(tm) = plan.tenants {
                             let g = usize::from(self.global_of_node[node]);
@@ -1430,11 +1343,7 @@ impl ShardState {
                         // Class shortcut: without a dateline both classes
                         // share one mask (asserted in `EnginePlan::new`),
                         // so the head's class is read only under one.
-                        let classless_open = if degraded {
-                            plan.degraded_class_a_mask
-                        } else {
-                            plan.class_a_mask
-                        };
+                        let classless_open = plan.class_mask(VcClass::A, degraded);
                         for idx in cyclic_bits(mask, start) {
                             let m = self.slot_meta[base + idx];
                             debug_assert_eq!(meta::tag(m), meta::ROUTED);
@@ -1446,11 +1355,7 @@ impl ShardState {
                             // scan would have found.
                             let open = if plan.dateline {
                                 let class = self.class_of[self.flit_buf[head].packet as usize];
-                                if degraded {
-                                    plan.degraded_class_mask(class)
-                                } else {
-                                    plan.class_mask(class)
-                                }
+                                plan.class_mask(class, degraded)
                             } else {
                                 classless_open
                             };
@@ -1604,7 +1509,6 @@ impl ShardState {
                                 lane.accepted_flits += 1;
                             }
                         }
-                        self.active_flits -= 1;
                         if self.packets[pid].is_complete() {
                             self.completed_packets += 1;
                             let info = self.packets[pid];
@@ -1660,7 +1564,7 @@ impl ShardState {
                         }
                         if opi.express {
                             // Dateline: the packet is class B from here on.
-                            self.class_of[pid] = VcClass::PostExpress;
+                            self.class_of[pid] = VcClass::B;
                         }
                         self.stats.link_flits[lid] += 1;
                         let arrive = now + u64::from(opi.latency);
@@ -1702,7 +1606,6 @@ impl ShardState {
                                 inject_cycle: info.inject_cycle,
                                 origin: info.src,
                             });
-                            self.active_flits -= 1;
                         }
                     }
 
@@ -1779,7 +1682,6 @@ impl ShardState {
             let mut f = m.flit;
             f.packet = self.remap[key];
             self.wheel_push(m.arrive, (m.link, m.vc, f));
-            self.active_flits += 1;
         }
     }
 
@@ -1879,15 +1781,17 @@ impl ShardState {
                         }
                     }
                     meta::ROUTED if out_port > 0 => {
-                        // Waiting for a held out VC in the packet's class.
+                        // Waiting for a held out VC among those VC
+                        // allocation may grant it on this port.
                         let head = self.front_flit(slot).expect("nonempty");
-                        let range = plan.vc_range(self.class_of[head.packet as usize]);
                         let pb = self.ctl[node].port_base as usize;
-                        for v in range {
-                            if self.holder_mask[pb + out_port] & (1 << v) != 0 {
-                                let lid = st.out_links[out_port - 1].index();
-                                edges[src_chan].push(chan(lid, v));
-                            }
+                        let open = plan.class_mask(
+                            self.class_of[head.packet as usize],
+                            self.out_port_info[pb + out_port].degraded,
+                        );
+                        let lid = st.out_links[out_port - 1].index();
+                        for v in cyclic_bits(self.holder_mask[pb + out_port] & open, 0) {
+                            edges[src_chan].push(chan(lid, v));
                         }
                     }
                     _ => {}
@@ -2528,25 +2432,25 @@ pub(crate) fn merge_stats(plan: &EnginePlan<'_>, shards: &[ShardState], cycles: 
 
 // ---- snapshot export / import ------------------------------------------
 
-/// `VcClass` ↔ snapshot byte. The order matters: a packet's class only
-/// ever moves forward (Free stays Free; PreExpress → PostExpress on the
-/// first express traversal), so the canonical class of a packet split
-/// across per-shard handles is the numeric maximum over its chain.
+/// `VcClass` ↔ snapshot byte: 0 = class A, 2 = class B. Byte 1 reads as
+/// class A too — the reference engine writes it for a class-A packet
+/// whose route crosses an express link. The order matters: a packet's
+/// class only ever moves forward (A → B on the first express
+/// traversal), so the canonical class of a packet split across
+/// per-shard handles is the numeric maximum over its chain.
 #[inline]
 fn class_to_u8(c: VcClass) -> u8 {
     match c {
-        VcClass::Free => 0,
-        VcClass::PreExpress => 1,
-        VcClass::PostExpress => 2,
+        VcClass::A => 0,
+        VcClass::B => 2,
     }
 }
 
 #[inline]
 fn class_from_u8(v: u8) -> VcClass {
     match v {
-        0 => VcClass::Free,
-        1 => VcClass::PreExpress,
-        _ => VcClass::PostExpress,
+        0 | 1 => VcClass::A,
+        _ => VcClass::B,
     }
 }
 
@@ -2971,7 +2875,6 @@ pub(crate) fn import_shards(
             s.set_src(local);
         }
         s.outstanding[local] = n.outstanding;
-        s.active_flits += i64::from(buffered);
     }
 
     // --- in-flight flits → calendar wheels ---
@@ -2997,7 +2900,6 @@ pub(crate) fn import_shards(
                     },
                 ),
             );
-            s.active_flits += 1;
         }
     }
 
@@ -3692,7 +3594,7 @@ mod tests {
     #[test]
     fn express_dateline_class_crosses_boundaries() {
         // Span-5 express on a 16-wide mesh cut into 4 columns: express
-        // links cross shard cuts, so the PostExpress transition must ride
+        // links cross shard cuts, so the class-B transition must ride
         // the mailbox metadata.
         let spec = MeshSpec {
             width: 16,
@@ -3970,5 +3872,66 @@ mod tests {
         s.wheel_push(11, (0, 0, f));
         assert_eq!(s.next_arrival_cycle(10), Some(11));
         assert_eq!(s.next_arrival_cycle(11), Some(11));
+    }
+
+    #[test]
+    fn snapshot_class_bytes_fold_express_routes_into_class_a() {
+        // The reference engine writes class byte 1 for a class-A packet
+        // whose route crosses an express link. The active engine reads 0
+        // and 1 as class A, writes every class-A packet as 0, and keeps
+        // class B as 2.
+        let t = express_mesh(
+            MeshSpec {
+                width: 8,
+                height: 8,
+                core_spacing_mm: 1.0,
+                base_tech: LinkTechnology::Electronic,
+                capacity: Gbps::new(50.0),
+            },
+            ExpressSpec {
+                span: 3,
+                tech: LinkTechnology::Hyppi,
+            },
+        );
+        let routes = RoutingTable::compute_xy(&t);
+        let cfg = SimConfig::paper();
+        let n = t.num_nodes() as u16;
+        let mut events = Vec::new();
+        for k in 1..8u16 {
+            for s in 0..n {
+                events.push(TraceEvent {
+                    cycle: u64::from(k) * 4,
+                    src: NodeId(s),
+                    dst: NodeId((s + 5 * k) % n),
+                    flits: 32,
+                });
+            }
+        }
+        let trace = Trace::new("classes", n, 0.0, events);
+        let split = 40;
+        let reference = crate::reference::ReferenceSimulator::new(&t, &routes, cfg)
+            .run_trace_until(&trace, split)
+            .expect("bounded run completes")
+            .expect_paused();
+        let class_bytes = |snap: &Snapshot| {
+            let gs = snap.decode_for(snap.plan_hash()).expect("snapshot decodes");
+            let mut counts = [0usize; 3];
+            for p in &gs.packets {
+                counts[usize::from(p.class)] += 1;
+            }
+            counts
+        };
+        let before = class_bytes(&reference);
+        assert!(before[1] > 0, "no live packet carries class byte 1");
+        assert!(before[2] > 0, "no live packet carries class byte 2");
+        let resnap = ShardedSimulator::new(&t, &routes, cfg, ShardSpec { sx: 2, sy: 1 })
+            .restore(&reference)
+            .expect("reference snapshot restores")
+            .snapshot(split);
+        assert_eq!(
+            class_bytes(&resnap),
+            [before[0] + before[1], 0, before[2]],
+            "class bytes after a re-export (reference: {before:?})"
+        );
     }
 }

@@ -122,12 +122,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Whether the deterministic route src → dst crosses an express link
-    /// (always `false` on topologies without express links).
-    pub fn route_uses_express(&self, src: NodeId, dst: NodeId) -> bool {
-        self.engine.plan.route_uses_express(src, dst)
-    }
-
     /// Installs the healthy-mesh baseline (topology + routes the faults
     /// were applied to) so admitted packets are charged
     /// [`SimStats::rerouted_hops`] for detours versus the healthy route.
@@ -576,49 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn express_path_memo_matches_ground_truth() {
-        // The dateline classification relies on the memoized
-        // express-on-path table; verify it against walking every route.
-        let spec = MeshSpec {
-            width: 16,
-            height: 2,
-            core_spacing_mm: 1.0,
-            base_tech: LinkTechnology::Electronic,
-            capacity: Gbps::new(50.0),
-        };
-        for span in [3u16, 5, 15] {
-            let t = express_mesh(
-                spec,
-                ExpressSpec {
-                    span,
-                    tech: LinkTechnology::Hyppi,
-                },
-            );
-            let routes = RoutingTable::compute_xy(&t);
-            let sim = Simulator::new(&t, &routes, SimConfig::paper());
-            for src in t.nodes() {
-                for dst in t.nodes() {
-                    if src == dst {
-                        continue;
-                    }
-                    let mut at = src;
-                    let mut crossed = false;
-                    while at != dst {
-                        let l = t.link(routes.next_link(at, dst).unwrap());
-                        crossed |= l.is_express();
-                        at = l.dst;
-                    }
-                    assert_eq!(
-                        sim.route_uses_express(src, dst),
-                        crossed,
-                        "span {span}: {src}->{dst}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fast_forward_skips_idle_gaps() {
         let t = small_mesh(2, 1);
         let stats = run(
@@ -697,7 +648,7 @@ mod tests {
         let mut sim = Simulator::new(&t, &routes, SimConfig::paper());
         sim.admit(NodeId(0), NodeId(15), 32, 0);
         let mut now = 0;
-        while !(sim.engine.shards[0].active_flits == 0 && sim.pending_packets() == 0) {
+        while !(sim.in_network_flits() == 0 && sim.pending_packets() == 0) {
             sim.step(now);
             now += 1;
             assert!(now < 10_000, "run did not drain");

@@ -515,7 +515,8 @@ pub(crate) struct PacketImage {
     pub flits: u32,
     /// Flits already consumed at the destination.
     pub ejected: u32,
-    /// Dateline class: 0 = free, 1 = pre-express, 2 = post-express.
+    /// Dateline class: 0 or 1 = class A (the reference engine writes 1
+    /// on express routes), 2 = class B.
     pub class: u8,
 }
 

@@ -371,6 +371,12 @@ fn reference_synthetic_splice_closed_loop_express() {
             .resume_synthetic(&snap, &m, warmup, measure, seed)
             .expect("cross resume completes");
         assert_eq!(cross, whole, "cross-engine synthetic splice at {split}");
+        // The reference writes class byte 1 on express routes; a sharded
+        // engine reads it as class A, on both sides of the cut.
+        let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec { sx: 2, sy: 1 })
+            .resume_synthetic(&snap, &m, warmup, measure, seed)
+            .expect("sharded cross resume completes");
+        assert_eq!(sharded, whole, "sharded cross-engine splice at {split}");
     }
 }
 
