@@ -133,6 +133,9 @@ use hyppi_topology::{LinkId, NodeId, Partition, RoutingTable, ShardSpec, Topolog
 use hyppi_traffic::{BurstState, TenantMap, Trace, TrafficMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -1922,9 +1925,17 @@ impl ShardState {
 
 // ---- workloads ----------------------------------------------------------
 
-/// Precomputed per-node injection rates and destination CDFs of a
-/// synthetic run: per source, the prefix sums `acc` of its destination
-/// shares, in destination order.
+/// Per-source injection state of a synthetic run: each source's rate,
+/// the id of its destination CDF, and — through
+/// [`TrafficMatrix::destination`] — the node each CDF slot names.
+///
+/// A CDF holds the prefix sums `acc` of a source's destination shares,
+/// in destination order. Each distinct CDF is stored once, keyed by its
+/// content, and sources whose matrix rows are alike
+/// ([`TrafficMatrix::rows_alike`]) reuse their neighbour's without
+/// building it. Every uniform source shares one (N−1)-entry CDF, so a
+/// uniform run holds 12 B per source plus 8·(N−1) B here; rows that
+/// differ per source (Soteriou, NPB) cost 8 B per nonzero pair.
 ///
 /// A draw `u ∈ [0, 1)` picks the first entry with `acc ≥ u`
 /// ([`first_at_least`]). Instead of bisecting the whole row, the search
@@ -1936,42 +1947,64 @@ impl ShardState {
 /// search would, whatever its probe order. On uniform rows the guess is
 /// right (O(1), two adjacent loads); skewed rows such as hotspot traffic
 /// cost O(log len) at worst.
-pub(crate) struct InjectTables {
+pub(crate) struct InjectTables<'m> {
+    matrix: &'m TrafficMatrix,
     rates: Vec<f64>,
-    cdf_acc: Vec<Vec<f64>>,
-    cdf_dst: Vec<Vec<NodeId>>,
+    cdf_of: Vec<u32>,
+    cdfs: Vec<Vec<f64>>,
 }
 
-impl InjectTables {
-    pub fn new(topo: &Topology, matrix: &TrafficMatrix) -> Self {
+impl<'m> InjectTables<'m> {
+    pub fn new(topo: &Topology, matrix: &'m TrafficMatrix) -> Self {
         assert_eq!(matrix.num_nodes(), topo.num_nodes());
         let n = topo.num_nodes();
         let mut rates = Vec::with_capacity(n);
-        let mut cdf_acc: Vec<Vec<f64>> = Vec::with_capacity(n);
-        let mut cdf_dst: Vec<Vec<NodeId>> = Vec::with_capacity(n);
+        let mut cdf_of: Vec<u32> = Vec::with_capacity(n);
+        let mut cdfs: Vec<Vec<f64>> = Vec::new();
+        // Content hash → the first CDF stored with that hash.
+        let mut interned: HashMap<u64, u32> = HashMap::new();
+        let mut row = Vec::new();
         for src in topo.nodes() {
+            let s = src.index();
+            if s > 0 && matrix.rows_alike(NodeId(src.0 - 1), src) {
+                rates.push(rates[s - 1]);
+                cdf_of.push(cdf_of[s - 1]);
+                continue;
+            }
             let rate = matrix.injection_rate(src);
-            let mut acc_col = Vec::new();
-            let mut dst_col = Vec::new();
+            row.clear();
             if rate > 0.0 {
                 let mut acc = 0.0;
-                for dst in topo.nodes() {
-                    let r = matrix.rate(src, dst);
-                    if r > 0.0 {
-                        acc += r / rate;
-                        acc_col.push(acc);
-                        dst_col.push(dst);
-                    }
+                for (_, r) in matrix.row_demands(src) {
+                    acc += r / rate;
+                    row.push(acc);
                 }
             }
+            let mut h = DefaultHasher::new();
+            row.iter().for_each(|a| h.write_u64(a.to_bits()));
+            let key = h.finish();
+            let same = |cdf: &[f64]| {
+                cdf.iter()
+                    .map(|a| a.to_bits())
+                    .eq(row.iter().map(|a| a.to_bits()))
+            };
+            let id = match interned.get(&key) {
+                Some(&id) if same(&cdfs[id as usize]) => id,
+                _ => {
+                    let id = cdfs.len() as u32;
+                    cdfs.push(row.clone());
+                    interned.entry(key).or_insert(id);
+                    id
+                }
+            };
             rates.push(rate);
-            cdf_acc.push(acc_col);
-            cdf_dst.push(dst_col);
+            cdf_of.push(id);
         }
         InjectTables {
+            matrix,
             rates,
-            cdf_acc,
-            cdf_dst,
+            cdf_of,
+            cdfs,
         }
     }
 
@@ -2000,15 +2033,12 @@ impl InjectTables {
         for (src, (&rate, &factor)) in self.rates.iter().zip(factors).enumerate() {
             if rate > 0.0 && rng.gen::<f64>() < rate * factor {
                 let u: f64 = rng.gen();
+                let cdf = &self.cdfs[self.cdf_of[src] as usize];
                 // First entry with acc ≥ u; the last entry backstops
-                // floating-point shortfall at u ≈ 1.
-                let i = first_at_least(&self.cdf_acc[src], u);
-                let dst = *self.cdf_dst[src]
-                    .get(i)
-                    .unwrap_or_else(|| self.cdf_dst[src].last().expect("nonempty cdf"));
-                if dst == NodeId(src as u16) {
-                    continue;
-                }
+                // floating-point shortfall at u ≈ 1. The matrix never
+                // names the source itself.
+                let k = first_at_least(cdf, u).min(cdf.len() - 1);
+                let dst = self.matrix.destination(NodeId(src as u16), k);
                 let measured = now >= warmup;
                 // Unmeasured packets are marked by u64::MAX and skipped in
                 // `record`.
@@ -2062,7 +2092,7 @@ pub(crate) enum Workload<'w> {
     Trace(&'w Trace),
     /// Bernoulli synthetic injection (1-flit packets).
     Synthetic {
-        tables: &'w InjectTables,
+        tables: &'w InjectTables<'w>,
         warmup: u64,
         measure: u64,
         seed: u64,
@@ -3096,15 +3126,7 @@ impl<'a> ShardedSimulator<'a> {
 
     /// Runs a trace to completion.
     pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.drive(
-            Workload::Trace(trace),
-            None,
-            u64::MAX,
-            &mut NoopProbe,
-            None,
-            false,
-        )
-        .map(RunOutcome::expect_finished)
+        self.run_trace_probed(trace, &mut NoopProbe)
     }
 
     /// Runs Bernoulli-injected synthetic traffic: each node injects 1-flit
@@ -3119,23 +3141,17 @@ impl<'a> ShardedSimulator<'a> {
         measure: u64,
         seed: u64,
     ) -> Result<SimStats, SimError> {
-        let tables = InjectTables::new(self.plan.topo, matrix);
-        let workload = Workload::Synthetic {
-            tables: &tables,
-            warmup,
-            measure,
-            seed,
-        };
-        self.drive(workload, None, u64::MAX, &mut NoopProbe, None, false)
-            .map(RunOutcome::expect_finished)
+        self.run_synthetic_probed(matrix, warmup, measure, seed, &mut NoopProbe)
     }
 
     // ---- telemetry -------------------------------------------------------
 
     /// [`Self::run_trace`] with a telemetry probe attached (see
-    /// [`crate::telemetry`]). Probed runs are single-worker so one probe
-    /// instance observes every shard; the statistics are bit-for-bit
-    /// those of the plain run (`tests/telemetry_parity.rs` pins this).
+    /// [`crate::telemetry`]). Runs with an enabled probe are
+    /// single-worker so one probe instance observes every shard; the
+    /// statistics are bit-for-bit those of the plain run
+    /// (`tests/telemetry_parity.rs` pins this). With [`NoopProbe`] this
+    /// *is* the plain run: every hook compiles away.
     pub fn run_trace_probed<P: Probe>(
         self,
         trace: &Trace,
@@ -3933,5 +3949,30 @@ mod tests {
             [before[0] + before[1], 0, before[2]],
             "class bytes after a re-export (reference: {before:?})"
         );
+    }
+
+    #[test]
+    fn uniform_inject_tables_scale_to_128x128() {
+        // A dense matrix plus per-source CDFs took 8·N² + 10·N·(N−1) B
+        // at this size: 4.5 GiB.
+        let t = small_mesh(128, 128);
+        let n = t.num_nodes();
+        let m = hyppi_traffic::SyntheticPattern::Uniform.matrix(&t, 0.1);
+        // Fill rows: every source past the first reuses its neighbour's
+        // CDF without building one, so setup is O(N) too.
+        assert!((1..n).all(|s| m.rows_alike(NodeId(s as u16 - 1), NodeId(s as u16))));
+        let tables = InjectTables::new(&t, &m);
+        // 12 B per source (rate + CDF id) plus one shared CDF.
+        let bytes = 8 * tables.rates.len()
+            + 4 * tables.cdf_of.len()
+            + tables.cdfs.iter().map(|c| 8 * c.len()).sum::<usize>();
+        assert_eq!(bytes, 12 * n + 8 * (n - 1));
+        // Draws name the same destinations as the general row walk.
+        for i in 0..200usize {
+            let src = NodeId(((i * 7_919) % n) as u16);
+            let k = (i * 104_729 + 4_099) % (n - 1);
+            let (dst, _) = m.row_demands(src).nth(k).expect("k < N - 1");
+            assert_eq!(m.destination(src, k), dst, "{src} slot {k}");
+        }
     }
 }

@@ -52,7 +52,7 @@ use crate::sim::{RunOutcome, SimError};
 use crate::snapshot::Snapshot;
 use crate::stats::{LatencyStats, SimStats};
 use crate::telemetry::Probe;
-use hyppi_topology::{FaultSpec, NodeId, RoutingTable, ShardSpec, Topology};
+use hyppi_topology::{FaultSpec, RoutingTable, ShardSpec, Topology};
 use hyppi_traffic::{BurstSpec, TenantMap, TenantSpec, TrafficMatrix};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -365,30 +365,12 @@ pub struct SweepRunner<'a> {
     /// per-tenant throughput columns.
     tenant_map: Option<TenantMap>,
     /// Post-warm-up anchor snapshots, one per seed, keyed by the anchor
-    /// matrix's content hash — one entry per traffic pattern swept
-    /// through this runner, shared between `run_grid` and the
-    /// saturation bisection (see the module docs on warm-start).
+    /// matrix's [`TrafficMatrix::fingerprint`] — one entry per traffic
+    /// pattern swept through this runner, shared between `run_grid` and
+    /// the saturation bisection (see the module docs on warm-start). The
+    /// key covers the stored rows, so an equal matrix built another way
+    /// misses and reruns its anchor, with the same results.
     anchors: Mutex<HashMap<u64, Arc<Vec<Snapshot>>>>,
-}
-
-/// FNV-1a over a matrix's shape and rate bit patterns: the anchor-cache
-/// key that distinguishes traffic patterns swept through one runner.
-fn matrix_key(m: &TrafficMatrix) -> u64 {
-    fn eat(mut h: u64, v: u64) -> u64 {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
-    let n = m.num_nodes();
-    let mut h = eat(0xcbf2_9ce4_8422_2325, n as u64);
-    for s in 0..n {
-        for d in 0..n {
-            h = eat(h, m.rate(NodeId(s as u16), NodeId(d as u16)).to_bits());
-        }
-    }
-    h
 }
 
 impl<'a> SweepRunner<'a> {
@@ -507,7 +489,7 @@ impl<'a> SweepRunner<'a> {
             return None;
         }
         let anchor = gen(self.cfg.zero_load_rate);
-        let key = matrix_key(&anchor);
+        let key = anchor.fingerprint();
         if let Some(a) = self
             .anchors
             .lock()

@@ -11,10 +11,10 @@
 mod common;
 
 use common::cells::{self, express, fixture_trace, plain_mesh, uniform_matrix};
-use hyppi_netsim::{ReferenceSimulator, SimConfig, SimStats, Simulator};
+use hyppi_netsim::{ReferenceSimulator, ShardedSimulator, SimConfig, SimStats, Simulator};
 use hyppi_topology::NodeId;
-use hyppi_topology::{FaultSpec, RoutingTable, Topology};
-use hyppi_traffic::{Trace, TraceEvent};
+use hyppi_topology::{FaultSpec, RoutingTable, ShardSpec, Topology};
+use hyppi_traffic::{NpbKernel, SyntheticPattern, Trace, TraceEvent};
 
 /// The unified cell catalog (`tests/common/cells.rs`): every cell's P=1
 /// run must equal the frozen reference engine bit-for-bit. The sharded,
@@ -27,6 +27,44 @@ fn catalog_matches_reference_engine() {
         let single = cell.run_single();
         let reference = cell.run_reference();
         assert_eq!(single, reference, "catalog cell diverged: {}", cell.name);
+    }
+}
+
+/// Every `SyntheticPattern` through the matrix rows it builds — fill
+/// rows (uniform, hotspot), one exception per row (transpose,
+/// complement), every pair stored (Soteriou, NPB) — at P=1 and on a 2×1
+/// shard grid, bit-for-bit against the frozen reference engine.
+#[test]
+fn every_synthetic_pattern_matches_reference() {
+    let small = plain_mesh(8, 8);
+    // The rescaled NPB shapes need a multiple of the 16×16 base mesh.
+    let base = plain_mesh(16, 16);
+    let mut cases: Vec<(SyntheticPattern, &Topology)> = vec![
+        (SyntheticPattern::Uniform, &small),
+        (SyntheticPattern::Transpose, &small),
+        (SyntheticPattern::Complement, &small),
+        (SyntheticPattern::Hotspot, &small),
+        (SyntheticPattern::Soteriou, &small),
+    ];
+    cases.extend(NpbKernel::ALL.map(|k| (SyntheticPattern::Npb(k), &small)));
+    cases.extend(NpbKernel::ALL.map(|k| (SyntheticPattern::NpbScaled(k), &base)));
+    let cfg = SimConfig::paper();
+    for (pattern, topo) in cases {
+        let routes = RoutingTable::compute_xy(topo);
+        let m = pattern.matrix(topo, 0.08);
+        let (warmup, measure, seed) = (50, 200, 7);
+        let reference = ReferenceSimulator::new(topo, &routes, cfg)
+            .run_synthetic(&m, warmup, measure, seed)
+            .expect("reference engine completes");
+        assert!(reference.all.count > 0, "{pattern}: no packets measured");
+        let single = Simulator::new(topo, &routes, cfg)
+            .run_synthetic(&m, warmup, measure, seed)
+            .expect("P=1 engine completes");
+        assert_eq!(single, reference, "{pattern}: P=1 diverged");
+        let sharded = ShardedSimulator::new(topo, &routes, cfg, ShardSpec { sx: 2, sy: 1 })
+            .run_synthetic(&m, warmup, measure, seed)
+            .expect("sharded engine completes");
+        assert_eq!(sharded, reference, "{pattern}: 2x1 shards diverged");
     }
 }
 

@@ -20,7 +20,8 @@
 //!   phase-preserving launch-window stretch, opening real NPB workloads
 //!   on the 32×32 / 1024-node mesh.
 //!
-//! Supporting machinery: dense [`matrix::TrafficMatrix`] rate matrices,
+//! Supporting machinery: [`matrix::TrafficMatrix`] rate matrices (a
+//! fill rate per row plus sorted per-pair exceptions),
 //! [`packetize`] (the paper's 1-flit / 32-flit packet split), the
 //! [`trace::Trace`] event container with a compact binary format,
 //! [`volume::CommVolume`] flit-count aggregation for energy accounting,

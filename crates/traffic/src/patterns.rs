@@ -105,16 +105,10 @@ impl SyntheticPattern {
         let n = topo.num_nodes();
         match self {
             SyntheticPattern::Uniform => {
-                let mut m = TrafficMatrix::zero(n);
-                let per_pair = rate / (n - 1) as f64;
-                for s in topo.nodes() {
-                    for d in topo.nodes() {
-                        if s != d {
-                            m.set(s, d, per_pair);
-                        }
-                    }
+                if n < 2 {
+                    return TrafficMatrix::zero(n);
                 }
-                m
+                TrafficMatrix::filled(n, rate / (n - 1) as f64)
             }
             SyntheticPattern::Transpose => {
                 assert_eq!(
@@ -161,20 +155,18 @@ impl SyntheticPattern {
                 m
             }
             SyntheticPattern::Hotspot => {
+                if n < 2 {
+                    return TrafficMatrix::zero(n);
+                }
                 let corners = [
                     NodeId(0),
                     NodeId(topo.width - 1),
                     NodeId((topo.height - 1) * topo.width),
                     NodeId(topo.num_nodes() as u16 - 1),
                 ];
-                let mut m = TrafficMatrix::zero(n);
                 let background = rate * (1.0 - HOTSPOT_FRACTION) / (n - 1) as f64;
+                let mut m = TrafficMatrix::filled(n, background);
                 for s in topo.nodes() {
-                    for d in topo.nodes() {
-                        if s != d {
-                            m.set(s, d, background);
-                        }
-                    }
                     // A corner spreads its own hotspot share over the
                     // other corners, so every node offers exactly `rate`.
                     let targets = corners.iter().filter(|&&c| c != s).count() as f64;

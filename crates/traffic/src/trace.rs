@@ -112,10 +112,15 @@ impl Trace {
             return Err(Truncated);
         }
         let count = data.get_u64() as usize;
-        if data.remaining() < count * 16 {
+        // `count * 16` can overflow; a byte length that does not fit in
+        // `usize` cannot fit in the buffer either.
+        if count
+            .checked_mul(16)
+            .is_none_or(|len| data.remaining() < len)
+        {
             return Err(Truncated);
         }
-        let mut events = Vec::with_capacity(count);
+        let mut events: Vec<TraceEvent> = Vec::with_capacity(count);
         for _ in 0..count {
             let cycle = data.get_u64();
             let src = NodeId(data.get_u16());
@@ -123,6 +128,12 @@ impl Trace {
             let flits = data.get_u32();
             if src.0 >= num_nodes || dst.0 >= num_nodes {
                 return Err(NodeOutOfRange);
+            }
+            if flits == 0 {
+                return Err(ZeroFlits);
+            }
+            if events.last().is_some_and(|prev| prev.cycle > cycle) {
+                return Err(CycleOutOfOrder);
             }
             events.push(TraceEvent {
                 cycle,
@@ -152,6 +163,11 @@ pub enum TraceDecodeError {
     BadName,
     /// An event referenced a node outside `num_nodes`.
     NodeOutOfRange,
+    /// An event carried no flits: its packet would never get a tail.
+    ZeroFlits,
+    /// An event's cycle was earlier than the one before it: traces are
+    /// sorted by cycle.
+    CycleOutOfOrder,
 }
 
 impl std::fmt::Display for TraceDecodeError {
@@ -161,6 +177,8 @@ impl std::fmt::Display for TraceDecodeError {
             TraceDecodeError::Truncated => "truncated trace",
             TraceDecodeError::BadName => "trace name is not UTF-8",
             TraceDecodeError::NodeOutOfRange => "event node out of range",
+            TraceDecodeError::ZeroFlits => "event has zero flits",
+            TraceDecodeError::CycleOutOfOrder => "events out of cycle order",
         };
         f.write_str(msg)
     }
@@ -244,6 +262,46 @@ mod tests {
             Trace::from_bytes(t.to_bytes()),
             Err(TraceDecodeError::NodeOutOfRange)
         );
+    }
+
+    /// `sample()`'s bytes with event `i`'s 16-byte record (cycle, src,
+    /// dst, flits; big-endian) rewritten by `edit`.
+    fn edited(i: usize, edit: impl FnOnce(&mut [u8])) -> Bytes {
+        let mut raw = sample().to_bytes().to_vec();
+        let first = raw.len() - 16 * sample().events.len();
+        edit(&mut raw[first + 16 * i..first + 16 * (i + 1)]);
+        Bytes::from(raw)
+    }
+
+    #[test]
+    fn rejects_counts_that_overflow_the_length_check() {
+        // 2^60 events × 16 B wraps to 0 in 64-bit arithmetic.
+        let mut raw = sample().to_bytes().to_vec();
+        let at = raw.len() - 16 * sample().events.len() - 8;
+        raw[at..at + 8].copy_from_slice(&(1u64 << 60).to_be_bytes());
+        assert_eq!(
+            Trace::from_bytes(Bytes::from(raw)),
+            Err(TraceDecodeError::Truncated)
+        );
+    }
+
+    #[test]
+    fn rejects_zero_flit_events() {
+        let raw = edited(1, |e| e[12..16].copy_from_slice(&0u32.to_be_bytes()));
+        assert_eq!(Trace::from_bytes(raw), Err(TraceDecodeError::ZeroFlits));
+    }
+
+    #[test]
+    fn rejects_events_out_of_cycle_order() {
+        // Event 1 sits at cycle 10; moving event 0 past it unsorts them.
+        let raw = edited(0, |e| e[0..8].copy_from_slice(&11u64.to_be_bytes()));
+        assert_eq!(
+            Trace::from_bytes(raw),
+            Err(TraceDecodeError::CycleOutOfOrder)
+        );
+        // Equal cycles stay sorted.
+        let raw = edited(0, |e| e[0..8].copy_from_slice(&10u64.to_be_bytes()));
+        assert!(Trace::from_bytes(raw).is_ok());
     }
 
     #[test]
