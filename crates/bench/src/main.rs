@@ -116,7 +116,7 @@ fn telemetry_opts(args: &[String]) -> TelemetryOpts {
     }
 }
 
-/// Unwraps a `*_recorded` driver result and reports its artifacts.
+/// Unwraps a flight-recording driver's result and reports its artifacts.
 fn report_recorded<T>(result: std::io::Result<(T, Vec<String>)>) -> T {
     match result {
         Ok((value, written)) => {
@@ -221,7 +221,7 @@ fn main() {
                 "## Load sweep — latency-throughput curves + saturation loads ({burst} injection)"
             ),
         }
-        let r = report_recorded(hyppi::experiments::load_sweep_recorded(
+        let r = report_recorded(hyppi::experiments::load_sweep(
             cold,
             burst,
             &telemetry_opts(&args),
@@ -255,7 +255,7 @@ fn main() {
         }
         let cold = args.iter().any(|a| a == "--cold");
         let burst = burst_flag(&args);
-        let r = report_recorded(hyppi::experiments::load_sweep32_recorded(
+        let r = report_recorded(hyppi::experiments::load_sweep32(
             shards,
             closed_loop,
             cold,
@@ -330,7 +330,7 @@ fn main() {
                     cell.cycles
                 );
             } else {
-                let cell = report_recorded(hyppi::experiments::npb32_recorded(
+                let cell = report_recorded(hyppi::experiments::npb32(
                     kernel,
                     shards,
                     &telemetry_opts(&args),
@@ -347,7 +347,7 @@ fn main() {
         let shards = shards_flag(&args);
         let cold = args.iter().any(|a| a == "--cold");
         println!("## Fault sweep — saturation + tails vs. fault count ({shards} shards on 32x32)");
-        let r = report_recorded(hyppi::experiments::fault_sweep_recorded(
+        let r = report_recorded(hyppi::experiments::fault_sweep(
             shards,
             cold,
             &telemetry_opts(&args),

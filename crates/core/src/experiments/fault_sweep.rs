@@ -343,7 +343,18 @@ pub const SAMPLES_32: usize = 2;
 ///
 /// `cold` (`repro fault_sweep --cold`) disables warm-start anchoring,
 /// re-running the warm-up phase at every probed load.
-pub fn fault_sweep(shards: usize, cold: bool) -> FaultSweepResult {
+///
+/// When `telemetry` requests `--metrics`/`--trace` artifacts, one
+/// representative cell — a 2-fault 16×16 sample at the probe rate,
+/// re-routed around the faults — re-runs with the probes attached
+/// ([`SweepRunner::record_point`]; probes never perturb statistics) and
+/// the recordings are written to the requested paths. Returns the
+/// dataset plus the written paths.
+pub fn fault_sweep(
+    shards: usize,
+    cold: bool,
+    telemetry: &TelemetryOpts,
+) -> std::io::Result<(FaultSweepResult, Vec<String>)> {
     let mut curves = Vec::new();
     let mesh16 = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let mut cfg16 = SweepConfig {
@@ -403,37 +414,20 @@ pub fn fault_sweep(shards: usize, cold: bool) -> FaultSweepResult {
         FAULT_PROBE_RATE,
         &cfg32.clone().closed_loop(CLOSED_LOOP_WINDOW),
     ));
-    FaultSweepResult { curves }
-}
-
-/// [`fault_sweep`] plus flight-recorder output: when `telemetry`
-/// requests `--metrics`/`--trace` artifacts, one representative cell —
-/// a 2-fault 16×16 sample at the probe rate, re-routed around the
-/// faults — re-runs with the probes attached
-/// ([`SweepRunner::record_point`]; probes never perturb statistics) and
-/// the recordings are written to the requested paths. Returns the
-/// dataset plus the written paths.
-pub fn fault_sweep_recorded(
-    shards: usize,
-    cold: bool,
-    telemetry: &TelemetryOpts,
-) -> std::io::Result<(FaultSweepResult, Vec<String>)> {
-    let result = fault_sweep(shards, cold);
     let mut written = Vec::new();
     if telemetry.enabled() {
-        let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
-        let routes = RoutingTable::compute_xy(&topo);
-        let (spec, _, _) = sample_connected(&topo, 2, 0xFA17_0000 + 2 * 101);
+        let routes = RoutingTable::compute_xy(&mesh16);
+        let (spec, _, _) = sample_connected(&mesh16, 2, 0xFA17_0000 + 2 * 101);
         let cfg = SweepConfig::paper().faults(spec);
-        let runner = SweepRunner::new(&topo, &routes, SimConfig::paper(), cfg);
+        let runner = SweepRunner::new(&mesh16, &routes, SimConfig::paper(), cfg);
         let mut rec = telemetry.recorder();
         let _ = runner.record_point(
-            &SyntheticPattern::Uniform.matrix(&topo, FAULT_PROBE_RATE),
+            &SyntheticPattern::Uniform.matrix(&mesh16, FAULT_PROBE_RATE),
             &mut rec,
         );
         written = telemetry.write(&rec)?;
     }
-    Ok((result, written))
+    Ok((FaultSweepResult { curves }, written))
 }
 
 #[cfg(test)]

@@ -251,7 +251,18 @@ pub const CLOSED_LOOP_WINDOW: usize = 32;
 /// injection in time at the same mean load — [`BurstSpec::Steady`]
 /// reproduces the plain Bernoulli dataset bit-for-bit; ON/OFF and MMPP
 /// shapes stress the tails (curve labels gain the burst name).
-pub fn load_sweep(cold: bool, burst: BurstSpec) -> LoadSweepResult {
+///
+/// When `telemetry` requests `--metrics`/`--trace` artifacts, one
+/// representative cell — uniform traffic on the paper's 16×16 mesh at
+/// the mid-grid rate — re-runs with the probes attached
+/// ([`SweepRunner::record_point`]; probes never perturb the statistics)
+/// and the recordings are written to the requested paths. Returns the
+/// dataset plus the written paths.
+pub fn load_sweep(
+    cold: bool,
+    burst: BurstSpec,
+    telemetry: &TelemetryOpts,
+) -> std::io::Result<(LoadSweepResult, Vec<String>)> {
     let mut cfg = SweepConfig::paper().burstiness(burst);
     if cold {
         cfg = cfg.cold();
@@ -293,7 +304,31 @@ pub fn load_sweep(cold: bool, burst: BurstSpec) -> LoadSweepResult {
             SWEEP_MAX_RATE,
         ));
     }
-    LoadSweepResult { curves }
+    let written = record_uniform_point(&plain, cfg, telemetry)?;
+    Ok((LoadSweepResult { curves }, written))
+}
+
+/// The flight-recorder leg of [`load_sweep`] and [`load_sweep32`]: when
+/// `telemetry` asks for artifacts, re-runs uniform traffic on `topo` at
+/// the mid-grid rate under `cfg` with the probes attached and writes the
+/// recordings. Returns the written paths (none when telemetry is off).
+fn record_uniform_point(
+    topo: &Topology,
+    cfg: SweepConfig,
+    telemetry: &TelemetryOpts,
+) -> std::io::Result<Vec<String>> {
+    if !telemetry.enabled() {
+        return Ok(Vec::new());
+    }
+    let routes = RoutingTable::compute_xy(topo);
+    let runner = SweepRunner::new(topo, &routes, SimConfig::paper(), cfg);
+    let mut rec = telemetry.recorder();
+    let probe_rate = SWEEP_RATES[SWEEP_RATES.len() / 2];
+    let _ = runner.record_point(
+        &SyntheticPattern::Uniform.matrix(topo, probe_rate),
+        &mut rec,
+    );
+    telemetry.write(&rec)
 }
 
 /// Curve-label suffix of a burst process: empty for steady injection,
@@ -303,39 +338,6 @@ fn burst_tag(burst: BurstSpec) -> String {
         BurstSpec::Steady => String::new(),
         _ => format!(" {}", burst.name()),
     }
-}
-
-/// [`load_sweep`] plus flight-recorder output: when `telemetry` requests
-/// `--metrics`/`--trace` artifacts, one representative cell — uniform
-/// traffic on the paper's 16×16 mesh at the mid-grid rate — re-runs with
-/// the probes attached ([`SweepRunner::record_point`]; probes never
-/// perturb the statistics) and the recordings are written to the
-/// requested paths. Returns the dataset plus the written paths.
-pub fn load_sweep_recorded(
-    cold: bool,
-    burst: BurstSpec,
-    telemetry: &TelemetryOpts,
-) -> std::io::Result<(LoadSweepResult, Vec<String>)> {
-    let result = load_sweep(cold, burst);
-    let mut written = Vec::new();
-    if telemetry.enabled() {
-        let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
-        let routes = RoutingTable::compute_xy(&topo);
-        let runner = SweepRunner::new(
-            &topo,
-            &routes,
-            SimConfig::paper(),
-            SweepConfig::paper().burstiness(burst),
-        );
-        let mut rec = telemetry.recorder();
-        let probe_rate = SWEEP_RATES[SWEEP_RATES.len() / 2];
-        let _ = runner.record_point(
-            &SyntheticPattern::Uniform.matrix(&topo, probe_rate),
-            &mut rec,
-        );
-        written = telemetry.write(&rec)?;
-    }
-    Ok((result, written))
 }
 
 /// The 32×32 scale-up: uniform and transpose latency-throughput curves
@@ -358,12 +360,18 @@ pub fn load_sweep_recorded(
 ///
 /// `cold` (`repro load_sweep32 --cold`) disables warm-start anchoring,
 /// re-running the warm-up phase at every grid point.
+///
+/// `telemetry` works as in [`load_sweep`]: the representative probed
+/// cell is uniform traffic on the 1024-node mesh at the mid-grid rate,
+/// run through the sharded engine (a probed run is single-worker —
+/// statistics are still bit-for-bit those of the plain run).
 pub fn load_sweep32(
     shards: usize,
     closed_loop: Option<usize>,
     cold: bool,
     burst: BurstSpec,
-) -> LoadSweepResult {
+    telemetry: &TelemetryOpts,
+) -> std::io::Result<(LoadSweepResult, Vec<String>)> {
     let mut cfg = SweepConfig {
         // The 1024-node mesh is ~4× the per-cycle work of the paper mesh;
         // a slightly shorter window keeps the full sweep affordable while
@@ -404,47 +412,8 @@ pub fn load_sweep32(
         &SWEEP_RATES,
         SWEEP_MAX_RATE,
     );
-    LoadSweepResult { curves }
-}
-
-/// [`load_sweep32`] plus flight-recorder output, mirroring
-/// [`load_sweep_recorded`]: the representative probed cell is uniform
-/// traffic on the 1024-node mesh at the mid-grid rate, run through the
-/// sharded engine (a probed run is single-worker — statistics are still
-/// bit-for-bit those of the plain run).
-pub fn load_sweep32_recorded(
-    shards: usize,
-    closed_loop: Option<usize>,
-    cold: bool,
-    burst: BurstSpec,
-    telemetry: &TelemetryOpts,
-) -> std::io::Result<(LoadSweepResult, Vec<String>)> {
-    let result = load_sweep32(shards, closed_loop, cold, burst);
-    let mut written = Vec::new();
-    if telemetry.enabled() {
-        let mut cfg = SweepConfig {
-            warmup: 400,
-            measure: 1500,
-            threads: 1,
-            ..SweepConfig::paper()
-        }
-        .with_shards(shards)
-        .burstiness(burst);
-        if let Some(window) = closed_loop {
-            cfg = cfg.closed_loop(window);
-        }
-        let topo = super::npb::mesh32();
-        let routes = RoutingTable::compute_xy(&topo);
-        let runner = SweepRunner::new(&topo, &routes, SimConfig::paper(), cfg);
-        let mut rec = telemetry.recorder();
-        let probe_rate = SWEEP_RATES[SWEEP_RATES.len() / 2];
-        let _ = runner.record_point(
-            &SyntheticPattern::Uniform.matrix(&topo, probe_rate),
-            &mut rec,
-        );
-        written = telemetry.write(&rec)?;
-    }
-    Ok((result, written))
+    let written = record_uniform_point(&topo, cfg, telemetry)?;
+    Ok((LoadSweepResult { curves }, written))
 }
 
 #[cfg(test)]

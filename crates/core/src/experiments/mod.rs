@@ -36,17 +36,17 @@ pub use ablations::{buffer_sensitivity, routing_policy_comparison, vc_sensitivit
 pub use all_optical::{fig8, table6, Fig8Result};
 pub use design_space::{fig5, table3, table4, DesignPoint, Fig5Result};
 pub use fault_sweep::{
-    fault_curve, fault_sweep, fault_sweep_recorded, sample_connected, FaultSweepCell,
-    FaultSweepCurve, FaultSweepResult, FAULT_COUNTS_16, FAULT_COUNTS_32, FAULT_PROBE_RATE,
+    fault_curve, fault_sweep, sample_connected, FaultSweepCell, FaultSweepCurve, FaultSweepResult,
+    FAULT_COUNTS_16, FAULT_COUNTS_32, FAULT_PROBE_RATE,
 };
 pub use fig3::{fig3, Fig3Result};
 pub use load_sweep::{
-    load_sweep, load_sweep32, load_sweep32_recorded, load_sweep_recorded, sweep_curves,
-    LoadSweepResult, CLOSED_LOOP_WINDOW, SWEEP_MAX_RATE, SWEEP_RATES,
+    load_sweep, load_sweep32, sweep_curves, LoadSweepResult, CLOSED_LOOP_WINDOW, SWEEP_MAX_RATE,
+    SWEEP_RATES,
 };
 pub use npb::{
-    fig6, npb32, npb32_cell, npb32_cell_probed, npb32_recorded, npb32_resume, npb32_save, table5,
-    Fig6Result, Npb32Cell, Table5Result,
+    fig6, npb32, npb32_cell_probed, npb32_resume, npb32_save, table5, Fig6Result, Npb32Cell,
+    Table5Result,
 };
 pub use tables::{table1, table2};
 pub use tenant_sweep::{

@@ -13,7 +13,9 @@ use hyppi_netsim::{
     Snapshot, TelemetryOpts,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
-use hyppi_topology::{express_mesh, mesh, ExpressSpec, MeshSpec, RoutingTable, Topology};
+use hyppi_topology::{
+    express_mesh, mesh, ExpressSpec, MeshSpec, RoutingTable, ShardSpec, Topology,
+};
 use hyppi_traffic::{NpbKernel, NpbTraceSpec, ScaledNpbSpec, Trace};
 use serde::{Deserialize, Serialize};
 
@@ -173,14 +175,10 @@ pub(crate) fn mesh32() -> Topology {
 /// sharded engine, asserts bit-for-bit `SimStats` parity, and reports the
 /// cell. This is the core of [`npb32`]; the window is a parameter so
 /// tests can pin the machinery on a slice without paying for the full
-/// default window.
-pub fn npb32_cell(kernel: NpbKernel, shards: usize, trace: &Trace) -> Npb32Cell {
-    npb32_cell_probed(kernel, shards, trace, &mut NoopProbe)
-}
-
-/// [`npb32_cell`] with a telemetry probe attached to the *sharded* leg —
-/// the parity assertion against the plain P=1 run doubles as proof that
-/// the probes did not perturb the simulation.
+/// default window. `probe` is attached to the *sharded* leg (pass
+/// [`NoopProbe`] for a plain run) — the parity assertion against the
+/// plain P=1 run doubles as proof that the probes did not perturb the
+/// simulation.
 pub fn npb32_cell_probed<P: Probe>(
     kernel: NpbKernel,
     shards: usize,
@@ -195,7 +193,7 @@ pub fn npb32_cell_probed<P: Probe>(
     let single = Simulator::new(&topo, &routes, cfg)
         .run_trace(trace)
         .expect("P=1 engine completes the scaled NPB window");
-    let sharded = ShardedSimulator::with_shard_count(&topo, &routes, cfg, shards)
+    let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::for_count(shards))
         .run_trace_probed(trace, probe)
         .expect("sharded engine completes the scaled NPB window");
     assert_eq!(sharded, single, "{kernel} 32x32: shard parity violated");
@@ -214,24 +212,21 @@ pub fn npb32_cell_probed<P: Probe>(
 /// Runs `kernel`'s default rescaled window (rank remap + window stretch
 /// of the paper's 256-rank spec — see [`ScaledNpbSpec`]) on the 32×32
 /// mesh through the sharded engine, shard parity asserted.
-pub fn npb32(kernel: NpbKernel, shards: usize) -> Npb32Cell {
-    let trace = ScaledNpbSpec::mesh32(kernel).default_window();
-    npb32_cell(kernel, shards, &trace)
-}
-
-/// [`npb32`] plus flight-recorder output: the sharded leg runs with the
-/// requested probes attached (single-worker; the in-built parity assert
-/// against the plain P=1 run proves the probes perturbed nothing) and
-/// the recordings are written to the requested paths. Returns the cell
-/// plus the written paths.
-pub fn npb32_recorded(
+///
+/// When `telemetry` requests `--metrics`/`--trace` artifacts, the sharded
+/// leg runs with those probes attached (single-worker; the in-built
+/// parity assert against the plain P=1 run proves the probes perturbed
+/// nothing) and the recordings are written to the requested paths.
+/// Returns the cell plus the written paths.
+pub fn npb32(
     kernel: NpbKernel,
     shards: usize,
     telemetry: &TelemetryOpts,
 ) -> std::io::Result<(Npb32Cell, Vec<String>)> {
     let trace = ScaledNpbSpec::mesh32(kernel).default_window();
     if !telemetry.enabled() {
-        return Ok((npb32_cell(kernel, shards, &trace), Vec::new()));
+        let cell = npb32_cell_probed(kernel, shards, &trace, &mut NoopProbe);
+        return Ok((cell, Vec::new()));
     }
     let mut rec = telemetry.recorder();
     let cell = npb32_cell_probed(kernel, shards, &trace, &mut rec);
@@ -257,7 +252,8 @@ pub fn npb32_save(kernel: NpbKernel, shards: usize) -> (Snapshot, u64) {
     let stop = trace.events.last().map(|e| e.cycle / 2).unwrap_or(0).max(1);
     let topo = mesh32();
     let routes = RoutingTable::compute_xy(&topo);
-    let outcome = ShardedSimulator::with_shard_count(&topo, &routes, npb32_config(), shards)
+    let spec = ShardSpec::for_count(shards);
+    let outcome = ShardedSimulator::new(&topo, &routes, npb32_config(), spec)
         .run_trace_until(&trace, stop)
         .expect("scaled NPB window simulates");
     match outcome {
@@ -280,8 +276,9 @@ pub fn npb32_resume(
     let trace = ScaledNpbSpec::mesh32(kernel).default_window();
     let topo = mesh32();
     let routes = RoutingTable::compute_xy(&topo);
-    let stats = ShardedSimulator::with_shard_count(&topo, &routes, npb32_config(), shards)
-        .resume_trace(snap, &trace)?;
+    let spec = ShardSpec::for_count(shards);
+    let stats =
+        ShardedSimulator::new(&topo, &routes, npb32_config(), spec).resume_trace(snap, &trace)?;
     Ok(Npb32Cell {
         kernel,
         shards,
@@ -435,7 +432,7 @@ mod tests {
         // machinery — scaled trace → P=1 vs quadrant shards, parity
         // asserted inside — on a one-phase reduced-volume LU slice.
         let trace = ScaledNpbSpec::mesh32(NpbKernel::Lu).trace_window(1, 0.25);
-        let cell = npb32_cell(NpbKernel::Lu, 4, &trace);
+        let cell = npb32_cell_probed(NpbKernel::Lu, 4, &trace, &mut NoopProbe);
         assert_eq!(cell.kernel, NpbKernel::Lu);
         assert_eq!(cell.shards, 4);
         assert_eq!(cell.flits, trace.total_flits());
@@ -455,11 +452,11 @@ mod tests {
         let topo = mesh32();
         let routes = RoutingTable::compute_xy(&topo);
         let stop = trace.events.last().expect("slice is non-empty").cycle / 2 + 1;
-        let snap = ShardedSimulator::with_shard_count(&topo, &routes, npb32_config(), 4)
+        let snap = ShardedSimulator::new(&topo, &routes, npb32_config(), ShardSpec::for_count(4))
             .run_trace_until(&trace, stop)
             .expect("slice simulates")
             .expect_paused();
-        let resumed = ShardedSimulator::with_shard_count(&topo, &routes, npb32_config(), 1)
+        let resumed = ShardedSimulator::new(&topo, &routes, npb32_config(), ShardSpec::SINGLE)
             .resume_trace(&snap, &trace)
             .expect("resume completes");
         let whole = Simulator::new(&topo, &routes, npb32_config())

@@ -28,8 +28,10 @@
 //!
 //! ## The active-set engine
 //!
-//! [`Simulator`] is the production engine. Its per-cycle cost scales with
-//! the number of in-flight flits rather than with network size:
+//! [`Engine`] is the production engine, under two names: [`Simulator`]
+//! (P=1, plus a manual-stepping API) and [`ShardedSimulator`] (any shard
+//! grid, see below). Its per-cycle cost scales with the number of
+//! in-flight flits rather than with network size:
 //!
 //! * link arrivals live in a cycle-indexed **arrival calendar** (a small
 //!   time wheel sized to the longest link latency) and are delivered by
@@ -78,9 +80,11 @@
 //! freed in cycle `t` become visible in `t+1`, a message exchanged at the
 //! end of superstep `t` lands exactly where the in-shard calendar would
 //! have put it — so [`ShardedSimulator`] is **bit-for-bit
-//! `SimStats`-identical** to [`Simulator`], which is itself a P=1
-//! [`ShardedSimulator`] plus a manual-stepping API — one worker loop and
-//! one run driver serve both.
+//! `SimStats`-identical** to [`Simulator`]. Both are names of one
+//! [`Engine`] struct whose run, resume, snapshot and restore methods are
+//! written once, so one worker loop and one run driver serve both; the
+//! names differ only in their constructor, and `Simulator` adds the
+//! manual-stepping API.
 //! `tests/shard_parity.rs` pins this on 16×16 cells across seeds ×
 //! topologies × workloads. Head flits crossing a boundary carry their
 //! packet's metadata (size, injection cycle, dateline VC class); the
@@ -181,7 +185,7 @@ pub mod telemetry;
 pub use config::SimConfig;
 pub use energy_counts::EnergyCounts;
 pub use reference::ReferenceSimulator;
-pub use shard::ShardedSimulator;
+pub use shard::{Engine, ShardedSimulator};
 pub use sim::{RunOutcome, SimError, Simulator};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{LatencyStats, SimStats, TenantStats};

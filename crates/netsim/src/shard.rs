@@ -11,12 +11,13 @@
 //! [`hyppi_topology::Partition`]). `EnginePlan` holds everything
 //! read-only and shared: topology, routing, config, the partition tables,
 //! and the dateline VC-class masks (every packet is admitted in class A
-//! and switches to class B when it crosses an express link). The
-//! single-shard engine ([`crate::Simulator`]) is a P=1
-//! [`ShardedSimulator`] plus a manual-stepping API: there is one set of
+//! and switches to class B when it crosses an express link). [`Engine`]
+//! owns a plan and its shards, and goes by two names:
+//! [`ShardedSimulator`] over any shard grid, and [`crate::Simulator`],
+//! the P=1 engine with a manual-stepping API. There is one set of
 //! pipeline-stage loops, one worker loop (`worker_loop`) and one run
-//! driver (`ShardedSimulator::drive`) behind every `run_*` / `resume_*`
-//! entry point of both.
+//! driver (`Engine::drive`) behind every `run_*` / `resume_*` entry point
+//! of both names.
 //!
 //! Three hot-path structures keep the per-traversal cost low while
 //! staying observable-behavior-preserving (the frozen
@@ -2215,7 +2216,7 @@ fn lap(mark: &mut Option<std::time::Instant>) -> u64 {
 /// so all workers step/jump/stop on the same cycles.
 ///
 /// The probe observes this worker's shards only; probed runs are
-/// single-worker (see [`ShardedSimulator::drive`]) so one probe sees
+/// single-worker (see [`Engine::drive`]) so one probe sees
 /// everything. `prof`, when set, receives this worker's superstep phase
 /// times (step / exchange / barrier) on exit.
 #[allow(clippy::too_many_arguments)]
@@ -3040,23 +3041,43 @@ fn restore_shards(
     Ok(import_shards(plan, &gs)?)
 }
 
-// ---- public sharded simulator ------------------------------------------
+// ---- the public engine -------------------------------------------------
 
-/// A parallel simulator: the mesh partitioned into rectangular shards
-/// advancing in cycle-synchronous supersteps. Produces [`SimStats`]
-/// **bit-for-bit identical** to [`crate::Simulator`] (the P=1 case,
-/// which wraps one of these) on every workload — see the module docs
-/// for the protocol and `tests/shard_parity.rs` for the pins.
-pub struct ShardedSimulator<'a> {
+/// The active-set engine: the mesh partitioned into rectangular shards
+/// advancing in cycle-synchronous supersteps (see the module docs for
+/// the protocol). It goes by two names: [`ShardedSimulator`]
+/// (`ONE_SHARD = false`), built over a caller-chosen shard grid, and
+/// [`crate::Simulator`] (`ONE_SHARD = true`), the P=1 engine, which adds
+/// a manual-stepping API. Every run, resume, snapshot and restore method
+/// is written once, here, for both; statistics are **bit-for-bit
+/// identical** at every shard count (`tests/shard_parity.rs` pins this).
+pub struct Engine<'a, const ONE_SHARD: bool> {
     pub(crate) plan: EnginePlan<'a>,
     pub(crate) shards: Vec<ShardState>,
     threads: usize,
 }
 
+/// The engine over a caller-chosen shard grid.
+pub type ShardedSimulator<'a> = Engine<'a, false>;
+
 impl<'a> ShardedSimulator<'a> {
-    /// Builds a sharded simulator over `spec`'s tile grid. `routes` must
-    /// have been computed for `topo` (use [`RoutingTable::compute_xy`]).
+    /// Builds a sharded simulator over `spec`'s tile grid (see
+    /// [`ShardSpec::for_count`] for a near-square grid of N tiles).
+    /// `routes` must have been computed for `topo` (use
+    /// [`RoutingTable::compute_xy`]).
     pub fn new(
+        topo: &'a Topology,
+        routes: &'a RoutingTable,
+        cfg: SimConfig,
+        spec: ShardSpec,
+    ) -> Self {
+        Engine::partitioned(topo, routes, cfg, spec)
+    }
+}
+
+impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
+    /// The constructor behind both names' `new`.
+    pub(crate) fn partitioned(
         topo: &'a Topology,
         routes: &'a RoutingTable,
         cfg: SimConfig,
@@ -3067,22 +3088,11 @@ impl<'a> ShardedSimulator<'a> {
         let shards = (0..plan.partition.num_shards())
             .map(|id| ShardState::new(&plan, id))
             .collect();
-        ShardedSimulator {
+        Engine {
             plan,
             shards,
             threads: 0,
         }
-    }
-
-    /// Convenience constructor: a near-square grid of `shards` tiles
-    /// (see [`ShardSpec::for_count`]).
-    pub fn with_shard_count(
-        topo: &'a Topology,
-        routes: &'a RoutingTable,
-        cfg: SimConfig,
-        shards: usize,
-    ) -> Self {
-        Self::new(topo, routes, cfg, ShardSpec::for_count(shards))
     }
 
     /// Caps the worker-thread count. `0` (the default) runs one worker
@@ -3110,7 +3120,7 @@ impl<'a> ShardedSimulator<'a> {
 
     /// Installs a node → tenant map: the run's [`SimStats`] then carries
     /// per-tenant lanes (see [`crate::TenantStats`]) split out of the
-    /// aggregate, bit-for-bit identical to the single-engine run.
+    /// aggregate, bit-for-bit identical at every shard count.
     pub fn with_tenants(mut self, map: &'a TenantMap) -> Self {
         self.plan.set_tenants(map);
         for s in &mut self.shards {
@@ -3127,6 +3137,21 @@ impl<'a> ShardedSimulator<'a> {
     /// Runs a trace to completion.
     pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
         self.run_trace_probed(trace, &mut NoopProbe)
+    }
+
+    /// Like [`run_trace`](Self::run_trace), but on a cycle-limit failure
+    /// prints a blocked-state dump to stderr before returning the error
+    /// (deadlock triage aid).
+    pub fn run_trace_debug(self, trace: &Trace) -> Result<SimStats, SimError> {
+        self.drive(
+            Workload::Trace(trace),
+            None,
+            u64::MAX,
+            &mut NoopProbe,
+            None,
+            true,
+        )
+        .map(RunOutcome::expect_finished)
     }
 
     /// Runs Bernoulli-injected synthetic traffic: each node injects 1-flit
@@ -3250,15 +3275,12 @@ impl<'a> ShardedSimulator<'a> {
     /// it across this simulator's shard grid — the snapshot may have
     /// been taken by any engine at any shard count. Must match this
     /// simulator's topology, routing, and configuration
-    /// (fingerprint-checked).
-    pub fn restore(self, snap: &Snapshot) -> Result<Self, SimError> {
-        let ShardedSimulator { plan, threads, .. } = self;
-        let (shards, _) = restore_shards(&plan, snap, 0)?;
-        Ok(ShardedSimulator {
-            plan,
-            shards,
-            threads,
-        })
+    /// (fingerprint-checked). Continue a restored [`crate::Simulator`]
+    /// with the manual-stepping API from cycle [`Snapshot::now`], or use
+    /// a `resume_*` entry point to rejoin a paused run.
+    pub fn restore(mut self, snap: &Snapshot) -> Result<Self, SimError> {
+        self.shards = restore_shards(&self.plan, snap, 0)?.0;
+        Ok(self)
     }
 
     /// Runs a trace, pausing at the cycle boundary `stop_at` if the
@@ -3358,11 +3380,11 @@ impl<'a> ShardedSimulator<'a> {
         }
     }
 
-    /// The run driver behind every `run_*` / `resume_*` entry point (and
-    /// [`crate::Simulator`]'s, which delegate here). Restores `from`
-    /// when given (checking its workload fingerprint), runs `workload`
-    /// until it drains or reaches the cycle boundary `stop_at`, and
-    /// returns the merged statistics or the pause snapshot.
+    /// The run driver behind every `run_*` / `resume_*` entry point of
+    /// both engine names. Restores `from` when given (checking its
+    /// workload fingerprint), runs `workload` until it drains or reaches
+    /// the cycle boundary `stop_at`, and returns the merged statistics or
+    /// the pause snapshot.
     ///
     /// The shards are split into contiguous chunks, one per worker; a
     /// single worker runs everything on the calling thread (still
@@ -3387,7 +3409,7 @@ impl<'a> ShardedSimulator<'a> {
             assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
         }
         let workers = if P::ENABLED { 1 } else { self.workers() };
-        let ShardedSimulator {
+        let Engine {
             plan, mut shards, ..
         } = self;
         let start = match from {
@@ -3774,7 +3796,7 @@ mod tests {
     fn shard_count_constructor_round_trips() {
         let t = small_mesh(8, 8);
         let routes = RoutingTable::compute_xy(&t);
-        let sim = ShardedSimulator::with_shard_count(&t, &routes, SimConfig::paper(), 4);
+        let sim = ShardedSimulator::new(&t, &routes, SimConfig::paper(), ShardSpec::for_count(4));
         assert_eq!(sim.num_shards(), 4);
     }
 

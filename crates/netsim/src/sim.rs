@@ -1,14 +1,16 @@
-//! The single-shard simulator facade.
+//! The single-shard name of the engine, plus the run error and outcome
+//! types both names share.
 //!
 //! The engine core — calendar wheel, active node bitsets, SoA flit
 //! slab, dirty-list route computation, mask-walk arbitration — lives in
 //! [`crate::shard`] as `ShardState`: per-cycle cost scales with the
 //! number of in-flight flits, not with network size (the seed engine
 //! survives verbatim in [`crate::reference`] as the parity oracle).
-//! [`Simulator`] is a P=1 [`ShardedSimulator`] plus a manual-stepping
-//! API: every `run_*` / `resume_*` / `snapshot` / `restore` call
-//! delegates to the one sharded run driver, where with a single shard
-//! the mailbox grid and barriers degenerate to no-ops.
+//! [`Simulator`] is [`Engine`] at P=1: its `run_*` / `resume_*` /
+//! `snapshot` / `restore` methods are the ones written once for
+//! [`crate::ShardedSimulator`] too, and with a single shard the mailbox
+//! grid and barriers degenerate to no-ops. Only the 3-argument
+//! constructor and the manual-stepping API below are its own.
 //!
 //! Stage order, arbitration order, credit timing, and statistics are
 //! bit-for-bit identical to the reference engine; `tests/parity.rs`
@@ -16,12 +18,11 @@
 //! `tests/shard_parity.rs` pins the sharded engine against this one.
 
 use crate::config::SimConfig;
-use crate::shard::{ShardedSimulator, Workload};
+use crate::shard::Engine;
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::SimStats;
-use crate::telemetry::{NoopProbe, Probe};
 use hyppi_topology::{NodeId, RoutingTable, ShardSpec, Topology};
-use hyppi_traffic::{Trace, TrafficMatrix};
+use hyppi_traffic::Trace;
 
 /// Simulation failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,39 +106,17 @@ pub(crate) fn rescan_trace_cursor(trace: &Trace, now: u64) -> u64 {
         .unwrap_or(trace.events.len()) as u64
 }
 
-/// The simulator. Construct once per (topology, routing) pair and run a
-/// trace or a synthetic load.
-pub struct Simulator<'a> {
-    /// The P=1 engine every run delegates to.
-    engine: ShardedSimulator<'a>,
-}
+/// The P=1 [`Engine`]: construct once per (topology, routing) pair and
+/// run a trace or a synthetic load, or drive it cycle by cycle with the
+/// manual-stepping API below.
+pub type Simulator<'a> = Engine<'a, true>;
 
 impl<'a> Simulator<'a> {
     /// Builds a simulator. `routes` must have been computed for `topo`
     /// (use [`RoutingTable::compute_xy`] — the deadlock-freedom argument
     /// assumes X-then-Y ordering).
     pub fn new(topo: &'a Topology, routes: &'a RoutingTable, cfg: SimConfig) -> Self {
-        Simulator {
-            engine: ShardedSimulator::new(topo, routes, cfg, ShardSpec::SINGLE),
-        }
-    }
-
-    /// Installs the healthy-mesh baseline (topology + routes the faults
-    /// were applied to) so admitted packets are charged
-    /// [`SimStats::rerouted_hops`] for detours versus the healthy route.
-    pub fn with_baseline(self, topo: &'a Topology, routes: &'a RoutingTable) -> Self {
-        Simulator {
-            engine: self.engine.with_baseline(topo, routes),
-        }
-    }
-
-    /// Installs a node → tenant map: the run's [`SimStats`] then carries
-    /// per-tenant lanes (see [`crate::TenantStats`]) split out of the
-    /// aggregate.
-    pub fn with_tenants(self, map: &'a hyppi_traffic::TenantMap) -> Self {
-        Simulator {
-            engine: self.engine.with_tenants(map),
-        }
+        Engine::partitioned(topo, routes, cfg, ShardSpec::SINGLE)
     }
 
     // ---- manual stepping (instrumentation API) --------------------------
@@ -154,24 +133,22 @@ impl<'a> Simulator<'a> {
     /// topologies: a pair with no route is dropped and counted in
     /// [`SimStats::unreachable_pairs`] instead of being queued.
     pub fn admit(&mut self, src: NodeId, dst: NodeId, flits: u32, cycle: u64) {
-        let ShardedSimulator { plan, shards, .. } = &mut self.engine;
-        if !plan.routes.reachable(src, dst) {
-            shards[0].stats.unreachable_pairs += 1;
+        if !self.plan.routes.reachable(src, dst) {
+            self.shards[0].stats.unreachable_pairs += 1;
             return;
         }
-        shards[0].admit(plan, src, dst, flits, cycle);
+        self.shards[0].admit(&self.plan, src, dst, flits, cycle);
     }
 
     /// Runs one simulated cycle (all five pipeline stages plus the
     /// credit drain). Call with a monotonically increasing `now`.
     pub fn step(&mut self, now: u64) {
-        let ShardedSimulator { plan, shards, .. } = &mut self.engine;
-        shards[0].step(plan, now);
+        self.shards[0].step(&self.plan, now);
     }
 
     /// The statistics accumulated so far.
     pub fn stats(&self) -> &SimStats {
-        &self.engine.shards[0].stats
+        &self.shards[0].stats
     }
 
     /// Flits currently inside the network: buffered in router VCs plus
@@ -180,148 +157,21 @@ impl<'a> Simulator<'a> {
     /// conservation ledger: injected = delivered + in-network, at every
     /// cycle boundary.
     pub fn in_network_flits(&self) -> u64 {
-        let shard = &self.engine.shards[0];
+        let shard = &self.shards[0];
         shard.ctl.iter().map(|c| u64::from(c.buffered)).sum::<u64>() + shard.inflight_arrivals
     }
 
     /// Packets admitted but not yet fully emitted (NIC queues plus
     /// in-progress emissions).
     pub fn pending_packets(&self) -> u64 {
-        self.engine.shards[0].pending_sources
+        self.shards[0].pending_sources
     }
 
     /// Closed-loop window occupancy per node (packets emitted but not yet
     /// fully ejected), node-id indexed. All-zero on open-loop
     /// configurations.
     pub fn outstanding_packets(&self) -> &[u32] {
-        &self.engine.shards[0].outstanding
-    }
-
-    // ---- runs: every one delegates to the P=1 sharded engine -------------
-
-    /// Runs a trace to completion.
-    pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.engine.run_trace(trace)
-    }
-
-    /// Like [`run_trace`](Self::run_trace), but on a cycle-limit failure
-    /// prints a blocked-state dump to stderr before returning the error
-    /// (deadlock triage aid).
-    pub fn run_trace_debug(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.engine
-            .drive(
-                Workload::Trace(trace),
-                None,
-                u64::MAX,
-                &mut NoopProbe,
-                None,
-                true,
-            )
-            .map(RunOutcome::expect_finished)
-    }
-
-    /// Runs Bernoulli-injected synthetic traffic; see
-    /// [`ShardedSimulator::run_synthetic`].
-    pub fn run_synthetic(
-        self,
-        matrix: &TrafficMatrix,
-        warmup: u64,
-        measure: u64,
-        seed: u64,
-    ) -> Result<SimStats, SimError> {
-        self.engine.run_synthetic(matrix, warmup, measure, seed)
-    }
-
-    /// [`Self::run_trace`] with a telemetry probe attached (see
-    /// [`crate::telemetry`]). The statistics are bit-for-bit those of
-    /// the plain run — probes observe, they never perturb
-    /// (`tests/telemetry_parity.rs` pins this).
-    pub fn run_trace_probed<P: Probe>(
-        self,
-        trace: &Trace,
-        probe: &mut P,
-    ) -> Result<SimStats, SimError> {
-        self.engine.run_trace_probed(trace, probe)
-    }
-
-    /// [`Self::run_synthetic`] with a telemetry probe attached — same
-    /// contract as [`Self::run_trace_probed`].
-    pub fn run_synthetic_probed<P: Probe>(
-        self,
-        matrix: &TrafficMatrix,
-        warmup: u64,
-        measure: u64,
-        seed: u64,
-        probe: &mut P,
-    ) -> Result<SimStats, SimError> {
-        self.engine
-            .run_synthetic_probed(matrix, warmup, measure, seed, probe)
-    }
-
-    /// Serializes the engine state at the cycle boundary `now`; see
-    /// [`ShardedSimulator::snapshot`].
-    pub fn snapshot(&self, now: u64) -> Snapshot {
-        self.engine.snapshot(now)
-    }
-
-    /// Rebuilds a simulator from a snapshot taken by any engine at any
-    /// shard count; see [`ShardedSimulator::restore`]. Continue with the
-    /// manual stepping API from cycle [`Snapshot::now`], or use a
-    /// `resume_*` entry point to rejoin a paused run.
-    pub fn restore(self, snap: &Snapshot) -> Result<Self, SimError> {
-        Ok(Simulator {
-            engine: self.engine.restore(snap)?,
-        })
-    }
-
-    /// Runs a trace, pausing at the cycle boundary `stop_at`; see
-    /// [`ShardedSimulator::run_trace_until`].
-    pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
-        self.engine.run_trace_until(trace, stop_at)
-    }
-
-    /// Resumes a paused trace run, pausing again at `stop_at`; see
-    /// [`ShardedSimulator::resume_trace_until`].
-    pub fn resume_trace_until(
-        self,
-        snap: &Snapshot,
-        trace: &Trace,
-        stop_at: u64,
-    ) -> Result<RunOutcome, SimError> {
-        self.engine.resume_trace_until(snap, trace, stop_at)
-    }
-
-    /// Resumes a paused trace run to completion.
-    pub fn resume_trace(self, snap: &Snapshot, trace: &Trace) -> Result<SimStats, SimError> {
-        self.engine.resume_trace(snap, trace)
-    }
-
-    /// Runs synthetic traffic, pausing at the cycle boundary `stop_at`;
-    /// see [`ShardedSimulator::run_synthetic_until`].
-    pub fn run_synthetic_until(
-        self,
-        matrix: &TrafficMatrix,
-        warmup: u64,
-        measure: u64,
-        seed: u64,
-        stop_at: u64,
-    ) -> Result<RunOutcome, SimError> {
-        self.engine
-            .run_synthetic_until(matrix, warmup, measure, seed, stop_at)
-    }
-
-    /// Resumes a paused synthetic run to completion; see
-    /// [`ShardedSimulator::resume_synthetic`].
-    pub fn resume_synthetic(
-        self,
-        snap: &Snapshot,
-        matrix: &TrafficMatrix,
-        warmup: u64,
-        measure: u64,
-        seed: u64,
-    ) -> Result<SimStats, SimError> {
-        self.engine
-            .resume_synthetic(snap, matrix, warmup, measure, seed)
+        &self.shards[0].outstanding
     }
 }
 
@@ -634,7 +484,7 @@ mod tests {
             .map(|l| u64::from(l.latency_cycles))
             .max()
             .unwrap();
-        let shard = &sim.engine.shards[0];
+        let shard = &sim.shards[0];
         assert!(shard.wheel.len() as u64 > max_lat);
         assert!(shard.wheel.len().is_power_of_two());
     }
@@ -653,7 +503,7 @@ mod tests {
             now += 1;
             assert!(now < 10_000, "run did not drain");
         }
-        let shard = &sim.engine.shards[0];
+        let shard = &sim.shards[0];
         assert!(shard.quiescent());
         assert!(shard.rc_dirty.is_empty());
         assert!(shard.wheel.iter().all(|b| b.is_empty()));

@@ -267,6 +267,20 @@ impl Snapshot {
         if vcs == 0 || vcs > 32 {
             return Err(SnapshotError::Corrupt);
         }
+        // The stats section alone takes 16 B per node and 8 B per link:
+        // reject counts the bytes cannot hold before allocating for them.
+        let stats_bytes = num_nodes
+            .checked_mul(16)
+            .zip(num_links.checked_mul(8))
+            .and_then(|(n, l)| n.checked_add(l));
+        if stats_bytes.is_none_or(|b| b > self.bytes.len() - HEADER_LEN) {
+            return Err(SnapshotError::Truncated);
+        }
+        let origin_packets = read_u64(&self.bytes, 104);
+        let completed_packets = read_u64(&self.bytes, 112);
+        if completed_packets > origin_packets {
+            return Err(SnapshotError::Corrupt);
+        }
         let mut rng = [0u64; 4];
         for (i, w) in rng.iter_mut().enumerate() {
             *w = read_u64(&self.bytes, 56 + 8 * i);
@@ -432,8 +446,8 @@ impl Snapshot {
             rng,
             accept_from: read_u64(&self.bytes, 88),
             accept_until: read_u64(&self.bytes, 96),
-            origin_packets: read_u64(&self.bytes, 104),
-            completed_packets: read_u64(&self.bytes, 112),
+            origin_packets,
+            completed_packets,
             vcs,
             stats,
             packets,

@@ -374,8 +374,10 @@ pub struct SweepRunner<'a> {
 }
 
 impl<'a> SweepRunner<'a> {
-    /// Builds a runner. `sim.max_cycles` is replaced by the sweep's
-    /// per-run cap.
+    /// Builds a runner. Three `sim` fields are replaced from `cfg`:
+    /// `max_cycles` by the sweep's per-run cap
+    /// ([`SweepConfig::run_max_cycles`]), and `max_outstanding` and
+    /// `burst` by the sweep's own closed-loop window and burst process.
     pub fn new(
         topo: &'a Topology,
         routes: &'a RoutingTable,

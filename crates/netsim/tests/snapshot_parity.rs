@@ -447,6 +447,53 @@ fn restore_rejects_mismatches() {
     assert_eq!(err, SnapshotError::BadVersion { found: 0xFE });
 }
 
+/// A paused 4×4 synthetic run's snapshot with `damage` applied to its
+/// bytes, resumed on the P=1 and the reference engine: both must return
+/// `expected`.
+fn assert_damaged_synthetic_resume(damage: impl Fn(&mut [u8]), expected: SnapshotError) {
+    let topo = small_mesh(4, 4);
+    let routes = RoutingTable::compute_xy(&topo);
+    let cfg = SimConfig::paper();
+    let m = uniform_matrix(&topo, 0.1);
+    let (warmup, measure, seed) = (100, 300, 7);
+    let snap = Simulator::new(&topo, &routes, cfg)
+        .run_synthetic_until(&m, warmup, measure, seed, 150)
+        .expect("bounded run completes")
+        .expect_paused();
+    let mut bytes = snap.into_bytes();
+    damage(&mut bytes);
+    let bad = Snapshot::from_bytes(bytes).expect("header is intact");
+    let err = Simulator::new(&topo, &routes, cfg)
+        .resume_synthetic(&bad, &m, warmup, measure, seed)
+        .expect_err("active engine must reject");
+    assert_eq!(err, SimError::Snapshot(expected));
+    let err = ReferenceSimulator::new(&topo, &routes, cfg)
+        .resume_synthetic(&bad, &m, warmup, measure, seed)
+        .expect_err("reference engine must reject");
+    assert_eq!(err, SimError::Snapshot(expected));
+}
+
+/// A node count the bytes cannot hold is rejected before the decoder
+/// allocates for it (byte 15 is the high byte of `num_nodes`: flipping
+/// its top bit asks for 2³¹ nodes' statistics).
+#[test]
+fn restore_rejects_counts_the_bytes_cannot_hold() {
+    assert_damaged_synthetic_resume(|b| b[15] ^= 0x80, SnapshotError::Truncated);
+}
+
+/// More completed than admitted packets is impossible; a resumed run
+/// would otherwise underflow its stuck-packet count at the cycle cap.
+#[test]
+fn restore_rejects_more_completions_than_origins() {
+    assert_damaged_synthetic_resume(
+        |b| {
+            let origins = u64::from_le_bytes(b[104..112].try_into().unwrap());
+            b[112..120].copy_from_slice(&(origins + 1).to_le_bytes());
+        },
+        SnapshotError::Corrupt,
+    );
+}
+
 /// A manual-stepping snapshot (no workload pinned) resumes under any
 /// workload: the trace cursor is rebuilt by scanning.
 #[test]
