@@ -314,7 +314,7 @@ fn main() {
                 let from = snap.now();
                 let cell =
                     hyppi::experiments::npb32_resume(kernel, shards, &snap).unwrap_or_else(|e| {
-                        eprintln!("{path} does not checkpoint this run: {e}");
+                        eprintln!("could not resume from {path}: {e}");
                         std::process::exit(1);
                     });
                 println!(
@@ -356,10 +356,10 @@ fn main() {
         maybe_write_json_str(&args, &r.to_json());
     }
     if arg == "tenant_sweep" {
-        // Multi-tenant interference: a CG-shaped victim tenant's tail
-        // latency versus a uniform aggressor tenant's offered load, on
-        // the 32x32 and 64x64 meshes, open and closed loop; minutes of
-        // runtime, on-demand only.
+        // Multi-tenant sweep: a CG-shaped victim tenant's tail latency
+        // versus a uniform aggressor tenant's offered load, on the 32x32
+        // and 64x64 meshes, open and closed loop (disjoint XY tiles, so
+        // the victim side is flat); minutes of runtime, on-demand only.
         ran = true;
         let shards = shards_flag(&args);
         println!(

@@ -1,18 +1,22 @@
-//! Tenant interference sweep — a victim tenant's tail latency versus a
-//! neighbour tenant's offered load.
+//! Tenant sweep — a victim tenant's tail latency versus a neighbour
+//! tenant's offered load.
 //!
 //! Two tenants share one mesh on disjoint rectangular tiles
 //! (`hyppi_traffic::TenantSpec`, a 2×1 vertical split): tenant A (the
 //! *victim*) runs the rescaled CG program shape at a fixed moderate
 //! load, tenant B (the *aggressor*) runs uniform traffic whose rate is
-//! swept. All traffic is tile-internal, so any movement in A's p99 /
-//! p99.9 as B's load rises is pure interference — contention on
-//! routers and links near the tile seam. The driver quantifies it on
-//! the 32×32 and 64×64 meshes, open- and closed-loop, through the
-//! sharded engine; per-tenant lanes come from
-//! `hyppi_netsim::LoadPoint::tenants` (bit-for-bit identical across
-//! engines and shard counts — the parity suites pin multi-tenant cells
-//! end to end).
+//! swept. All traffic is tile-internal, and an XY route between two
+//! nodes of a rectangle stays inside it, so the tenants share no router
+//! and no link: the tiles are **isolated by construction**, and with
+//! injection drawn per (seed, node, cycle) the victim's lane is
+//! bit-identical at every aggressor rate
+//! (`crates/netsim/tests/dynamic_props.rs` pins this). The curves are
+//! therefore flat on the victim side; they measure no interference
+//! until the tenants share a resource. The driver runs the pair on the
+//! 32×32 and 64×64 meshes, open- and closed-loop, through the sharded
+//! engine; per-tenant lanes come from `hyppi_netsim::LoadPoint::tenants`
+//! (bit-for-bit identical across engines and shard counts — the parity
+//! suites pin multi-tenant cells end to end).
 //!
 //! `repro tenant_sweep [--shards N] [--json PATH]` regenerates the
 //! dataset; [`TenantSweepResult::to_json`] emits it through the shared
@@ -36,7 +40,7 @@ pub const AGGRESSOR_RATES: [f64; 4] = [0.02, 0.06, 0.10, 0.14];
 /// [`super::load_sweep::CLOSED_LOOP_WINDOW`]).
 pub const TENANT_CLOSED_LOOP_WINDOW: usize = 32;
 
-/// One interference curve: the victim/aggressor layout on one mesh and
+/// One tenant curve: the victim/aggressor layout on one mesh and
 /// injection mode, measured over the aggressor's rate grid.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TenantSweepCurve {
@@ -51,7 +55,7 @@ pub struct TenantSweepCurve {
     pub points: Vec<LoadPoint>,
 }
 
-/// The tenant-interference dataset.
+/// The tenant-sweep dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TenantSweepResult {
     /// All swept curves.
@@ -67,7 +71,7 @@ impl TenantSweepResult {
             .expect("curve was swept")
     }
 
-    /// One interference table per curve: the victim's mean and tail
+    /// One table per curve: the victim's mean and tail
     /// latencies as the aggressor's offered load rises.
     pub fn curve_table(curve: &TenantSweepCurve) -> TextTable {
         let mut t = TextTable::new(vec![
@@ -219,10 +223,10 @@ fn mesh64() -> Topology {
 
 /// The full dataset: the CG-victim / uniform-aggressor pair on the
 /// 32×32 and 64×64 meshes, open- and closed-loop, every run through the
-/// sharded engine with `shards` shards. Interference reads directly off
-/// each table: the victim's p99 / p99.9 columns versus the aggressor's
-/// offered load. Deterministic and shard-count independent, like every
-/// sweep in this crate.
+/// sharded engine with `shards` shards. Each table lists the victim's
+/// p99 / p99.9 columns (constant, since the tiles are isolated) beside
+/// the aggressor's offered and accepted load. Deterministic and
+/// shard-count independent, like every sweep in this crate.
 pub fn tenant_sweep(shards: usize) -> TenantSweepResult {
     assert!(shards >= 1, "at least one shard required");
     let spec = victim_aggressor_pair();

@@ -294,7 +294,7 @@ impl TenantLane {
     }
 }
 
-/// The multi-tenant interference cell: a hotspot victim and a uniform
+/// The multi-tenant isolation cell: a hotspot victim and a uniform
 /// aggressor on vertical half-tiles of the 16×16 mesh, run with a quiet
 /// and a loaded aggressor, parity-asserted across all three engines with
 /// the tenant map attached.
@@ -1686,10 +1686,12 @@ fn run_burst_section(quick: bool, fast: bool) -> Vec<BurstPoint> {
     points
 }
 
-/// The multi-tenant interference cell: a hotspot victim (left half-tile)
+/// The multi-tenant isolation cell: a hotspot victim (left half-tile)
 /// co-scheduled with a uniform aggressor (right half-tile) on the 16×16
-/// mesh, run with the aggressor quiet and loaded. Per-tenant latency
-/// lanes come from the tenant map attached to the engines; the loaded
+/// mesh, run with the aggressor quiet and loaded. The tiles share no
+/// router or link under XY routing, so the victim's lane must not move.
+/// Per-tenant latency lanes come from the tenant map attached to the
+/// engines; the loaded
 /// run is parity-asserted across all three engines plus the quadrant
 /// shard grid (tenant tiles and engine shards are independent
 /// rectangles, so the 2×1 tenant layout crosses the 2×2 shard cuts).
@@ -1728,6 +1730,10 @@ fn run_tenant_section(quick: bool, fast: bool) -> TenantRecord {
     let loaded_stats = run(loaded);
     let secs = t0.elapsed().as_secs_f64();
 
+    assert_eq!(
+        quiet_stats.tenants[0], loaded_stats.tenants[0],
+        "disjoint tenant tiles must be isolated"
+    );
     for stats in [&quiet_stats, &loaded_stats] {
         assert_eq!(stats.tenants.len(), 2, "two tenant lanes expected");
         let lane_packets: u64 = stats.tenants.iter().map(|t| t.latency.count).sum();
@@ -1761,7 +1767,7 @@ fn run_tenant_section(quick: bool, fast: bool) -> TenantRecord {
         secs,
     };
     println!(
-        "TENANT 16x16 hotspot@{victim_rate:.2} | uniform {quiet:.2}->{loaded:.2}: victim p99.9 {} -> {} | aggressor lat {:.1} clks (p99.9 {}) | {:.2?} | parity OK ({})",
+        "TENANT 16x16 hotspot@{victim_rate:.2} | uniform {quiet:.2}->{loaded:.2}: victim p99.9 {} -> {} (isolated) | aggressor lat {:.1} clks (p99.9 {}) | {:.2?} | parity OK ({})",
         record.victim_quiet.p999,
         record.victim_loaded.p999,
         record.aggressor.mean_latency,

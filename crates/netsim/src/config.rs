@@ -30,10 +30,11 @@ pub struct SimConfig {
     /// (`rate × factor`), mean-normalized so the long-run offered load
     /// still matches the traffic matrix. [`BurstSpec::Steady`] (the
     /// default) is the identity — exactly the previous behaviour. The
-    /// factor is a pure function of (workload seed, node, cycle), so it
-    /// never consumes the injection RNG stream: sharded replay and
-    /// snapshot resume stay bit-for-bit regardless of the spec. Ignored
-    /// by trace-driven runs (traces carry their own timing).
+    /// factor, like the injection draw it scales
+    /// ([`hyppi_traffic::injection_draw`]), is a pure function of
+    /// (workload seed, node, cycle), so sharded runs and snapshot
+    /// resumes stay bit-for-bit whatever the spec. Ignored by
+    /// trace-driven runs (traces carry their own timing).
     pub burst: BurstSpec,
 }
 

@@ -23,9 +23,7 @@ use crate::snapshot::{
 };
 use crate::stats::SimStats;
 use hyppi_topology::{LinkId, NodeId, RoutingTable, Topology};
-use hyppi_traffic::{BurstState, TenantMap, Trace, TrafficMatrix};
-use rand::rngs::StdRng;
-use rand::Rng;
+use hyppi_traffic::{injection_draw, BurstState, TenantMap, Trace, TrafficMatrix};
 use std::collections::VecDeque;
 
 /// Dateline VC class of a packet (see the `router` module docs).
@@ -326,14 +324,14 @@ impl<'a> ReferenceSimulator<'a> {
     /// Runs a trace to completion (seed algorithm).
     pub fn run_trace(self, trace: &Trace) -> Result<SimStats, SimError> {
         Ok(self
-            .run_trace_span(trace, RunCursor::fresh_for_trace(), u64::MAX)?
+            .run_trace_span(trace, RunCursor::default(), u64::MAX)?
             .expect_finished())
     }
 
     /// Runs a trace, pausing at the cycle boundary `stop_at`; the seed
     /// engine's twin of [`crate::Simulator::run_trace_until`].
     pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
-        self.run_trace_span(trace, RunCursor::fresh_for_trace(), stop_at)
+        self.run_trace_span(trace, RunCursor::default(), stop_at)
     }
 
     /// Resumes a paused trace run from `snap`, itself pausing again at
@@ -379,7 +377,6 @@ impl<'a> ReferenceSimulator<'a> {
                 let pause = RunCursor {
                     now,
                     next_event: next_event as u64,
-                    rng: cursor.rng,
                 };
                 let snap = self.snapshot_at(&pause, trace_fingerprint(trace));
                 return Ok(RunOutcome::Paused(snap));
@@ -447,7 +444,7 @@ impl<'a> ReferenceSimulator<'a> {
                 warmup,
                 measure,
                 seed,
-                RunCursor::fresh_for_synthetic(seed),
+                RunCursor::default(),
                 u64::MAX,
             )?
             .expect_finished())
@@ -464,14 +461,7 @@ impl<'a> ReferenceSimulator<'a> {
         seed: u64,
         stop_at: u64,
     ) -> Result<RunOutcome, SimError> {
-        self.run_synthetic_span(
-            matrix,
-            warmup,
-            measure,
-            seed,
-            RunCursor::fresh_for_synthetic(seed),
-            stop_at,
-        )
+        self.run_synthetic_span(matrix, warmup, measure, seed, RunCursor::default(), stop_at)
     }
 
     /// Resumes a paused synthetic run to completion; same
@@ -508,7 +498,6 @@ impl<'a> ReferenceSimulator<'a> {
         assert_eq!(matrix.num_nodes(), self.topo.num_nodes());
         self.accept_from = warmup;
         self.accept_until = warmup + measure;
-        let mut rng = StdRng::from_state(cursor.rng);
         let n = self.topo.num_nodes();
         let mut rates = Vec::with_capacity(n);
         let mut cdfs: Vec<Vec<(f64, NodeId)>> = Vec::with_capacity(n);
@@ -531,25 +520,21 @@ impl<'a> ReferenceSimulator<'a> {
 
         let mut now = cursor.now;
         let inject_until = warmup + measure;
-        // Burst factors are a pure per-(seed, node, cycle) function — the
-        // gate product below is the same expression the active-set
-        // engines evaluate, so bursty runs stay bit-for-bit.
+        // Burst factors and injection draws are pure per-(seed, node,
+        // cycle) functions — the gate product below is the same
+        // expression the active-set engines evaluate, so runs stay
+        // bit-for-bit.
         let mut burst = BurstState::new(self.cfg.burst, seed, n);
         loop {
             if now >= stop_at {
-                let pause = RunCursor {
-                    now,
-                    next_event: 0,
-                    rng: rng.state(),
-                };
+                let pause = RunCursor { now, next_event: 0 };
                 let snap = self.snapshot_at(&pause, synthetic_fingerprint(warmup, measure, seed));
                 return Ok(RunOutcome::Paused(snap));
             }
             if now < inject_until {
                 let factors = burst.factors_at(now);
                 for src in 0..n {
-                    if rates[src] > 0.0 && rng.gen::<f64>() < rates[src] * factors[src] {
-                        let u: f64 = rng.gen();
+                    if let Some(u) = injection_draw(seed, src, now, rates[src] * factors[src]) {
                         // Seed behaviour: linear scan of the per-source CDF.
                         let dst = cdfs[src]
                             .iter()
@@ -559,9 +544,6 @@ impl<'a> ReferenceSimulator<'a> {
                         if dst == NodeId(src as u16) {
                             continue;
                         }
-                        // The RNG draws already happened, so dropping an
-                        // unreachable pair keeps the sequence aligned with
-                        // the active-set engines.
                         if !self.routes.reachable(NodeId(src as u16), dst) {
                             self.stats.unreachable_pairs += 1;
                             continue;
@@ -1023,7 +1005,6 @@ impl<'a> ReferenceSimulator<'a> {
         GlobalState {
             now: cursor.now,
             next_event: cursor.next_event,
-            rng: cursor.rng,
             accept_from: self.accept_from,
             accept_until: self.accept_until,
             origin_packets: self.dropped_packets + self.packets.len() as u64,
@@ -1070,7 +1051,6 @@ impl<'a> ReferenceSimulator<'a> {
         let cursor = RunCursor {
             now: gs.now,
             next_event: gs.next_event,
-            rng: gs.rng,
         };
         let sim = self.import(&gs).map_err(SimError::Snapshot)?;
         Ok((sim, cursor))
@@ -1090,6 +1070,7 @@ impl<'a> ReferenceSimulator<'a> {
         {
             return Err(SnapshotError::Corrupt);
         }
+        gs.check_packets(self.cfg.max_outstanding)?;
         // The seed engine is single-partition: packet ids are global
         // packet ids, no handle minting needed.
         self.packets = gs
@@ -1213,23 +1194,9 @@ impl<'a> ReferenceSimulator<'a> {
         // (buffered in the destination VC). The live `pending_credits`
         // list is always empty at a cycle boundary (drained at the end
         // of every step).
-        for lid in 0..self.topo.links().len() {
-            let link = self.topo.link(LinkId(lid as u32));
-            let in_port = usize::from(self.in_port_of_link[lid]);
-            for v in 0..vcs {
-                let on_link = gs.links[lid]
-                    .iter()
-                    .filter(|e| usize::from(e.vc) == v)
-                    .count();
-                let occupied = on_link
-                    + gs.nodes[link.dst.index()].slots[in_port * vcs + v]
-                        .queue
-                        .len();
-                if occupied > depth {
-                    return Err(SnapshotError::Corrupt);
-                }
-                self.credits[lid][v] = (depth - occupied) as u16;
-            }
+        let credits = gs.lane_credits(self.topo, depth)?;
+        for (lid, per_vc) in self.credits.iter_mut().enumerate() {
+            per_vc.copy_from_slice(&credits[lid * vcs..(lid + 1) * vcs]);
         }
         self.accept_from = gs.accept_from;
         self.accept_until = gs.accept_until;

@@ -111,12 +111,14 @@
 //!
 //! Run-loop decisions (idle fast-forward, termination, cycle-limit
 //! failure) are taken redundantly by every worker from identical data:
-//! each worker scans the *full* trace (admitting only its own sources) or
-//! replays the *same* Bernoulli RNG stream (drawing for every node,
-//! admitting only its own), and per-worker activity flags / next-arrival
-//! cycles are published at the end of each superstep. All workers
-//! therefore jump, step, and stop on the same cycle without a central
-//! coordinator.
+//! each worker scans the *full* trace (admitting only its own sources),
+//! and per-worker activity flags / next-arrival cycles are published at
+//! the end of each superstep. A synthetic run's injection window is the
+//! same cycle range on every worker, and each worker draws only for its
+//! own shards' nodes: a draw is a pure function of (seed, node, cycle)
+//! ([`hyppi_traffic::injection_draw`]), so no generator state is shared or
+//! replayed. All workers therefore jump, step, and stop on the same cycle
+//! without a central coordinator.
 
 use crate::config::SimConfig;
 use crate::flit::{meta, Flit, PacketInfo};
@@ -131,9 +133,7 @@ use crate::telemetry::{
     EngineProfile, EngineView, NoopProbe, PacketKey, Probe, ProfileSink, StallCause,
 };
 use hyppi_topology::{LinkId, NodeId, Partition, RoutingTable, ShardSpec, Topology};
-use hyppi_traffic::{BurstState, TenantMap, Trace, TrafficMatrix};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use hyppi_traffic::{injection_draw, BurstState, TenantMap, Trace, TrafficMatrix};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -2009,43 +2009,40 @@ impl<'m> InjectTables<'m> {
         }
     }
 
-    /// Replays one cycle of the Bernoulli injection stream. **Every**
-    /// worker calls this with an identically-seeded RNG and consumes the
-    /// exact same draw sequence — `admit` is invoked for every injected
-    /// packet and the callee decides whether it owns the source. This is
-    /// what keeps P-shard injection bit-for-bit identical to P=1.
+    /// One cycle of Bernoulli injection at the sources `nodes` (one
+    /// shard's node list): `admit(src, dst, inject_cycle)` for every packet
+    /// drawn. Each draw is [`injection_draw`] of `(seed, src, now)`, so a
+    /// source's packets do not depend on which worker draws them, or on
+    /// any other source — P-shard injection is P=1 injection.
     ///
     /// `factors` is the cycle's per-node burst modulation
     /// ([`BurstState::factors_at`]): the gate fires with probability
     /// `rate × factor`. The steady factor is exactly 1.0 and `x * 1.0`
-    /// is bit-exact in IEEE 754, so steady runs reproduce the unmodulated
-    /// stream. A node's draw happens whenever its *rate* is nonzero —
-    /// independent of the factor (even an OFF factor of 0 draws, it just
-    /// never fires) — so the RNG stream position is burst-invariant and
-    /// snapshot splices across spec changes stay well-formed.
+    /// is bit-exact in IEEE 754, so steady runs draw the unmodulated gate.
     pub fn inject_cycle(
         &self,
-        rng: &mut StdRng,
+        seed: u64,
+        nodes: &[NodeId],
         now: u64,
         warmup: u64,
         factors: &[f64],
         mut admit: impl FnMut(NodeId, NodeId, u64),
     ) {
-        for (src, (&rate, &factor)) in self.rates.iter().zip(factors).enumerate() {
-            if rate > 0.0 && rng.gen::<f64>() < rate * factor {
-                let u: f64 = rng.gen();
-                let cdf = &self.cdfs[self.cdf_of[src] as usize];
-                // First entry with acc ≥ u; the last entry backstops
-                // floating-point shortfall at u ≈ 1. The matrix never
-                // names the source itself.
-                let k = first_at_least(cdf, u).min(cdf.len() - 1);
-                let dst = self.matrix.destination(NodeId(src as u16), k);
-                let measured = now >= warmup;
-                // Unmeasured packets are marked by u64::MAX and skipped in
-                // `record`.
-                let inject_cycle = if measured { now } else { u64::MAX };
-                admit(NodeId(src as u16), dst, inject_cycle);
-            }
+        for &src in nodes {
+            let s = src.index();
+            let Some(u) = injection_draw(seed, s, now, self.rates[s] * factors[s]) else {
+                continue;
+            };
+            let cdf = &self.cdfs[self.cdf_of[s] as usize];
+            // First entry with acc ≥ u; the last entry backstops
+            // floating-point shortfall at u ≈ 1. The matrix never names
+            // the source itself.
+            let k = first_at_least(cdf, u).min(cdf.len() - 1);
+            let dst = self.matrix.destination(src, k);
+            // Unmeasured packets are marked by u64::MAX and skipped in
+            // `record`.
+            let inject_cycle = if now >= warmup { now } else { u64::MAX };
+            admit(src, dst, inject_cycle);
         }
     }
 }
@@ -2121,44 +2118,14 @@ impl Workload<'_> {
 
 /// The run loop's resumable position: everything the loop itself owns
 /// (shard state is carried separately). Snapshots serialize this verbatim
-/// so a restored run continues the exact admission stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// so a restored run continues the exact admission sequence; the default
+/// is the start of a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RunCursor {
     /// Next cycle to simulate.
     pub now: u64,
     /// Next unadmitted trace-event index (trace workloads).
     pub next_event: u64,
-    /// Synthetic-injection RNG state (xoshiro256**).
-    pub rng: [u64; 4],
-}
-
-impl RunCursor {
-    /// Start-of-run cursor for a trace workload. Traces draw no random
-    /// numbers; the RNG field is a fixed placeholder stream.
-    pub fn fresh_for_trace() -> Self {
-        RunCursor {
-            now: 0,
-            next_event: 0,
-            rng: StdRng::seed_from_u64(0).state(),
-        }
-    }
-
-    /// Start-of-run cursor for a synthetic workload seeded with `seed`.
-    pub fn fresh_for_synthetic(seed: u64) -> Self {
-        RunCursor {
-            now: 0,
-            next_event: 0,
-            rng: StdRng::seed_from_u64(seed).state(),
-        }
-    }
-
-    /// The start-of-run cursor for the given workload.
-    pub fn fresh(workload: &Workload<'_>) -> Self {
-        match workload {
-            Workload::Synthetic { seed, .. } => Self::fresh_for_synthetic(*seed),
-            Workload::Trace(_) => Self::fresh_for_trace(),
-        }
-    }
 }
 
 /// How a bounded run ended: the workload drained, or the stop cycle was
@@ -2246,7 +2213,7 @@ fn worker_loop<P: Probe>(
     }
     let mut now = start.now;
     let mut next_event = start.next_event as usize; // full-trace cursor
-    let mut rng = StdRng::from_state(start.rng);
+
     // Burst factors are a pure function of (workload seed, node, cycle),
     // so the cache needs no snapshotting and is valid from any resume
     // point. Traces carry their own timing — steady placeholder.
@@ -2262,10 +2229,9 @@ fn worker_loop<P: Probe>(
             return Ok(RunEnd::Stopped(RunCursor {
                 now,
                 next_event: next_event as u64,
-                rng: rng.state(),
             }));
         }
-        // --- admission (identical sequence on every worker) ---
+        // --- admission (each worker admits its own sources) ---
         let mut must_step = false;
         match workload {
             Workload::Trace(trace) => {
@@ -2297,34 +2263,25 @@ fn worker_loop<P: Probe>(
                 tables,
                 warmup,
                 measure,
-                ..
+                seed,
             } => {
                 if now < warmup + measure {
                     // The injection window always steps, like P=1.
                     must_step = true;
                     let factors = burst.factors_at(now);
-                    tables.inject_cycle(
-                        &mut rng,
-                        now,
-                        warmup,
-                        factors,
-                        |src, dst, inject_cycle| {
-                            let shard = usize::from(plan.partition.shard_of_node[src.index()]);
-                            if mine[shard] == usize::MAX {
-                                return;
-                            }
-                            // The RNG draws already happened identically on
-                            // every worker; dropping here keeps the sequence.
-                            if !plan.routes.reachable(src, dst) {
-                                my[mine[shard]].stats.unreachable_pairs += 1;
+                    for s in my.iter_mut() {
+                        let nodes = &plan.partition.nodes_of_shard[s.id];
+                        tables.inject_cycle(seed, nodes, now, warmup, factors, |src, dst, at| {
+                            if plan.routes.reachable(src, dst) {
+                                s.admit(plan, src, dst, 1, at);
+                            } else {
+                                s.stats.unreachable_pairs += 1;
                                 if P::ENABLED {
                                     probe.on_stall(StallCause::NoRoute, src, now);
                                 }
-                                return;
                             }
-                            my[mine[shard]].admit(plan, src, dst, 1, inject_cycle);
-                        },
-                    );
+                        });
+                    }
                 }
             }
         }
@@ -2691,7 +2648,6 @@ pub(crate) fn export_shards(
     GlobalState {
         now,
         next_event: cursor.next_event,
-        rng: cursor.rng,
         accept_from: shards[0].accept_from,
         accept_until: shards[0].accept_until,
         origin_packets: shards.iter().map(|s| s.origin_packets).sum(),
@@ -2786,6 +2742,7 @@ pub(crate) fn import_shards(
     {
         return Err(SnapshotError::Corrupt);
     }
+    gs.check_packets(plan.cfg.max_outstanding)?;
     let nshards = plan.partition.num_shards();
     let mut shards: Vec<ShardState> = (0..nshards).map(|id| ShardState::new(plan, id)).collect();
     let mut minter = Minter {
@@ -2967,33 +2924,20 @@ pub(crate) fn import_shards(
     }
 
     // --- derived credit state ---
-    // Spendable credits are fully determined by downstream occupancy:
-    // depth − (in flight on the link) − (buffered in the destination
-    // VC). A freshly-stamped cell (stamp 0, empty pending half) behaves
-    // identically to the live cell from cycle `now` on: any access folds
-    // the live cell's pending credits in (they were freed strictly
-    // before `now`), landing on this same spendable count.
-    for lid in 0..plan.topo.links().len() {
-        let link = plan.topo.link(LinkId(lid as u32));
-        let dst_node = &gs.nodes[link.dst.index()];
-        let in_port = usize::from(plan.in_port_of_link[lid]);
-        for v in 0..vcs {
-            let on_link = gs.links[lid]
-                .iter()
-                .filter(|e| usize::from(e.vc) == v)
-                .count();
-            let occupied = on_link + dst_node.slots[in_port * vcs + v].queue.len();
-            if occupied > depth {
-                return Err(SnapshotError::Corrupt);
-            }
-            let cell = CreditCell {
-                stamp: 0,
-                avail: (depth - occupied) as u16,
-                pending: 0,
-            };
-            for s in &mut shards {
-                s.credits[lid * vcs + v] = cell;
-            }
+    // Spendable credits are fully determined by downstream occupancy
+    // (`GlobalState::lane_credits`). A freshly-stamped cell (stamp 0,
+    // empty pending half) behaves identically to the live cell from
+    // cycle `now` on: any access folds the live cell's pending credits in
+    // (they were freed strictly before `now`), landing on this same
+    // spendable count.
+    for (i, avail) in gs.lane_credits(plan.topo, depth)?.into_iter().enumerate() {
+        let cell = CreditCell {
+            stamp: 0,
+            avail,
+            pending: 0,
+        };
+        for s in &mut shards {
+            s.credits[i] = cell;
         }
     }
 
@@ -3013,7 +2957,6 @@ pub(crate) fn import_shards(
         RunCursor {
             now: gs.now,
             next_event: gs.next_event,
-            rng: gs.rng,
         },
     ))
 }
@@ -3263,11 +3206,7 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
     /// ([`run_trace_until`](Self::run_trace_until)) produce their own
     /// snapshots instead.
     pub fn snapshot(&self, now: u64) -> Snapshot {
-        let cursor = RunCursor {
-            now,
-            next_event: 0,
-            rng: StdRng::seed_from_u64(0).state(),
-        };
+        let cursor = RunCursor { now, next_event: 0 };
         snapshot_shards(&self.plan, &self.shards, &cursor, 0)
     }
 
@@ -3348,11 +3287,12 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
     }
 
     /// Resumes a paused synthetic run to completion. The snapshot must
-    /// match `(warmup, measure, seed)` — the traffic matrix is
-    /// deliberately *not* fingerprinted, so a post-warmup snapshot can
-    /// be resumed at each rate-grid point (the matrix only shapes
-    /// injections after the snapshot boundary; the RNG stream resumes
-    /// from the cursor either way).
+    /// match `(warmup, measure, seed)` or pin no workload (manual
+    /// snapshots) — the traffic matrix is deliberately *not*
+    /// fingerprinted, so a post-warmup snapshot can be resumed at each
+    /// rate-grid point (the matrix only shapes injections after the
+    /// snapshot boundary, and every draw is a function of `(seed, node,
+    /// cycle)`, so the snapshot carries no generator state).
     pub fn resume_synthetic(
         self,
         snap: &Snapshot,
@@ -3413,7 +3353,7 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
             plan, mut shards, ..
         } = self;
         let start = match from {
-            None => RunCursor::fresh(&workload),
+            None => RunCursor::default(),
             Some(snap) => {
                 let (restored, mut cursor) = restore_shards(&plan, snap, workload.fingerprint())?;
                 // A snapshot that pins no trace (manual stepping) resumes
@@ -3673,8 +3613,10 @@ mod tests {
         assert_eq!(sharded, single);
     }
 
+    /// Each shard draws only its own nodes' injections, yet the run
+    /// equals P=1 at any worker count.
     #[test]
-    fn synthetic_rng_replay_matches_single_shard() {
+    fn synthetic_draws_match_single_shard() {
         let t = small_mesh(6, 6);
         let routes = RoutingTable::compute_xy(&t);
         let mut m = TrafficMatrix::zero(36);
@@ -3819,6 +3761,8 @@ mod tests {
 
     #[test]
     fn destination_search_matches_binary_search() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
         // Rows the way `InjectTables::new` builds them: prefix sums of
         // `weight / total` over the positive weights.
         fn prefix_row(weights: &[f64], scale: f64) -> Vec<f64> {

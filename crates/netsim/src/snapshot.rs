@@ -19,11 +19,15 @@
 //!
 //! ## Header and mismatch rules
 //!
-//! Every snapshot starts with a fixed 120-byte header:
+//! Every snapshot starts with a fixed 96-byte header:
 //!
 //! * magic `b"HYPSNAP1"` — rejects non-snapshots ([`SnapshotError::BadMagic`]);
-//! * format version (currently 2) — rejects other formats
+//! * format version (currently 3) — rejects other formats
 //!   ([`SnapshotError::BadVersion`]);
+//! * a **checksum** (FNV-1a 64 over every other byte of the snapshot) —
+//!   a damaged byte outside the magic, the version and the plan
+//!   fingerprint decodes to [`SnapshotError::Truncated`] (a count the
+//!   bytes cannot hold) or [`SnapshotError::Corrupt`];
 //! * a **plan fingerprint** (FNV-1a 64 over topology links, the routing
 //!   table's fingerprint words, the behavior-relevant
 //!   [`crate::SimConfig`] fields, and the fault baseline) — restoring
@@ -43,19 +47,23 @@
 
 use crate::config::SimConfig;
 use crate::stats::{LatencyStats, SimStats, TenantStats, HISTOGRAM_BUCKETS};
-use hyppi_topology::{LinkClass, RoutingTable, Topology};
+use hyppi_topology::{LinkClass, NodeId, RoutingTable, Topology};
 use hyppi_traffic::{TenantMap, Trace};
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HYPSNAP1";
 
-/// Current snapshot format version. Version 2 added the per-tenant
-/// statistic lanes to the stats section (see `docs/SNAPSHOT_FORMAT.md`);
-/// version-1 bytes are rejected with [`SnapshotError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Current snapshot format version. Version 3 replaced the header's
+/// injection-RNG words with a body checksum (see
+/// `docs/SNAPSHOT_FORMAT.md`); older bytes are rejected with
+/// [`SnapshotError::BadVersion`].
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Fixed header length in bytes.
-const HEADER_LEN: usize = 120;
+const HEADER_LEN: usize = 96;
+
+/// Header offset of the checksum, which covers every other byte.
+const CHECKSUM_AT: usize = 56;
 
 /// Why a snapshot failed to load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,9 +192,7 @@ impl Snapshot {
         e.u64(workload_hash);
         e.u64(gs.now);
         e.u64(gs.next_event);
-        for w in gs.rng {
-            e.u64(w);
-        }
+        e.u64(0); // the checksum, sealed once the body is written
         e.u64(gs.accept_from);
         e.u64(gs.accept_until);
         e.u64(gs.origin_packets);
@@ -253,6 +259,8 @@ impl Snapshot {
             }
         }
 
+        let sum = checksum(&e.buf);
+        e.buf[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&sum.to_le_bytes());
         Snapshot { bytes: e.buf }
     }
 
@@ -276,15 +284,18 @@ impl Snapshot {
         if stats_bytes.is_none_or(|b| b > self.bytes.len() - HEADER_LEN) {
             return Err(SnapshotError::Truncated);
         }
-        let origin_packets = read_u64(&self.bytes, 104);
-        let completed_packets = read_u64(&self.bytes, 112);
+        let origin_packets = read_u64(&self.bytes, 80);
+        let completed_packets = read_u64(&self.bytes, 88);
         if completed_packets > origin_packets {
             return Err(SnapshotError::Corrupt);
         }
-        let mut rng = [0u64; 4];
-        for (i, w) in rng.iter_mut().enumerate() {
-            *w = read_u64(&self.bytes, 56 + 8 * i);
+        if read_u64(&self.bytes, CHECKSUM_AT) != checksum(&self.bytes) {
+            return Err(SnapshotError::Corrupt);
         }
+        let now = self.now();
+        // Live packets were admitted at or before the boundary (unmeasured
+        // ones carry u64::MAX); a later cycle would underflow latency.
+        let admitted = |cycle: u64| cycle == u64::MAX || cycle <= now;
         let mut d = Dec {
             b: &self.bytes,
             pos: HEADER_LEN,
@@ -311,6 +322,7 @@ impl Snapshot {
                 || p.class > 2
                 || p.flits == 0
                 || p.ejected >= p.flits
+                || !admitted(p.inject_cycle)
             {
                 return Err(SnapshotError::Corrupt);
             }
@@ -382,7 +394,12 @@ impl Snapshot {
                 _ => return Err(SnapshotError::Corrupt),
             };
             if let Some(em) = &emitting {
-                if em.emitted == 0 || em.emitted >= em.total || em.vc >= vcs as u8 {
+                if em.emitted == 0
+                    || em.emitted >= em.total
+                    || em.vc >= vcs as u8
+                    || em.dst as usize >= num_nodes
+                    || !admitted(em.inject_cycle)
+                {
                     return Err(SnapshotError::Corrupt);
                 }
             }
@@ -405,7 +422,6 @@ impl Snapshot {
             });
         }
 
-        let now = self.now();
         let mut links = Vec::with_capacity(num_links);
         for _ in 0..num_links {
             let n = d.u32()? as usize;
@@ -423,7 +439,7 @@ impl Snapshot {
                 // Per-link events are strictly ordered: one flit crosses a
                 // link per cycle, and nothing in flight predates the
                 // snapshot boundary.
-                if ev.arrive < now || ev.vc >= vcs as u8 {
+                if ev.arrive < now || ev.vc >= vcs as u8 || ev.flit.dst as usize >= num_nodes {
                     return Err(SnapshotError::Corrupt);
                 }
                 if let Some(prev) = evs.last() {
@@ -443,9 +459,8 @@ impl Snapshot {
         Ok(GlobalState {
             now,
             next_event: read_u64(&self.bytes, 48),
-            rng,
-            accept_from: read_u64(&self.bytes, 88),
-            accept_until: read_u64(&self.bytes, 96),
+            accept_from: read_u64(&self.bytes, 64),
+            accept_until: read_u64(&self.bytes, 72),
             origin_packets,
             completed_packets,
             vcs,
@@ -534,6 +549,37 @@ pub(crate) struct PacketImage {
     pub class: u8,
 }
 
+/// What the next flit of an input VC's lane must be: `None` — some
+/// packet's head; `Some((pid, head_ok))` — a flit of packet `pid`, its
+/// head only when `head_ok`.
+type Expect = Option<(u32, bool)>;
+
+/// Checks the wormhole order of one input VC's lane — the slot's queue
+/// followed by `arriving`, the flits still to reach it (in flight on its
+/// link, or still to be emitted into an injection VC) in arrival order —
+/// and returns what the lane expects next. A packet's flits are
+/// contiguous and start with its head; only the slot's active packet
+/// may continue without one, and its head may only wait at the front of
+/// the queue. A state that breaks this would stall a VC forever, or
+/// hand a pipeline stage a body flit where it expects a head.
+fn check_lane(
+    slot: &SlotImage,
+    arriving: impl Iterator<Item = FlitImage>,
+) -> Result<Expect, SnapshotError> {
+    let mut expect = (slot.tag == 2).then_some((slot.active_pid, !slot.queue.is_empty()));
+    for f in slot.queue.iter().copied().chain(arriving) {
+        let fits = match expect {
+            None => f.is_head,
+            Some((pid, head_ok)) => f.packet == pid && (head_ok || !f.is_head),
+        };
+        if !fits {
+            return Err(SnapshotError::Corrupt);
+        }
+        expect = (!f.is_tail).then_some((f.packet, false));
+    }
+    Ok(expect)
+}
+
 /// The decoded, partition-independent simulation state. Engines export
 /// into / import from this; [`Snapshot`] is its serialized form.
 #[derive(Debug, Clone, PartialEq)]
@@ -541,8 +587,6 @@ pub(crate) struct GlobalState {
     pub now: u64,
     /// Trace cursor: next unadmitted event index.
     pub next_event: u64,
-    /// Synthetic-injection RNG state (xoshiro256**).
-    pub rng: [u64; 4],
     pub accept_from: u64,
     pub accept_until: u64,
     /// Total packets ever admitted (live + completed).
@@ -558,6 +602,146 @@ pub(crate) struct GlobalState {
     pub nodes: Vec<NodeImage>,
     /// Per-link in-flight flits, sorted by strictly increasing arrival.
     pub links: Vec<Vec<EventImage>>,
+}
+
+impl GlobalState {
+    /// Checks the state against wormhole flow control and derives the
+    /// spendable credits of every (link, VC), flattened
+    /// `[link * vcs + vc]`: `depth` − (in flight on the link) − (buffered
+    /// in the destination VC), see `docs/SNAPSHOT_FORMAT.md`. `Corrupt`
+    /// when a lane breaks wormhole order ([`check_lane`]) or holds more
+    /// than `depth` flits, when two slots of a node hold one output VC,
+    /// or when an active slot's packet would enter a downstream lane that
+    /// does not expect it. Input port 0 is the injection port; input port
+    /// `i + 1` is fed by `topo.incoming(node)[i]`, output port `p > 0`
+    /// feeds `topo.outgoing(node)[p - 1]`. Call once the node, link and
+    /// per-node slot counts are checked against `topo`.
+    pub(crate) fn lane_credits(
+        &self,
+        topo: &Topology,
+        depth: usize,
+    ) -> Result<Vec<u16>, SnapshotError> {
+        let vcs = self.vcs as usize;
+        let mut credits = vec![0u16; self.links.len() * vcs];
+        let mut expect: Vec<Expect> = vec![None; self.links.len() * vcs];
+        for (node, n) in self.nodes.iter().enumerate() {
+            for (v, slot) in n.slots[..vcs].iter().enumerate() {
+                let emitted = n.emitting.filter(|em| usize::from(em.vc) == v);
+                let next = emitted.map(|em| FlitImage {
+                    packet: em.packet,
+                    dst: em.dst,
+                    is_head: false,
+                    is_tail: em.emitted + 1 == em.total,
+                    ready: 0,
+                });
+                check_lane(slot, next.into_iter())?;
+            }
+            for (i, lid) in topo.incoming(NodeId(node as u16)).iter().enumerate() {
+                for v in 0..vcs {
+                    let slot = &n.slots[(i + 1) * vcs + v];
+                    let lane = lid.index() * vcs + v;
+                    let flying = self.links[lid.index()]
+                        .iter()
+                        .filter(|e| usize::from(e.vc) == v)
+                        .map(|e| e.flit);
+                    expect[lane] = check_lane(slot, flying.clone())?;
+                    let free = depth.checked_sub(slot.queue.len() + flying.count());
+                    credits[lane] = free.ok_or(SnapshotError::Corrupt)? as u16;
+                }
+            }
+        }
+        // Each active slot holds its output VC alone, and the lane behind
+        // that VC must expect the slot's packet: its head if the head
+        // still waits here, a continuation once it has left.
+        for (node, n) in self.nodes.iter().enumerate() {
+            let out = topo.outgoing(NodeId(node as u16));
+            // Output VCs held per port (at most 15 ports, see `decode_for`).
+            let mut held = [0u32; 16];
+            for slot in n.slots.iter().filter(|s| s.tag == 2) {
+                let (port, vc) = (usize::from(slot.out_port), slot.out_vc);
+                if held[port] & (1 << vc) != 0 {
+                    return Err(SnapshotError::Corrupt);
+                }
+                held[port] |= 1 << vc;
+                if port == 0 {
+                    continue; // ejection: no downstream lane
+                }
+                let head_here = slot.queue.first().is_some_and(|f| f.is_head);
+                let wants = match expect[out[port - 1].index() * vcs + usize::from(vc)] {
+                    None => head_here,
+                    Some((pid, _)) => !head_here && pid == slot.active_pid,
+                };
+                if !wants {
+                    return Err(SnapshotError::Corrupt);
+                }
+            }
+        }
+        Ok(credits)
+    }
+
+    /// Checks every live packet's whereabouts and every node's
+    /// closed-loop window. A packet waits in its source's queue (nothing
+    /// emitted yet), is mid-emission there, or is fully emitted; the
+    /// flits it has emitted and not yet ejected are all buffered or in
+    /// flight, carrying its destination, with its head among them until
+    /// the head ejects. With a `window` (`max_outstanding` > 0) a node's
+    /// `outstanding` count equals its live packets past the queue;
+    /// open-loop it stays 0. A state that breaks this would eject a flit
+    /// twice, return a source credit twice (underflowing the window) or
+    /// park a source for good.
+    pub(crate) fn check_packets(&self, window: usize) -> Result<(), SnapshotError> {
+        let corrupt = Err(SnapshotError::Corrupt);
+        // Flits each packet has emitted: all of them unless it is queued
+        // or mid-emission at its source.
+        let mut emitted: Vec<u32> = self.packets.iter().map(|p| p.flits).collect();
+        let mut at_source = vec![false; self.packets.len()];
+        let mut live = vec![0u64; self.nodes.len()];
+        for p in &self.packets {
+            live[usize::from(p.src)] += 1;
+        }
+        for (node, n) in self.nodes.iter().enumerate() {
+            let queued = n.src_queue.iter().map(|&pid| (pid, 0));
+            for (pid, sent) in queued.chain(n.emitting.map(|em| (em.packet, em.emitted))) {
+                let g = pid as usize;
+                if at_source[g] || usize::from(self.packets[g].src) != node {
+                    return corrupt;
+                }
+                at_source[g] = true;
+                emitted[g] = sent;
+            }
+            if let Some(em) = n.emitting {
+                let p = &self.packets[em.packet as usize];
+                if em.total != p.flits || em.dst != p.dst {
+                    return corrupt;
+                }
+            }
+            let past_queue = live[node] - n.src_queue.len() as u64;
+            if u64::from(n.outstanding) != if window == 0 { 0 } else { past_queue } {
+                return corrupt;
+            }
+        }
+        let mut present = vec![0u32; self.packets.len()];
+        let mut heads = vec![0u32; self.packets.len()];
+        let buffered = self.nodes.iter().flat_map(|n| n.slots.iter());
+        let flying = self.links.iter().flat_map(|evs| evs.iter().map(|e| e.flit));
+        for f in buffered.flat_map(|s| s.queue.iter().copied()).chain(flying) {
+            let g = f.packet as usize;
+            if f.dst != self.packets[g].dst {
+                return corrupt;
+            }
+            present[g] += 1;
+            heads[g] += u32::from(f.is_head);
+        }
+        for (g, p) in self.packets.iter().enumerate() {
+            let head_out = p.ejected == 0 && emitted[g] > 0;
+            if u64::from(present[g]) + u64::from(p.ejected) != u64::from(emitted[g])
+                || heads[g] != u32::from(head_out)
+            {
+                return corrupt;
+            }
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -754,6 +938,15 @@ fn fold_u64(h: &mut u64, v: u64) {
     fold(h, &v.to_le_bytes());
 }
 
+/// The checksum of snapshot `bytes`: FNV-1a 64 over every byte except
+/// the checksum field itself.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    fold(&mut h, &bytes[..CHECKSUM_AT]);
+    fold(&mut h, &bytes[CHECKSUM_AT + 8..]);
+    h
+}
+
 fn fold_topo_routes(h: &mut u64, topo: &Topology, routes: &RoutingTable) {
     fold_u64(h, topo.num_nodes() as u64);
     fold_u64(h, topo.links().len() as u64);
@@ -861,7 +1054,6 @@ mod tests {
         GlobalState {
             now: 42,
             next_event: 5,
-            rng: [1, 2, 3, 4],
             accept_from: 0,
             accept_until: u64::MAX,
             origin_packets: 2,
@@ -981,6 +1173,15 @@ mod tests {
             SnapshotError::BadVersion { found: 99 }
         );
 
+        // Version-2 bytes (RNG words where the checksum now sits) are
+        // rejected before anything else is read.
+        let mut v2 = bytes.clone();
+        v2[8] = 2;
+        assert_eq!(
+            Snapshot::from_bytes(v2).unwrap_err(),
+            SnapshotError::BadVersion { found: 2 }
+        );
+
         assert_eq!(
             Snapshot::from_bytes(bytes[..50].to_vec()).unwrap_err(),
             SnapshotError::Truncated
@@ -1009,6 +1210,123 @@ mod tests {
             padded.decode_for(7).unwrap_err(),
             SnapshotError::Truncated | SnapshotError::Corrupt
         ));
+
+        // A destination off the mesh, in flight or mid-emission, is
+        // caught; the same emission to a real node decodes.
+        let emitting = |dst| {
+            let mut gs = tiny_state();
+            gs.nodes[0].emitting = Some(EmissionImage {
+                packet: 0,
+                emitted: 1,
+                total: 4,
+                vc: 0,
+                dst,
+                inject_cycle: 40,
+            });
+            gs
+        };
+        let mut off_link = tiny_state();
+        off_link.links[0][0].flit.dst = 2;
+        for gs in [off_link, emitting(2)] {
+            let snap = Snapshot::encode(&gs, 7, 0);
+            assert_eq!(snap.decode_for(7).unwrap_err(), SnapshotError::Corrupt);
+        }
+        let gs = emitting(1);
+        assert_eq!(Snapshot::encode(&gs, 7, 0).decode_for(7).unwrap(), gs);
+    }
+
+    #[test]
+    fn checksum_catches_every_flipped_bit() {
+        let bytes = Snapshot::encode(&tiny_state(), 7, 0).into_bytes();
+        // Outside magic, version and plan fingerprint (each checked first,
+        // with its own error), every single-bit flip is `Truncated` (a
+        // count the bytes cannot hold) or `Corrupt`, the checksum
+        // field's own bits included.
+        for at in (12..24).chain(32..bytes.len()) {
+            for bit in 0..8 {
+                let mut b = bytes.clone();
+                b[at] ^= 1 << bit;
+                let err = Snapshot::from_bytes(b).unwrap().decode_for(7).unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Corrupt | SnapshotError::Truncated),
+                    "byte {at} bit {bit}: {err:?}"
+                );
+            }
+        }
+    }
+
+    /// Packet bookkeeping that disagrees with the flits behind it is
+    /// `Corrupt` on every engine: a closed-loop window count off by one
+    /// (one too few used to underflow when the packets' source credits
+    /// came back) and an in-flight flit moved to another live packet
+    /// (which a sharded engine used to complete, and credit, twice).
+    #[test]
+    fn restore_rejects_packet_accounting_errors() {
+        use crate::reference::ReferenceSimulator;
+        use crate::{ShardedSimulator, SimError, Simulator};
+        use hyppi_phys::{Gbps, LinkTechnology};
+        use hyppi_topology::{mesh, MeshSpec, ShardSpec};
+        use hyppi_traffic::SyntheticPattern;
+        let topo = mesh(MeshSpec {
+            width: 4,
+            height: 4,
+            core_spacing_mm: 1.0,
+            base_tech: LinkTechnology::Electronic,
+            capacity: Gbps::new(50.0),
+        });
+        let routes = RoutingTable::compute_xy(&topo);
+        let cfg = SimConfig::paper_closed_loop(4);
+        let m = SyntheticPattern::Uniform.matrix(&topo, 0.3);
+        let snap = Simulator::new(&topo, &routes, cfg)
+            .run_synthetic_until(&m, 100, 300, 7, 150)
+            .expect("bounded run completes")
+            .expect_paused();
+        let plan = plan_fingerprint(&topo, &routes, &cfg, None, None);
+        let gs = snap.decode_for(plan).expect("intact snapshot decodes");
+        let mut cases = vec![("intact", gs.clone())];
+        let node = gs.nodes.iter().position(|n| n.outstanding > 0);
+        let node = node.expect("a window is in use");
+        for (label, delta) in [("one outstanding too few", -1i64), ("one too many", 1)] {
+            let mut bad = gs.clone();
+            let n = &mut bad.nodes[node];
+            n.outstanding = (i64::from(n.outstanding) + delta) as u32;
+            cases.push((label, bad));
+        }
+        let mut moved = gs.clone();
+        let flit = &mut moved
+            .links
+            .iter_mut()
+            .flatten()
+            .next()
+            .expect("a flit in flight")
+            .flit;
+        flit.packet = (flit.packet + 1) % gs.packets.len() as u32;
+        cases.push(("flit moved to another packet", moved));
+        for (label, state) in cases {
+            let bytes = Snapshot::encode(&state, plan, snap.workload_hash());
+            let resume = |out: Result<crate::SimStats, SimError>| out.map(|_| ());
+            let outcomes = [
+                resume(
+                    Simulator::new(&topo, &routes, cfg).resume_synthetic(&bytes, &m, 100, 300, 7),
+                ),
+                resume(
+                    ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::quadrants())
+                        .with_threads(1)
+                        .resume_synthetic(&bytes, &m, 100, 300, 7),
+                ),
+                resume(
+                    ReferenceSimulator::new(&topo, &routes, cfg)
+                        .resume_synthetic(&bytes, &m, 100, 300, 7),
+                ),
+            ];
+            let expected = match label {
+                "intact" => Ok(()),
+                _ => Err(SimError::Snapshot(SnapshotError::Corrupt)),
+            };
+            for out in outcomes {
+                assert_eq!(out, expected, "{label}");
+            }
+        }
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl LatencyStats {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantStats {
     /// Latency over this tenant's completed packets (own histogram, so
-    /// per-tenant p99/p99.9 interference curves come for free).
+    /// per-tenant p99/p99.9 curves come for free).
     pub latency: LatencyStats,
     /// Flits this tenant's NICs pushed into the network.
     pub flits_injected: u64,

@@ -114,8 +114,8 @@ pub struct SweepConfig {
     pub warmup: u64,
     /// Measured injection cycles per run.
     pub measure: u64,
-    /// RNG seeds; each offered load runs once per seed and the seeds'
-    /// statistics are merged.
+    /// Workload seeds (each keys the injection draws); each offered load
+    /// runs once per seed and the seeds' statistics are merged.
     pub seeds: Vec<u64>,
     /// A load is saturated when its mean latency exceeds
     /// `sat_multiple × zero-load latency` (or a run hits the cycle cap).

@@ -17,10 +17,15 @@
 //!    boundary — not just at run end — for arbitrary packet schedules,
 //!    including cross-tile pairs the synthetic tenant matrices never
 //!    generate.
+//! 3. **Disjoint XY tiles are isolated.** Tenant traffic stays inside
+//!    its rectangle and XY routes between two points of a rectangle stay
+//!    inside it, so tenants share no router and no link; with injection
+//!    drawn per (seed, node, cycle), a tenant's lane is bit-identical
+//!    whatever its neighbour offers.
 
-use hyppi_netsim::{SimConfig, Simulator};
+use hyppi_netsim::{ShardedSimulator, SimConfig, SimStats, Simulator};
 use hyppi_phys::{Gbps, LinkTechnology};
-use hyppi_topology::{mesh, MeshSpec, NodeId, RoutingTable, Topology};
+use hyppi_topology::{mesh, MeshSpec, NodeId, RoutingTable, ShardSpec, Topology};
 use hyppi_traffic::{
     BurstSpec, SyntheticPattern, TenantSpec, TenantWorkload, TrafficMatrix, BURST_SLOT_CYCLES,
 };
@@ -189,6 +194,62 @@ proptest! {
             && events.iter().any(|e| map.tenant_of(e.1) == 1)
         {
             prop_assert!(stats.tenants.iter().all(|t| t.flits_injected > 0));
+        }
+    }
+}
+
+/// A hotspot victim at 0.08 beside a uniform aggressor on a 16×16 mesh:
+/// the victim's lane must not move as the aggressor goes from idle to
+/// saturated, at P=1 and at P=4.
+#[test]
+fn disjoint_tenants_are_isolated() {
+    let topo = grid(16, 16);
+    let routes = RoutingTable::compute_xy(&topo);
+    let spec = TenantSpec::pair(
+        TenantWorkload {
+            pattern: SyntheticPattern::Hotspot,
+            rate: 0.08,
+        },
+        TenantWorkload {
+            pattern: SyntheticPattern::Uniform,
+            rate: 0.0,
+        },
+    );
+    let map = spec.map(&topo);
+    let victim = |shards: usize, aggressor: f64| {
+        let m = spec.with_rate(1, aggressor).matrix(&topo);
+        let stats: SimStats = if shards == 1 {
+            Simulator::new(&topo, &routes, SimConfig::paper())
+                .with_tenants(&map)
+                .run_synthetic(&m, 300, 1200, 7)
+        } else {
+            ShardedSimulator::new(
+                &topo,
+                &routes,
+                SimConfig::paper(),
+                ShardSpec::for_count(shards),
+            )
+            .with_tenants(&map)
+            .run_synthetic(&m, 300, 1200, 7)
+        }
+        .expect("run completes");
+        (stats.tenants[0].clone(), stats.tenants[1].flits_injected)
+    };
+    let (quiet, quiet_aggressor) = victim(1, 0.02);
+    assert!(quiet.latency.count > 0, "the victim lane is empty");
+    for shards in [1, 4] {
+        for aggressor in [0.02, 0.16, 0.40] {
+            let (lane, aggressor_flits) = victim(shards, aggressor);
+            assert_eq!(
+                lane, quiet,
+                "victim moved: P={shards}, aggressor at {aggressor}"
+            );
+            if aggressor > 0.02 {
+                assert!(
+                    aggressor_flits > quiet_aggressor,
+                    "the aggressor did not load up"
+                );
+            }
         }
     }
 }

@@ -262,7 +262,7 @@ fn closed_loop_synthetic_parity_windows() {
         let cfg = SimConfig::paper_closed_loop(window);
         let stats = assert_synthetic_parity_cfg(
             &topo,
-            0.30,
+            0.35,
             9 + window as u64,
             cfg,
             &format!("plain 6x6 saturated, window {window}"),
@@ -272,7 +272,7 @@ fn closed_loop_synthetic_parity_windows() {
         assert_eq!(peak as usize, window, "window never filled");
         assert!(stats.accepted_flits > 0);
         // …and when it is tight (service rate window/RTT below the
-        // offered 0.30), the overload piles up at the NICs instead of in
+        // offered 0.35), the overload piles up at the NICs instead of in
         // the network.
         if window <= 4 {
             assert!(stats.peak_backlog.iter().any(|&b| b > 1));
@@ -422,8 +422,8 @@ fn trace_parity_faulted_express_mesh() {
 }
 
 /// Faulted synthetic cells, open loop and closed loop: the admission-time
-/// drop must not consume RNG draws (P=1 vs reference would diverge) and
-/// must not occupy closed-loop window slots.
+/// drop of unreachable pairs must be counted identically by both engines
+/// and must not occupy closed-loop window slots.
 #[test]
 fn synthetic_parity_faulted_mesh_open_and_closed_loop() {
     let healthy = plain_mesh(6, 6);

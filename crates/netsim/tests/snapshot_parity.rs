@@ -9,7 +9,7 @@
 //! other (`tests/parity.rs`, `tests/shard_parity.rs`), these fixtures
 //! make snapshot equality transitive: any divergence in what the
 //! snapshot captures — arbitration pointers, credit state, wormhole
-//! remaps, RNG position — shows up as a statistics diff.
+//! remaps, the run cursor — shows up as a statistics diff.
 //!
 //! The property block at the bottom additionally splices random cells at
 //! random cycles and audits per-cycle flit conservation across the
@@ -26,7 +26,7 @@ use hyppi_phys::LinkTechnology;
 use hyppi_topology::{
     express_mesh, ExpressSpec, FaultSpec, MeshSpec, NodeId, RoutingTable, ShardSpec, Topology,
 };
-use hyppi_traffic::{Trace, TraceEvent};
+use hyppi_traffic::{Trace, TraceEvent, TrafficMatrix};
 use proptest::prelude::*;
 
 fn small_mesh(w: u16, h: u16) -> Topology {
@@ -425,14 +425,22 @@ fn restore_rejects_mismatches() {
         .expect_err("different trace must reject");
     assert_eq!(err, SimError::Snapshot(SnapshotError::WorkloadMismatch));
 
-    // Truncated body: the header parses, decode rejects.
+    // Truncated body: the header parses and the checksum rejects it;
+    // with the checksum resealed, the decoder runs out of bytes.
     let bytes = snap.bytes();
-    let cut = Snapshot::from_bytes(bytes[..bytes.len() - 3].to_vec())
-        .expect("header is intact, construction succeeds");
-    let err = Simulator::new(&topo, &routes, cfg)
-        .resume_trace(&cut, &trace)
-        .expect_err("truncated snapshot must reject");
-    assert_eq!(err, SimError::Snapshot(SnapshotError::Truncated));
+    let resume_cut = |cut: &[u8]| {
+        let cut = Snapshot::from_bytes(cut.to_vec()).expect("header is intact");
+        Simulator::new(&topo, &routes, cfg)
+            .resume_trace(&cut, &trace)
+            .expect_err("truncated snapshot must reject")
+    };
+    let mut cut = bytes[..bytes.len() - 3].to_vec();
+    assert_eq!(resume_cut(&cut), SimError::Snapshot(SnapshotError::Corrupt));
+    reseal(&mut cut);
+    assert_eq!(
+        resume_cut(&cut),
+        SimError::Snapshot(SnapshotError::Truncated)
+    );
 
     // Damaged magic is rejected at construction.
     let mut bad = bytes.to_vec();
@@ -447,20 +455,45 @@ fn restore_rejects_mismatches() {
     assert_eq!(err, SnapshotError::BadVersion { found: 0xFE });
 }
 
-/// A paused 4×4 synthetic run's snapshot with `damage` applied to its
-/// bytes, resumed on the P=1 and the reference engine: both must return
-/// `expected`.
-fn assert_damaged_synthetic_resume(damage: impl Fn(&mut [u8]), expected: SnapshotError) {
+/// Offset of the format-v3 body checksum in the snapshot header.
+const CHECKSUM_AT: usize = 56;
+
+/// Rewrites the body checksum (FNV-1a 64 over every byte but the
+/// checksum field) of damaged snapshot bytes, so the decoder gets past
+/// the checksum to the check a test targets.
+fn reseal(bytes: &mut [u8]) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (i, &b) in bytes.iter().enumerate() {
+        if !(CHECKSUM_AT..CHECKSUM_AT + 8).contains(&i) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    bytes[CHECKSUM_AT..CHECKSUM_AT + 8].copy_from_slice(&h.to_le_bytes());
+}
+
+/// The damage workload — a 4×4 mesh under uniform traffic at 0.1 with
+/// `(warmup, measure, seed)` = (100, 300, 7) — and its snapshot bytes,
+/// paused at cycle 150.
+fn damage_cell() -> (Topology, RoutingTable, TrafficMatrix, Vec<u8>) {
     let topo = small_mesh(4, 4);
     let routes = RoutingTable::compute_xy(&topo);
-    let cfg = SimConfig::paper();
     let m = uniform_matrix(&topo, 0.1);
-    let (warmup, measure, seed) = (100, 300, 7);
-    let snap = Simulator::new(&topo, &routes, cfg)
-        .run_synthetic_until(&m, warmup, measure, seed, 150)
+    let bytes = Simulator::new(&topo, &routes, SimConfig::paper())
+        .run_synthetic_until(&m, 100, 300, 7, 150)
         .expect("bounded run completes")
-        .expect_paused();
-    let mut bytes = snap.into_bytes();
+        .expect_paused()
+        .into_bytes();
+    (topo, routes, m, bytes)
+}
+
+/// The damage workload's snapshot with `damage` applied to its bytes,
+/// resumed on the P=1 and the reference engine: both must return
+/// `expected`.
+fn assert_damaged_synthetic_resume(damage: impl Fn(&mut [u8]), expected: SnapshotError) {
+    let (topo, routes, m, mut bytes) = damage_cell();
+    let cfg = SimConfig::paper();
+    let (warmup, measure, seed) = (100, 300, 7);
     damage(&mut bytes);
     let bad = Snapshot::from_bytes(bytes).expect("header is intact");
     let err = Simulator::new(&topo, &routes, cfg)
@@ -478,7 +511,13 @@ fn assert_damaged_synthetic_resume(damage: impl Fn(&mut [u8]), expected: Snapsho
 /// its top bit asks for 2³¹ nodes' statistics).
 #[test]
 fn restore_rejects_counts_the_bytes_cannot_hold() {
-    assert_damaged_synthetic_resume(|b| b[15] ^= 0x80, SnapshotError::Truncated);
+    assert_damaged_synthetic_resume(
+        |b| {
+            b[15] ^= 0x80;
+            reseal(b);
+        },
+        SnapshotError::Truncated,
+    );
 }
 
 /// More completed than admitted packets is impossible; a resumed run
@@ -487,11 +526,69 @@ fn restore_rejects_counts_the_bytes_cannot_hold() {
 fn restore_rejects_more_completions_than_origins() {
     assert_damaged_synthetic_resume(
         |b| {
-            let origins = u64::from_le_bytes(b[104..112].try_into().unwrap());
-            b[112..120].copy_from_slice(&(origins + 1).to_le_bytes());
+            let origins = u64::from_le_bytes(b[80..88].try_into().unwrap());
+            b[88..96].copy_from_slice(&(origins + 1).to_le_bytes());
+            reseal(b);
         },
         SnapshotError::Corrupt,
     );
+}
+
+/// An in-flight link flit addressed to a node the mesh lacks is
+/// rejected at decode, not left to index the routing table. Synthetic
+/// packets are single flits (head and tail: flag byte 3), and the link
+/// section ends the snapshot with zero counts after the last event, so
+/// the last nonzero byte is that event's flag byte, right after its
+/// destination.
+#[test]
+fn restore_rejects_link_flits_addressed_off_the_mesh() {
+    assert_damaged_synthetic_resume(
+        |b| {
+            let flags = b.iter().rposition(|&x| x != 0).expect("nonzero bytes");
+            assert_eq!(b[flags], 3, "the last in-flight event is a single flit");
+            b[flags - 2..flags].copy_from_slice(&16u16.to_le_bytes());
+            reseal(b);
+        },
+        SnapshotError::Corrupt,
+    );
+}
+
+/// Byte-flip mutation sweep over the damage workload's snapshot: every
+/// byte (every 16th under `debug_assertions`) XORed with 0x01, 0x80 and
+/// 0xFF, resumed on the P=1 engine under a 20,000-cycle cap. As flipped,
+/// the header checks or the checksum reject every case with a typed
+/// error. With the checksum resealed, the decoder's semantic checks are
+/// all that stands between the bytes and the engine: every case must
+/// then fail typed or run to an end — never panic.
+#[test]
+fn byte_flips_fail_typed_and_resealed_flips_never_panic() {
+    let (topo, routes, m, bytes) = damage_cell();
+    let cfg = SimConfig {
+        max_cycles: 20_000,
+        ..SimConfig::paper()
+    };
+    let resume = |b: Vec<u8>| -> Result<SimStats, SimError> {
+        let snap = Snapshot::from_bytes(b).map_err(SimError::Snapshot)?;
+        Simulator::new(&topo, &routes, cfg).resume_synthetic(&snap, &m, 100, 300, 7)
+    };
+    let stride = if cfg!(debug_assertions) { 16 } else { 1 };
+    let mut panics = Vec::new();
+    for at in (0..bytes.len()).step_by(stride) {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut b = bytes.clone();
+            b[at] ^= mask;
+            match resume(b.clone()) {
+                Err(SimError::Snapshot(_)) => {}
+                other => panic!("byte {at} ^ {mask:#04x} was accepted: {other:?}"),
+            }
+            reseal(&mut b);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| resume(b)));
+            if outcome.is_err() {
+                panics.push((at, mask));
+            }
+        }
+    }
+    assert!(panics.is_empty(), "resealed flips panicked: {panics:?}");
 }
 
 /// A manual-stepping snapshot (no workload pinned) resumes under any

@@ -18,9 +18,12 @@
 //!   chosen so the mean factor is exactly 1.
 //!
 //! **Determinism.** The factor is a *pure function* of
-//! `(spec, seed, node, cycle)` — no RNG stream is consumed, so the
-//! engine's Bernoulli draw sequence is identical for every spec, every
-//! shard count, and every snapshot splice point. The state process is
+//! `(spec, seed, node, cycle)`, and so is the Bernoulli draw it
+//! modulates ([`injection_draw`]): no generator state exists, so every
+//! shard draws only for its own nodes, every snapshot splice point
+//! resumes the same draws, and one node's draws never depend on another
+//! node's rate (counter-based generation; Salmon et al., "Parallel
+//! Random Numbers: As Easy as 1, 2, 3", SC'11). The state process is
 //! slot-quantized ([`BURST_SLOT_CYCLES`]) and regenerates from the
 //! stationary distribution every [`BURST_REGEN_SLOTS`] slots; within a
 //! superslot each slot either holds the previous state or jumps to a
@@ -224,22 +227,69 @@ impl std::fmt::Display for BurstSpec {
     }
 }
 
-/// SplitMix64 over (seed, node, slot) — the per-slot entropy source.
+/// The SplitMix64 golden-ratio increment.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Stream tag of the injection draws: folded into the seed so their keys
+/// stay apart from the burst process's slot keys under the same seed.
+const INJECT_STREAM: u64 = 0x6A09_E667_F3BC_C909;
+
+/// SplitMix64's output finalizer: a bijective 64-bit mixer, the entropy
+/// source of every draw in this module.
 #[inline]
-fn slot_hash(seed: u64, node: usize, slot: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((node as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(slot.wrapping_mul(0x94D0_49BB_1331_11EB));
+fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// SplitMix64 over (seed, node, slot) — the per-slot entropy source.
+#[inline]
+fn slot_hash(seed: u64, node: usize, slot: u64) -> u64 {
+    mix64(
+        seed.wrapping_mul(GOLDEN)
+            .wrapping_add((node as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+            .wrapping_add(slot.wrapping_mul(0x94D0_49BB_1331_11EB)),
+    )
 }
 
 /// Maps 32 hash bits to a uniform in [0, 1).
 #[inline]
 fn unit(bits: u32) -> f64 {
     f64::from(bits) / (u32::MAX as f64 + 1.0)
+}
+
+/// Maps the top 53 hash bits to a uniform in [0, 1).
+#[inline]
+fn unit53(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// One Bernoulli injection draw of `node` at `cycle` under the workload
+/// `seed`: `Some(u)` when the source fires with probability `p`, where
+/// `u ∈ [0, 1)` is the uniform that picks the destination; `None`
+/// otherwise (always for `p ≤ 0`; always fires for `p ≥ 1`).
+///
+/// A pure function of its key — the counter-based form of Salmon et al.
+/// (SC'11) over SplitMix64. The gate uniform is the finalizer of
+/// `(node, cycle)` packed into one counter (node ids fit in 16 bits, so
+/// the packing is injective below cycle 2⁴⁸) on a stream chosen by the
+/// mixed seed; the destination uniform is one more SplitMix64 step from
+/// the gate hash, taken only when the gate fires. Both engines and the
+/// parity oracle call this, so injection needs no generator state: it is
+/// the same at every shard count and from every snapshot splice point.
+#[inline]
+pub fn injection_draw(seed: u64, node: usize, cycle: u64, p: f64) -> Option<f64> {
+    if p <= 0.0 {
+        return None;
+    }
+    let counter = ((node as u64) << 48) | cycle;
+    let gate = mix64(mix64(seed ^ INJECT_STREAM).wrapping_add(counter.wrapping_mul(GOLDEN)));
+    if unit53(gate) < p {
+        Some(unit53(mix64(gate.wrapping_add(GOLDEN))))
+    } else {
+        None
+    }
 }
 
 /// Per-node factor cache for the engine injection loop: factors are
@@ -428,5 +478,76 @@ mod tests {
     #[should_panic(expected = "must be ≥ 1")]
     fn rejects_sub_one_burstiness() {
         let _ = BurstSpec::onoff(0.5);
+    }
+
+    /// 10⁶ (node, cycle) keys of one seed.
+    fn keys() -> impl Iterator<Item = (usize, u64)> {
+        (0..1000usize).flat_map(|node| (0..1000u64).map(move |cycle| (node, cycle)))
+    }
+
+    #[test]
+    fn injection_gate_fires_at_rate() {
+        for p in [0.005, 0.1, 0.5] {
+            let n = keys().count() as f64;
+            let fired = keys()
+                .filter(|&(node, cycle)| injection_draw(21, node, cycle, p).is_some())
+                .count() as f64;
+            let sigma = (n * p * (1.0 - p)).sqrt();
+            assert!(
+                (fired - n * p).abs() < 4.0 * sigma,
+                "p = {p}: {fired} of {n} fired, expected {} ± {}",
+                n * p,
+                4.0 * sigma
+            );
+        }
+        assert_eq!(injection_draw(21, 3, 9, 0.0), None);
+        assert!(injection_draw(21, 3, 9, 1.0).is_some());
+    }
+
+    #[test]
+    fn injection_destinations_are_uniform() {
+        // At a low gate rate too: the destination must not inherit the
+        // gate's bias towards small hashes.
+        for p in [0.005, 0.5] {
+            let mut buckets = [0f64; 16];
+            for (node, cycle) in keys() {
+                if let Some(u) = injection_draw(4, node, cycle, p) {
+                    assert!((0.0..1.0).contains(&u));
+                    buckets[(u * 16.0) as usize] += 1.0;
+                }
+            }
+            let total: f64 = buckets.iter().sum();
+            let (mean, sigma) = (total / 16.0, (total * (1.0 / 16.0) * (15.0 / 16.0)).sqrt());
+            for (b, &c) in buckets.iter().enumerate() {
+                assert!(
+                    (c - mean).abs() < 4.0 * sigma,
+                    "p = {p}: bucket {b} holds {c}, expected {mean} ± {}",
+                    4.0 * sigma
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn injection_streams_differ_across_seeds_and_nodes() {
+        let stream = |seed: u64, node: usize| -> Vec<Option<u64>> {
+            (0..256)
+                .map(|c| injection_draw(seed, node, c, 0.5).map(f64::to_bits))
+                .collect()
+        };
+        let streams = [
+            stream(1, 0),
+            stream(1, 1),
+            stream(1, 17),
+            stream(2, 0),
+            stream(2, 1),
+        ];
+        for i in 0..streams.len() {
+            for j in i + 1..streams.len() {
+                assert_ne!(streams[i], streams[j], "streams {i} and {j} coincide");
+            }
+        }
+        // Pure: the same key always draws the same value.
+        assert_eq!(stream(1, 17), stream(1, 17));
     }
 }

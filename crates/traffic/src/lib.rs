@@ -27,7 +27,9 @@
 //! [`volume::CommVolume`] flit-count aggregation for energy accounting,
 //! rate-scaled [`patterns::SyntheticPattern`] generators (uniform,
 //! transpose, complement, hotspot, Soteriou, NPB-shaped) that feed the
-//! simulator's load sweeps, seeded temporal burstiness modulators
+//! simulator's load sweeps, the counter-based Bernoulli draw that
+//! injects them ([`burst::injection_draw`], a pure function of (seed,
+//! node, cycle)), seeded temporal burstiness modulators
 //! ([`burst::BurstSpec`] — ON/OFF and MMPP-style factor processes that
 //! decide *when* the steady patterns' traffic fires), and multi-tenant
 //! composition ([`tenant::TenantSpec`] — disjoint rectangular tiles
@@ -44,7 +46,7 @@ pub mod tenant;
 pub mod trace;
 pub mod volume;
 
-pub use burst::{BurstSpec, BurstState, BURST_REGEN_SLOTS, BURST_SLOT_CYCLES};
+pub use burst::{injection_draw, BurstSpec, BurstState, BURST_REGEN_SLOTS, BURST_SLOT_CYCLES};
 pub use matrix::TrafficMatrix;
 pub use npb::{NpbKernel, NpbTraceSpec, ScaledNpbSpec};
 pub use packetize::{packetize_message, Packet, DATA_PACKET_FLITS};

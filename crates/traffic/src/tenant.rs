@@ -9,10 +9,10 @@
 //! independent of each other). Each tenant's pattern is generated on a
 //! sub-mesh of its tile's dimensions and remapped into parent
 //! coordinates, so all traffic stays inside the tenant's rectangle:
-//! tenants never exchange packets, and any latency a tenant's packets
-//! pick up from a neighbour is pure *interference* — contention on
-//! routers and links the rectangles share no traffic across but whose
-//! traffic crosses tile-internal resources near the seam. The resolved
+//! tenants never exchange packets, and under XY routing (whose route
+//! between two nodes of a rectangle stays inside it) they share no
+//! router and no link either — disjoint tiles are isolated, and a
+//! tenant's statistics do not depend on its neighbours' load. The resolved
 //! [`TenantMap`] (node → tenant) is what the simulator consumes to
 //! split per-tenant statistics.
 
@@ -93,7 +93,7 @@ impl TenantSpec {
     }
 
     /// This layout with tenant `k`'s rate replaced — the sweep axis of
-    /// interference curves (vary one tenant's load, hold the others).
+    /// tenant curves (vary one tenant's load, hold the others).
     pub fn with_rate(&self, tenant: usize, rate: f64) -> Self {
         assert!(rate >= 0.0 && rate.is_finite(), "bad injection rate {rate}");
         let mut s = self.clone();
