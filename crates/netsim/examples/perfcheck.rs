@@ -1,5 +1,11 @@
 //! NPB latency matrix + sweep throughput + engine performance record.
 //!
+//! A memory section records, through a counting global allocator,
+//! the engine's heap bytes per node after construction (16×16 to 64×64)
+//! and how much an 8×8 uniform run's heap grows over 2,000 and 20,000
+//! injection cycles; it fails the run when the long run grows it more
+//! than 1.5× the short run's (engine state is bounded by live traffic).
+//!
 //! Runs NPB kernel × express span cells of the Fig. 6 grid on the
 //! active-set engine, reporting latency (mean and p50/p95/p99 tails),
 //! simulation throughput (cycles/s and Mflit-hops/s), and — unless
@@ -63,8 +69,8 @@
 
 use hyppi_netsim::json::{Json, Obj};
 use hyppi_netsim::{
-    EngineProfile, FlightRecorder, NoopProbe, ReferenceSimulator, ShardedSimulator, SimConfig,
-    SimStats, Simulator, SweepConfig, SweepRunner, TelemetryOpts,
+    EngineProfile, FlightRecorder, LatencyStats, NoopProbe, ReferenceSimulator, ShardedSimulator,
+    SimConfig, SimStats, Simulator, SweepConfig, SweepRunner, TelemetryOpts,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
@@ -74,7 +80,66 @@ use hyppi_traffic::{
     BurstSpec, NpbKernel, NpbTraceSpec, ScaledNpbSpec, SyntheticPattern, TenantSpec,
     TenantWorkload, Trace,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// Counts the process's live and peak heap bytes for the memory section.
+/// Allocation sizes are deterministic for a given run, so the counts do
+/// not depend on the host.
+struct CountingAlloc;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// the counters only observe the sizes.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+            grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Live heap bytes now, after restarting the peak count from here.
+fn heap_mark() -> usize {
+    let live = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(live, Ordering::Relaxed);
+    live
+}
 
 struct Cell {
     kernel: &'static str,
@@ -261,15 +326,50 @@ struct FaultSatPoint {
 }
 
 /// One point of the p99.9-vs-burstiness record: the 16×16 uniform cell
-/// re-run with ON/OFF modulated injection at growing peak-to-mean ratio.
+/// re-run with ON/OFF modulated injection at growing peak-to-mean ratio,
+/// merged over [`BURST_SEEDS`].
 struct BurstPoint {
     burstiness: f64,
+    /// Measured packets per node per measured cycle (single-flit packets:
+    /// flits/node/cycle), over every seed — the load the point realized.
+    offered: f64,
     mean_latency: f64,
     p99: u64,
     p999: u64,
     packets: u64,
     secs: f64,
 }
+
+/// Seeds merged into every burst point. One seed's ON/OFF realization
+/// over the short measured window can sit ~12% above its long-run mean
+/// at burstiness 8, which would mix extra load into the tail.
+const BURST_SEEDS: [u64; 3] = [11, 12, 13];
+
+/// Engine heap after construction on one mesh size.
+struct EngineBytes {
+    side: u16,
+    bytes: usize,
+}
+
+/// Peak heap growth of one short and one long run of the same point.
+struct RunGrowth {
+    shards: usize,
+    short_bytes: usize,
+    long_bytes: usize,
+}
+
+/// The memory record: engine bytes per node, and how a run's heap grows
+/// with its length.
+struct MemoryRecord {
+    engines: Vec<EngineBytes>,
+    growth: Vec<RunGrowth>,
+}
+
+/// Injection cycles of the memory section's short and long runs.
+const GROWTH_MEASURE: (u64, u64) = (2_000, 20_000);
+
+/// How much more the long run's heap may grow than the short run's.
+const GROWTH_GATE: f64 = 1.5;
 
 /// One per-tenant latency lane of the tenant record.
 struct TenantLane {
@@ -534,6 +634,7 @@ fn main() {
         println!("TOTAL: active-set {new_total:.2}s (baseline skipped)");
     }
 
+    let memory = run_memory_section();
     let sweep = run_sweep_section(quick, fast);
     let closed = run_closed_loop_section(quick, fast);
     let shard = run_shard_section(quick, shards);
@@ -761,6 +862,61 @@ fn main() {
                 .collect::<Vec<Json>>(),
         )
         .field(
+            "memory",
+            Obj::new()
+                .field(
+                    "engine",
+                    memory
+                        .engines
+                        .iter()
+                        .map(|e| {
+                            let nodes = usize::from(e.side) * usize::from(e.side);
+                            Obj::new()
+                                .field("mesh", format!("{}x{}", e.side, e.side))
+                                .field("shards", 1usize)
+                                .field("bytes", e.bytes)
+                                .field(
+                                    "bytes_per_node",
+                                    Json::fixed(e.bytes as f64 / nodes as f64, 1),
+                                )
+                                .build()
+                        })
+                        .collect::<Vec<Json>>(),
+                )
+                .field(
+                    "run_growth",
+                    Obj::new()
+                        .field("mesh", "8x8")
+                        .field("pattern", "uniform")
+                        .field("rate", Json::fixed(0.10, 3))
+                        .field("warmup", 200u64)
+                        .field("short_measure", GROWTH_MEASURE.0)
+                        .field("long_measure", GROWTH_MEASURE.1)
+                        .field("gate_ratio", Json::fixed(GROWTH_GATE, 2))
+                        .field(
+                            "cells",
+                            memory
+                                .growth
+                                .iter()
+                                .map(|g| {
+                                    Obj::new()
+                                        .field("shards", g.shards)
+                                        .field("short_bytes", g.short_bytes)
+                                        .field("long_bytes", g.long_bytes)
+                                        .field(
+                                            "ratio",
+                                            Json::fixed(
+                                                g.long_bytes as f64 / g.short_bytes as f64,
+                                                3,
+                                            ),
+                                        )
+                                        .build()
+                                })
+                                .collect::<Vec<Json>>(),
+                        ),
+                ),
+        )
+        .field(
             "burst",
             Obj::new()
                 .field("mesh", "16x16")
@@ -768,12 +924,17 @@ fn main() {
                 .field("modulator", "onoff")
                 .field("rate", Json::fixed(0.10, 3))
                 .field(
+                    "seeds",
+                    Json::Arr(BURST_SEEDS.iter().map(|&s| Json::UInt(s)).collect()),
+                )
+                .field(
                     "curve",
                     burst
                         .iter()
                         .map(|p| {
                             Obj::new()
                                 .field("burstiness", Json::fixed(p.burstiness, 1))
+                                .field("offered", Json::fixed(p.offered, 4))
                                 .field("mean_latency", Json::fixed(p.mean_latency, 4))
                                 .field("p99", p.p99)
                                 .field("p999", p.p999)
@@ -1604,6 +1765,78 @@ fn fault_sat_curve(
         .collect()
 }
 
+/// The memory section. Engine bytes per node: the heap a P=1 engine
+/// holds after construction on 16×16, 32×32 and 64×64 electronic meshes
+/// (topology and routes excluded). Run growth: the peak heap of an 8×8
+/// uniform open-loop run at 0.1 flits/node/cycle (below saturation) over
+/// its heap after construction, for `GROWTH_MEASURE` short and long
+/// injection windows at P=1 and P=4 (one worker, so allocation is
+/// deterministic). The engine's state is bounded by live traffic, so a
+/// run ten times longer must not grow the heap more than `GROWTH_GATE`
+/// times the short run's; perfcheck exits nonzero otherwise.
+fn run_memory_section() -> MemoryRecord {
+    let electronic = |side: u16| {
+        mesh(MeshSpec {
+            width: side,
+            height: side,
+            core_spacing_mm: 1.0,
+            base_tech: LinkTechnology::Electronic,
+            capacity: Gbps::new(50.0),
+        })
+    };
+    let mut engines = Vec::new();
+    for side in [16u16, 32, 64] {
+        let topo = electronic(side);
+        let routes = RoutingTable::compute_xy(&topo);
+        let before = heap_mark();
+        let sim = Simulator::new(&topo, &routes, SimConfig::paper());
+        let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+        drop(sim);
+        println!(
+            "MEMORY {side}x{side} engine: {bytes} B after construction ({:.1} B/node)",
+            bytes as f64 / (usize::from(side) * usize::from(side)) as f64
+        );
+        engines.push(EngineBytes { side, bytes });
+    }
+    let topo = electronic(8);
+    let routes = RoutingTable::compute_xy(&topo);
+    let m = SyntheticPattern::Uniform.matrix(&topo, 0.10);
+    let run_growth = |shards: usize, measure: u64| -> usize {
+        let sim = ShardedSimulator::new(
+            &topo,
+            &routes,
+            SimConfig::paper(),
+            ShardSpec::for_count(shards),
+        )
+        .with_threads(1);
+        let base = heap_mark();
+        sim.run_synthetic(&m, 200, measure, 3)
+            .expect("memory-section run completes");
+        PEAK_BYTES.load(Ordering::Relaxed) - base
+    };
+    let mut growth = Vec::new();
+    for shards in [1usize, 4] {
+        let g = RunGrowth {
+            shards,
+            short_bytes: run_growth(shards, GROWTH_MEASURE.0),
+            long_bytes: run_growth(shards, GROWTH_MEASURE.1),
+        };
+        let ratio = g.long_bytes as f64 / g.short_bytes as f64;
+        println!(
+            "MEMORY 8x8 uniform r=0.10 P={shards}: run growth {} B over {} cycles, {} B over {} ({ratio:.3}x)",
+            g.short_bytes, GROWTH_MEASURE.0, g.long_bytes, GROWTH_MEASURE.1
+        );
+        assert!(
+            ratio <= GROWTH_GATE,
+            "P={shards}: the {}-cycle run grew the heap {ratio:.2}x the {}-cycle run's (gate {GROWTH_GATE}x)",
+            GROWTH_MEASURE.1,
+            GROWTH_MEASURE.0
+        );
+        growth.push(g);
+    }
+    MemoryRecord { engines, growth }
+}
+
 fn tenant_lane_json(lane: &TenantLane) -> Json {
     Obj::new()
         .field("mean_latency", Json::fixed(lane.mean_latency, 4))
@@ -1614,12 +1847,14 @@ fn tenant_lane_json(lane: &TenantLane) -> Json {
 }
 
 /// The p99.9-vs-burstiness curve: the 16×16 uniform cell re-run with
-/// ON/OFF modulated injection at peak-to-mean ratios 1/2/4/8. The factor
-/// process is mean-one, so every point offers the same long-run load —
-/// the tail growth is pure clustering. The b=4 point is parity-asserted
-/// across all three engines (`--fast` skips the seed engine; the cheap
-/// sharded assert stays), so bursty injection is pinned on every
-/// perfcheck.
+/// ON/OFF modulated injection at peak-to-mean ratios 1/2/4/8, each point
+/// merging the latency histograms of [`BURST_SEEDS`] and recording the
+/// load it realized. The factor process is mean-one, so every point
+/// offers the same long-run load and the tail growth is clustering; the
+/// merged seeds keep one realization's excess load out of the curve. The
+/// b=4 point is parity-asserted across all three engines on seed 11
+/// (`--fast` skips the seed engine; the cheap sharded assert stays), so
+/// bursty injection is pinned on every perfcheck.
 fn run_burst_section(quick: bool, fast: bool) -> Vec<BurstPoint> {
     let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let routes = RoutingTable::compute_xy(&topo);
@@ -1635,33 +1870,45 @@ fn run_burst_section(quick: bool, fast: bool) -> Vec<BurstPoint> {
         cfg.max_cycles = 2_000_000;
         cfg.burst = BurstSpec::onoff(b);
         let t0 = Instant::now();
-        let stats = Simulator::new(&topo, &routes, cfg)
-            .run_synthetic(&m, warmup, measure, 11)
-            .expect("bursty active-set run completes");
+        let runs: Vec<SimStats> = BURST_SEEDS
+            .iter()
+            .map(|&seed| {
+                Simulator::new(&topo, &routes, cfg)
+                    .run_synthetic(&m, warmup, measure, seed)
+                    .expect("bursty active-set run completes")
+            })
+            .collect();
         let secs = t0.elapsed().as_secs_f64();
+        let stats = &runs[0];
+        let mut merged = LatencyStats::default();
+        runs.iter().for_each(|r| merged.merge(&r.all));
         if b == 4.0 {
             if !fast {
                 let reference = ReferenceSimulator::new(&topo, &routes, cfg)
                     .run_synthetic(&m, warmup, measure, 11)
                     .expect("bursty reference run completes");
-                assert_eq!(stats, reference, "bursty engine parity violated");
+                assert_eq!(*stats, reference, "bursty engine parity violated");
             }
             let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::quadrants())
                 .run_synthetic(&m, warmup, measure, 11)
                 .expect("bursty sharded run completes");
-            assert_eq!(sharded, stats, "bursty shard parity violated");
+            assert_eq!(sharded, *stats, "bursty shard parity violated");
         }
+        let window = (topo.num_nodes() as u64 * measure) as f64 * BURST_SEEDS.len() as f64;
         let point = BurstPoint {
             burstiness: b,
-            mean_latency: stats.mean_latency(),
-            p99: stats.all.p99(),
-            p999: stats.all.p999(),
-            packets: stats.all.count,
+            offered: merged.count as f64 / window,
+            mean_latency: merged.mean(),
+            p99: merged.p99(),
+            p999: merged.p999(),
+            packets: merged.count,
             secs,
         };
         println!(
-            "BURST 16x16 uniform r={rate:.2} {}: lat {:.1} clks (p99 {} p99.9 {}) | {} pkts | {:.2?}{}",
+            "BURST 16x16 uniform r={rate:.2} {} ({} seeds): offered {:.4} | lat {:.1} clks (p99 {} p99.9 {}) | {} pkts | {:.2?}{}",
             cfg.burst,
+            BURST_SEEDS.len(),
+            point.offered,
             point.mean_latency,
             point.p99,
             point.p999,

@@ -13,7 +13,8 @@ pub struct SimConfig {
     /// Router pipeline depth in cycles (Table II: 3).
     pub pipeline_stages: u64,
     /// Hard cycle cap; the simulator reports an error past this point
-    /// (guards against deadlock in misconfigured runs).
+    /// (guards against deadlock in misconfigured runs). Below 2^31: the
+    /// active engine keeps flit `ready` cycles as 32-bit words.
     pub max_cycles: u64,
     /// Closed-loop NIC window: the number of packets a source may have
     /// in the network (emitted but not yet fully ejected) before it is
@@ -68,8 +69,11 @@ impl SimConfig {
 
     /// Panics on configurations the engine cannot represent. The packed
     /// slot-metadata word gives out-VC ids 5 bits and ring positions /
-    /// queue lengths 8 bits each (see `flit::meta`), and the simulator
-    /// assumes at least one VC and one buffer slot per VC.
+    /// queue lengths 8 bits each (see `flit::meta`), a buffered flit's
+    /// `ready` cycle is a 32-bit word compared with wrapping arithmetic
+    /// (exact while it lies within 2^31 cycles of the clock, see
+    /// `flit::SlotFlit`), and the simulator assumes at least one VC and
+    /// one buffer slot per VC.
     pub fn validate(&self) {
         assert!(self.vcs >= 1, "at least one virtual channel required");
         assert!(
@@ -84,6 +88,16 @@ impl SimConfig {
             self.buffer_depth
         );
         assert!(self.pipeline_stages >= 1, "pipeline needs >= 1 stage");
+        assert!(
+            self.pipeline_stages <= u64::from(u8::MAX),
+            "pipeline depth is at most 255 stages ({} requested)",
+            self.pipeline_stages
+        );
+        assert!(
+            self.max_cycles < crate::flit::READY_SPAN,
+            "max_cycles must stay below 2^31: flit ready cycles are 32-bit words ({} requested)",
+            self.max_cycles
+        );
         assert!(
             self.max_outstanding <= u32::MAX as usize,
             "window occupancy counters are u32 ({} requested)",
@@ -127,6 +141,22 @@ mod tests {
     fn rejects_unrepresentable_window() {
         let mut c = SimConfig::paper();
         c.max_outstanding = u32::MAX as usize + 1;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "2^31")]
+    fn rejects_unrepresentable_cycle_cap() {
+        let mut c = SimConfig::paper();
+        c.max_cycles = 1 << 31;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "255 stages")]
+    fn rejects_unrepresentable_pipeline() {
+        let mut c = SimConfig::paper();
+        c.pipeline_stages = 256;
         c.validate();
     }
 

@@ -87,9 +87,12 @@
 //! manual-stepping API.
 //! `tests/shard_parity.rs` pins this on 16×16 cells across seeds ×
 //! topologies × workloads. Head flits crossing a boundary carry their
-//! packet's metadata (size, injection cycle, dateline VC class); the
-//! receiving shard mints a local packet handle and re-tags the wormhole's
-//! body flits through a per-(link, VC) remap slot.
+//! packet's record (its (origin, admission number) key, destination,
+//! size, injection cycle, dateline VC class); the receiving shard takes a
+//! handle from its recycled packet slab and re-tags the wormhole's body
+//! flits through a per-(link, VC) remap slot. A handle is freed when its
+//! packet completes or its tail leaves the shard, so engine memory is
+//! bounded by live traffic, not by run length.
 //!
 //! ## Closed-loop injection (credit-limited NICs)
 //!

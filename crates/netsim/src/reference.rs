@@ -394,6 +394,7 @@ impl<'a> ReferenceSimulator<'a> {
                 self.packets.push(PacketInfo {
                     src: e.src,
                     dst: e.dst,
+                    admission: 0,
                     inject_cycle: e.cycle,
                     flits: e.flits,
                     ejected: 0,
@@ -553,6 +554,7 @@ impl<'a> ReferenceSimulator<'a> {
                         self.packets.push(PacketInfo {
                             src: NodeId(src as u16),
                             dst,
+                            admission: 0,
                             inject_cycle: if measured { now } else { u64::MAX },
                             flits: 1,
                             ejected: 0,
@@ -1079,6 +1081,7 @@ impl<'a> ReferenceSimulator<'a> {
             .map(|p| PacketInfo {
                 src: NodeId(p.src),
                 dst: NodeId(p.dst),
+                admission: 0,
                 inject_cycle: p.inject_cycle,
                 flits: p.flits,
                 ejected: p.ejected,

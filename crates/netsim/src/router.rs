@@ -73,7 +73,7 @@ pub struct Emission {
     pub total: u32,
     /// Injection VC in use.
     pub vc: u8,
-    /// Destination (copied into each flit).
+    /// Destination (the reference engine copies it into each flit).
     pub dst: NodeId,
     /// Original injection timestamp.
     pub inject_cycle: u64,

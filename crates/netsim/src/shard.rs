@@ -75,16 +75,25 @@
 //! cycles — and W=2 measured no faster than W=1 at 64×64 on a 2-thread
 //! host, so the engine keeps the one-cycle exchange.
 //!
-//! ## Cross-shard packet identity
+//! ## Packet identity and lifetime
 //!
-//! Packet bookkeeping (`PacketInfo`, dateline `VcClass`) is shard-local.
-//! A head flit crossing a boundary carries its packet's metadata (size,
-//! injection cycle, current VC class) in the mailbox message; the
-//! receiving shard mints a fresh local packet handle and records it in a
-//! per-(link, VC) remap slot. Wormhole flow control guarantees the flits
-//! of a packet traverse a link's VC contiguously and in order, so body
-//! and tail flits are re-tagged from the same remap slot. Latency is
-//! recorded where the tail ejects, from the carried injection cycle;
+//! A packet's identity is (origin node, admission number at that origin):
+//! the owner of the origin numbers its admissions, so the key does not
+//! depend on the partition. Packet bookkeeping (`PacketInfo`, which holds
+//! the key, and the dateline `VcClass`) lives in a per-shard slab of
+//! handles with a free list. A head flit crossing a boundary carries its
+//! packet's record (key, destination, size, injection cycle, current VC
+//! class) in the mailbox message; the receiving shard takes a handle and
+//! records it in a per-(link, VC) remap slot. Wormhole flow control
+//! guarantees the flits of a packet traverse a link's VC contiguously and
+//! in order, so body and tail flits are re-tagged from the same remap
+//! slot. A handle is freed when its packet completes at the destination
+//! shard, or when its tail leaves the shard through a boundary link: the
+//! tail is the last flit of its packet to pass any point of the route.
+//! So a shard holds one handle per visit of a live packet's route (an
+//! express dip or an up*/down* detour may leave a shard and come back),
+//! and its table never grows past its peak count of live handles. Latency is recorded
+//! where the tail ejects, from the carried injection cycle;
 //! [`crate::stats::LatencyStats`] merging is commutative, so the merged
 //! histogram equals the single-shard one exactly.
 //!
@@ -121,7 +130,7 @@
 //! without a central coordinator.
 
 use crate::config::SimConfig;
-use crate::flit::{meta, Flit, PacketInfo};
+use crate::flit::{meta, PacketInfo, SlotFlit, READY_SPAN};
 use crate::router::{Emission, NodeState};
 use crate::sim::{rescan_trace_cursor, RunOutcome, SimError};
 use crate::snapshot::{
@@ -151,7 +160,7 @@ pub(crate) enum VcClass {
 }
 
 /// One booked link arrival: (link, destination VC, flit).
-pub(crate) type ArrivalEvent = (u32, u8, Flit);
+pub(crate) type ArrivalEvent = (u32, u8, SlotFlit);
 
 /// One lazily-normalized credit counter for a downstream (link, VC)
 /// buffer. Credits freed during cycle `t` must not be spendable until
@@ -526,27 +535,23 @@ impl<'a> EnginePlan<'a> {
 // ---- mailboxes ----------------------------------------------------------
 
 /// One boundary-crossing flit: the wire-level event plus, for head flits,
-/// the packet metadata the receiving shard needs to mint a local handle.
+/// the packet record the receiving shard needs to take a local handle.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BoundaryFlit {
     /// Link being traversed.
     pub link: u32,
     /// Destination VC at the receiving router.
     pub vc: u8,
-    /// Absolute arrival cycle (`send cycle + link latency`).
-    pub arrive: u64,
-    /// The flit; its `packet` id is sender-local and is re-mapped on
-    /// ingest.
-    pub flit: Flit,
+    pub is_head: bool,
+    pub is_tail: bool,
     /// Packet dateline class at send time (meaningful for heads).
     pub class: VcClass,
-    /// Packet size in flits (meaningful for heads).
-    pub flits: u32,
-    /// Packet injection cycle, `u64::MAX` if unmeasured (heads only).
-    pub inject_cycle: u64,
-    /// Node that originally injected the packet (heads only) — the
-    /// destination shard returns the closed-loop source credit here.
-    pub origin: NodeId,
+    /// Absolute arrival cycle (`send cycle + link latency`).
+    pub arrive: u64,
+    /// The packet's record (meaningful for heads): its key, its
+    /// destination, and its origin `src`, where the destination shard
+    /// returns the closed-loop source credit. Nothing has ejected yet.
+    pub packet: PacketInfo,
 }
 
 /// The messages one shard sends another during one superstep.
@@ -636,7 +641,7 @@ pub(crate) struct ShardState {
     /// one word (see [`meta`]).
     slot_meta: Vec<u32>,
     /// Flit slab: `ring` contiguous entries per slot.
-    flit_buf: Vec<Flit>,
+    flit_buf: Vec<SlotFlit>,
     /// Ring stride of `flit_buf` (power of two ≥ `depth`).
     ring: usize,
     /// `ring - 1`, for masked wrap-around.
@@ -706,16 +711,15 @@ pub(crate) struct ShardState {
     /// otherwise). Only read by snapshot export, for the corner where an
     /// active slot's buffered flits have all been forwarded.
     active_pid: Vec<u32>,
-    // --- packet bookkeeping (shard-local handles) ---
+    // --- packet bookkeeping (a slab of shard-local handles) ---
+    /// Packet record per handle; `flits == 0` marks a free handle.
     packets: Vec<PacketInfo>,
-    /// Dateline class per local packet handle.
+    /// Dateline class per handle.
     class_of: Vec<VcClass>,
-    /// Provenance per local packet handle: `(u16::MAX, _)` for packets
-    /// admitted at an owned NIC, `(sender shard, sender-local pid)` for
-    /// handles minted when a boundary head was ingested. Snapshot export
-    /// chains these to resolve the one global packet each per-shard
-    /// handle is a segment of.
-    import_of: Vec<(u16, u32)>,
+    /// Free handles, reused before the slab grows (see [`Self::alloc`]).
+    free: Vec<u32>,
+    /// Next admission number per local node (its packets' key half).
+    next_admission: Vec<u32>,
     /// In-transit wormhole remap per `link * vcs + vc`: the local handle
     /// body/tail flits arriving on that channel belong to. Written when a
     /// boundary head is ingested.
@@ -864,13 +868,7 @@ impl ShardState {
             })
             .collect();
         let ring = cfg.buffer_depth.next_power_of_two();
-        let filler = Flit {
-            packet: u32::MAX,
-            dst: NodeId(0),
-            is_head: false,
-            is_tail: false,
-            ready: 0,
-        };
+        let filler = SlotFlit::new(0, false, false, 0);
         let mask_words = nodes.len().div_ceil(64).max(1);
         let n_local = nodes.len();
         let shards = plan.partition.num_shards();
@@ -908,7 +906,8 @@ impl ShardState {
             active_pid: vec![u32::MAX; total_slots],
             packets: Vec::new(),
             class_of: Vec::new(),
-            import_of: Vec::new(),
+            free: Vec::new(),
+            next_admission: vec![0; n_local],
             remap: vec![u32::MAX; topo.links().len() * cfg.vcs],
             outbox: (0..shards).map(|_| OutBundle::default()).collect(),
             outstanding: vec![0; n_local],
@@ -1008,12 +1007,12 @@ impl ShardState {
     /// RC-dirty when `f` lands at the head of an idle VC (then it is a
     /// fresh head flit by the VC-allocation contract).
     #[inline]
-    fn push_flit(&mut self, node: usize, slot: usize, f: Flit) {
+    fn push_flit(&mut self, node: usize, slot: usize, f: SlotFlit) {
         let m = self.slot_meta[slot];
         let len = meta::len(m);
         debug_assert!(len < self.depth, "VC overflow (credit leak)");
         if len == 0 && meta::tag(m) == meta::IDLE {
-            debug_assert!(f.is_head, "flit entering an idle empty VC must be a head");
+            debug_assert!(f.is_head(), "flit entering an idle empty VC must be a head");
             self.rc_dirty.push(slot as u32);
         }
         let pos = (meta::head(m) + len) & self.ring_mask;
@@ -1024,7 +1023,7 @@ impl ShardState {
     }
 
     #[inline]
-    fn front_flit(&self, slot: usize) -> Option<&Flit> {
+    fn front_flit(&self, slot: usize) -> Option<&SlotFlit> {
         let m = self.slot_meta[slot];
         if meta::len(m) == 0 {
             None
@@ -1046,7 +1045,7 @@ impl ShardState {
     /// Pops the head flit of a slot whose metadata word `m` the caller
     /// already holds (saves the reload on the traversal winner path).
     #[inline]
-    fn pop_flit_meta(&mut self, slot: usize, m: u32) -> Flit {
+    fn pop_flit_meta(&mut self, slot: usize, m: u32) -> SlotFlit {
         debug_assert_eq!(m, self.slot_meta[slot], "stale metadata word");
         debug_assert!(meta::len(m) > 0, "pop from empty VC");
         let head = meta::head(m);
@@ -1072,16 +1071,19 @@ impl ShardState {
             self.id,
             "admission to a node this shard does not own"
         );
-        let pid = self.packets.len() as u32;
-        self.packets.push(PacketInfo {
-            src,
-            dst,
-            inject_cycle,
-            flits,
-            ejected: 0,
-        });
-        self.class_of.push(VcClass::A);
-        self.import_of.push((u16::MAX, 0));
+        let admission = self.next_admission[local];
+        self.next_admission[local] = admission.wrapping_add(1);
+        let pid = self.alloc(
+            PacketInfo {
+                src,
+                dst,
+                admission,
+                inject_cycle,
+                flits,
+                ejected: 0,
+            },
+            VcClass::A,
+        );
         self.nodes[local].src_queue.push_back(pid);
         self.pending_sources += 1;
         self.origin_packets += 1;
@@ -1092,6 +1094,41 @@ impl ShardState {
             self.stats.peak_backlog[src.index()] = backlog;
         }
         self.set_src(local);
+    }
+
+    /// Takes a handle for a packet entering this shard (admitted at an
+    /// owned NIC, or its head ingested from a boundary link), reusing the
+    /// most recently freed one before growing the slab.
+    fn alloc(&mut self, info: PacketInfo, class: VcClass) -> u32 {
+        debug_assert!(info.flits > 0, "a packet has at least one flit");
+        if let Some(h) = self.free.pop() {
+            self.packets[h as usize] = info;
+            self.class_of[h as usize] = class;
+            return h;
+        }
+        let h = self.packets.len() as u32;
+        assert!(
+            h <= SlotFlit::MAX_HANDLE,
+            "packet handles are 30 bits: more than 2^30 live packets in shard {}",
+            self.id
+        );
+        self.packets.push(info);
+        self.class_of.push(class);
+        h
+    }
+
+    /// Frees a handle once no flit of it can still be in or reach this
+    /// shard: its packet completed here, or its tail left through a
+    /// boundary link.
+    fn release(&mut self, h: usize) {
+        self.packets[h].flits = 0;
+        self.free.push(h as u32);
+    }
+
+    /// Live handles (packet-table slots not on the free list).
+    #[cfg(test)]
+    fn live_handles(&self) -> usize {
+        self.packets.len() - self.free.len()
     }
 
     /// Applies one closed-loop source credit to an owned node: a packet
@@ -1153,9 +1190,7 @@ impl ShardState {
         for (lid, vc, flit) in events.drain(..) {
             let node = usize::from(self.arrive_node_of_link[lid as usize]);
             let slot = self.arrive_slot_of_link[lid as usize] as usize + usize::from(vc);
-            let mut f = flit;
-            f.ready = ready;
-            self.push_flit(node, slot, f);
+            self.push_flit(node, slot, flit.with_ready(ready));
         }
         // Hand the bucket's allocation back for reuse.
         self.wheel[bucket] = events;
@@ -1231,15 +1266,11 @@ impl ShardState {
                 if let Some(mut em) = self.nodes[node].emitting {
                     let slot = self.ctl[node].vc_base as usize + usize::from(em.vc);
                     if meta::len(self.slot_meta[slot]) < plan.cfg.buffer_depth {
-                        let flit = Flit {
-                            packet: em.packet,
-                            dst: em.dst,
-                            is_head: em.emitted == 0,
-                            is_tail: em.emitted + 1 == em.total,
-                            ready: now + dwell,
-                        };
+                        let head = em.emitted == 0;
+                        let flit =
+                            SlotFlit::new(em.packet, head, em.emitted + 1 == em.total, now + dwell);
                         self.push_flit(node, slot, flit);
-                        if P::ENABLED && flit.is_head {
+                        if P::ENABLED && head {
                             probe.on_inject(
                                 PacketKey {
                                     src: NodeId(self.global_of_node[node]),
@@ -1287,14 +1318,15 @@ impl ShardState {
             let m = self.slot_meta[slot];
             debug_assert_eq!(meta::tag(m), meta::IDLE, "dirty slot must be idle");
             debug_assert!(meta::len(m) > 0, "dirty slot has a queued head");
-            let head = &self.flit_buf[slot * self.ring + meta::head(m)];
-            debug_assert!(head.is_head, "queue head after Idle must be a head flit");
+            let head = self.flit_buf[slot * self.ring + meta::head(m)];
+            debug_assert!(head.is_head(), "queue head after Idle must be a head flit");
             let node = usize::from(self.node_of_slot[slot]);
             // The table stores router out-ports; 0 (no next hop: the
             // packet is home) ejects.
-            let out_port = plan
-                .routes
-                .next_port(NodeId(self.global_of_node[node]), head.dst);
+            let out_port = plan.routes.next_port(
+                NodeId(self.global_of_node[node]),
+                self.packets[head.packet()].dst,
+            );
             let idx = slot - self.ctl[node].vc_base as usize;
             self.slot_meta[slot] =
                 (m & meta::STATE_CLEAR) | meta::ROUTED | (u32::from(out_port) << meta::PORT_SHIFT);
@@ -1358,7 +1390,7 @@ impl ShardState {
                             // bitmask: lowest set bit = the VC the range
                             // scan would have found.
                             let open = if plan.dateline {
-                                let class = self.class_of[self.flit_buf[head].packet as usize];
+                                let class = self.class_of[self.flit_buf[head].packet()];
                                 plan.class_mask(class, degraded)
                             } else {
                                 classless_open
@@ -1366,10 +1398,10 @@ impl ShardState {
                             let free = !self.holder_mask[pb + p] & open;
                             if free != 0 {
                                 // Only a grant needs the packet id.
-                                let head_packet = self.flit_buf[head].packet;
+                                let head_packet = self.flit_buf[head].packet();
                                 let ovc = free.trailing_zeros() as usize;
                                 if P::ENABLED {
-                                    let info = &self.packets[head_packet as usize];
+                                    let info = &self.packets[head_packet];
                                     probe.on_vc_alloc(
                                         PacketKey {
                                             src: info.src,
@@ -1381,7 +1413,7 @@ impl ShardState {
                                     );
                                 }
                                 self.holder_mask[pb + p] |= 1 << ovc;
-                                self.active_pid[base + idx] = head_packet;
+                                self.active_pid[base + idx] = head_packet as u32;
                                 self.slot_meta[base + idx] = (m & meta::STATE_CLEAR)
                                     | meta::ACTIVE
                                     | ((p as u32) << meta::PORT_SHIFT)
@@ -1441,8 +1473,7 @@ impl ShardState {
                             // forwarded (body flits still in transit).
                             continue;
                         }
-                        let ready = self.flit_buf[(base + idx) * self.ring + meta::head(m)].ready;
-                        if ready > now {
+                        if self.flit_buf[(base + idx) * self.ring + meta::head(m)].waits(now) {
                             continue;
                         }
                         let out_vc = meta::out_vc(m);
@@ -1494,9 +1525,9 @@ impl ShardState {
                         self.set_src(node);
                     }
 
+                    let pid = flit.packet();
                     if p == 0 {
                         // Ejection.
-                        let pid = flit.packet as usize;
                         self.packets[pid].ejected += 1;
                         self.stats.flits_delivered += 1;
                         let accepted = now >= self.accept_from && now < self.accept_until;
@@ -1550,12 +1581,12 @@ impl ShardState {
                                     self.outbox[owner].src_credits.push(info.src.0);
                                 }
                             }
+                            self.release(pid);
                         }
                     } else {
                         let lid = opi.link as usize;
                         self.credits[lid * vcs + usize::from(out_vc)].take(now);
-                        let pid = flit.packet as usize;
-                        if P::ENABLED && flit.is_head {
+                        if P::ENABLED && flit.is_head() {
                             let info = &self.packets[pid];
                             probe.on_hop(
                                 PacketKey {
@@ -1592,28 +1623,28 @@ impl ShardState {
                                 let dst = usize::from(self.arrive_node_of_link[lid]);
                                 let slot =
                                     self.arrive_slot_of_link[lid] as usize + usize::from(out_vc);
-                                let mut f = flit;
-                                f.ready = now + 2 + dwell;
-                                self.push_flit(dst, slot, f);
+                                self.push_flit(dst, slot, flit.with_ready(now + 2 + dwell));
                             } else {
                                 self.wheel_push(arrive, (opi.link, out_vc, flit));
                             }
                         } else {
-                            let info = &self.packets[pid];
                             self.outbox[target].flits.push(BoundaryFlit {
                                 link: lid as u32,
                                 vc: out_vc,
-                                arrive,
-                                flit,
+                                is_head: flit.is_head(),
+                                is_tail: flit.is_tail(),
                                 class: self.class_of[pid],
-                                flits: info.flits,
-                                inject_cycle: info.inject_cycle,
-                                origin: info.src,
+                                arrive,
+                                packet: self.packets[pid],
                             });
+                            // The tail is the packet's last flit here.
+                            if flit.is_tail() {
+                                self.release(pid);
+                            }
                         }
                     }
 
-                    if flit.is_tail {
+                    if flit.is_tail() {
                         self.holder_mask[pb + p] &= !(1 << out_vc);
                         let m = self.slot_meta[base + idx] & meta::STATE_CLEAR;
                         self.slot_meta[base + idx] = m; // back to Idle
@@ -1651,12 +1682,12 @@ impl ShardState {
     }
 
     /// Ingests one incoming bundle: applies boundary credits and books
-    /// boundary flits into the local calendar wheel, minting local packet
+    /// boundary flits into the local calendar wheel, taking local packet
     /// handles for arriving heads (the exchange phase). `now` is the
     /// superstep being exchanged: mailbox credits land in the pending
     /// half of their [`CreditCell`] with this stamp, giving them the
     /// same next-cycle visibility as locally freed credits.
-    fn ingest(&mut self, plan: &EnginePlan<'_>, from: u16, bundle: &mut OutBundle, now: u64) {
+    fn ingest(&mut self, plan: &EnginePlan<'_>, bundle: &mut OutBundle, now: u64) {
         for idx in bundle.credits.drain(..) {
             self.credits[idx as usize].free(now);
         }
@@ -1666,25 +1697,14 @@ impl ShardState {
         let vcs = plan.cfg.vcs;
         for m in bundle.flits.drain(..) {
             let key = m.link as usize * vcs + usize::from(m.vc);
-            if m.flit.is_head {
-                let pid = self.packets.len() as u32;
-                self.packets.push(PacketInfo {
-                    // The *origin* node, not the boundary link's source:
-                    // the closed-loop credit goes back to the NIC that
-                    // emitted the packet, however many shards away.
-                    src: m.origin,
-                    dst: m.flit.dst,
-                    inject_cycle: m.inject_cycle,
-                    flits: m.flits,
-                    ejected: 0,
-                });
-                self.class_of.push(m.class);
-                self.import_of.push((from, m.flit.packet));
-                self.remap[key] = pid;
+            if m.is_head {
+                // The record keeps the *origin* node, not the boundary
+                // link's source: the closed-loop credit goes back to the
+                // NIC that emitted the packet, however many shards away.
+                self.remap[key] = self.alloc(m.packet, m.class);
             }
             debug_assert_ne!(self.remap[key], u32::MAX, "body flit without a head");
-            let mut f = m.flit;
-            f.packet = self.remap[key];
+            let f = SlotFlit::new(self.remap[key], m.is_head, m.is_tail, 0);
             self.wheel_push(m.arrive, (m.link, m.vc, f));
         }
     }
@@ -1716,7 +1736,7 @@ impl ShardState {
                     now,
                 );
             }
-            self.ingest(plan, from, &mut scratch, now);
+            self.ingest(plan, &mut scratch, now);
             // Return the drained allocation for the sender to reuse.
             let mut cell = shared.mail[usize::from(from)][self.id]
                 .lock()
@@ -1790,7 +1810,7 @@ impl ShardState {
                         let head = self.front_flit(slot).expect("nonempty");
                         let pb = self.ctl[node].port_base as usize;
                         let open = plan.class_mask(
-                            self.class_of[head.packet as usize],
+                            self.class_of[head.packet()],
                             self.out_port_info[pb + out_port].degraded,
                         );
                         let lid = st.out_links[out_port - 1].index();
@@ -1900,7 +1920,7 @@ impl ShardState {
                                 out_port,
                                 out_vc,
                                 self.credits[lid.index() * vcs + out_vc].peek(now),
-                                head.ready
+                                head.ready_at(now)
                             )
                         }
                     }
@@ -1909,9 +1929,9 @@ impl ShardState {
                     "cycle {now} node {} in{in_port}.vc{in_vc} q={} pkt{} class={:?} dst={} {}",
                     st.node.0,
                     meta::len(m),
-                    head.packet,
-                    self.class_of[head.packet as usize],
-                    head.dst.0,
+                    head.packet(),
+                    self.class_of[head.packet()],
+                    self.packets[head.packet()].dst.0,
                     reason
                 );
                 lines += 1;
@@ -2425,7 +2445,7 @@ pub(crate) fn merge_stats(plan: &EnginePlan<'_>, shards: &[ShardState], cycles: 
 /// whose route crosses an express link. The order matters: a packet's
 /// class only ever moves forward (A → B on the first express
 /// traversal), so the canonical class of a packet split across
-/// per-shard handles is the numeric maximum over its chain.
+/// per-shard handles is the numeric maximum over its handles.
 #[inline]
 fn class_to_u8(c: VcClass) -> u8 {
     match c {
@@ -2446,12 +2466,16 @@ fn class_from_u8(v: u8) -> VcClass {
 /// `cursor.now` (cycles `0..now` simulated, `now` not yet) into the
 /// partition-independent [`GlobalState`].
 ///
-/// Per-shard packet handles are resolved to global packets by chaining
-/// each handle's provenance (`import_of`) back to its admission-minted
-/// root; completed chains are dropped — they survive through the merged
-/// statistics and the completion counters. The latency-1 wheel bypass is
-/// undone: a buffered flit stamped `now + 1 + dwell` can only have been
-/// pushed by the bypass during the last simulated cycle (normal
+/// A packet may hold a handle in each shard its route visits; the
+/// handles of one packet share its key (origin, admission number). They
+/// merge into one packet-table entry — ejections happen at one handle
+/// only (the destination's) and the dateline class only moves forward,
+/// so the sum and the maximum are the packet's values — and the table
+/// lists live packets in key order, which does not depend on the
+/// partition. Completed packets hold no handle: they survive through the
+/// merged statistics and the completion counters. The latency-1 wheel
+/// bypass is undone: a buffered flit stamped `now + 1 + dwell` can only
+/// have been pushed by the bypass during the last simulated cycle (normal
 /// deliveries and emissions stamp at most `now + dwell`), so it is
 /// exported as still in flight on its link with arrival cycle `now`,
 /// which is exactly where a calendar-only engine would hold it.
@@ -2464,68 +2488,49 @@ pub(crate) fn export_shards(
     let vcs = plan.cfg.vcs;
     let dwell = plan.cfg.pipeline_dwell();
 
-    // --- resolve per-shard packet handles to global packets ---
-    // Handle index = noff[shard] + shard-local pid.
-    let mut noff = Vec::with_capacity(shards.len());
-    let mut total = 0usize;
-    for s in shards {
-        noff.push(total);
-        total += s.packets.len();
-    }
-    let mut parent = vec![u32::MAX; total];
+    // --- number live packets in key order, merging their handles ---
+    let mut live: Vec<(u64, u16, u32)> = Vec::new();
     for (sid, s) in shards.iter().enumerate() {
-        for (p, &(from, fpid)) in s.import_of.iter().enumerate() {
-            if from != u16::MAX {
-                parent[noff[sid] + p] = (noff[usize::from(from)] + fpid as usize) as u32;
+        for (h, info) in s.packets.iter().enumerate() {
+            if info.flits != 0 {
+                live.push((info.key(), sid as u16, h as u32));
             }
         }
     }
-    let root_of = |mut h: usize| -> usize {
-        while parent[h] != u32::MAX {
-            h = parent[h] as usize;
-        }
-        h
-    };
-    // Aggregate per chain: ejections happen at exactly one handle (the
-    // destination shard's) and the dateline class only moves forward, so
-    // sum and max are the canonical global values.
-    let mut agg_ejected = vec![0u32; total];
-    let mut agg_class = vec![0u8; total];
-    for (sid, s) in shards.iter().enumerate() {
-        for p in 0..s.packets.len() {
-            let r = root_of(noff[sid] + p);
-            agg_ejected[r] += s.packets[p].ejected;
-            agg_class[r] = agg_class[r].max(class_to_u8(s.class_of[p]));
-        }
-    }
-    // Number the live roots in (shard, pid) scan order.
-    let mut gpid_of = vec![u32::MAX; total];
-    let mut packets = Vec::new();
-    for (sid, s) in shards.iter().enumerate() {
-        for (p, info) in s.packets.iter().enumerate() {
-            let h = noff[sid] + p;
-            if parent[h] != u32::MAX || agg_ejected[h] >= info.flits {
-                continue; // segment handle, or a completed packet
-            }
-            gpid_of[h] = packets.len() as u32;
+    live.sort_unstable();
+    let mut gpid_of: Vec<Vec<u32>> = shards
+        .iter()
+        .map(|s| vec![u32::MAX; s.packets.len()])
+        .collect();
+    let mut packets: Vec<PacketImage> = Vec::new();
+    let mut last_key = None;
+    for &(key, sid, h) in &live {
+        let s = &shards[usize::from(sid)];
+        let info = &s.packets[h as usize];
+        if last_key != Some(key) {
+            last_key = Some(key);
             packets.push(PacketImage {
                 src: info.src.0,
                 dst: info.dst.0,
                 inject_cycle: info.inject_cycle,
                 flits: info.flits,
-                ejected: agg_ejected[h],
-                class: agg_class[h],
+                ejected: 0,
+                class: 0,
             });
         }
+        let img = packets.last_mut().expect("pushed above");
+        debug_assert_eq!(
+            (img.dst, img.inject_cycle, img.flits),
+            (info.dst.0, info.inject_cycle, info.flits),
+            "handles of one packet disagree"
+        );
+        img.ejected += info.ejected;
+        img.class = img.class.max(class_to_u8(s.class_of[h as usize]));
+        gpid_of[usize::from(sid)][h as usize] = packets.len() as u32 - 1;
     }
-    // Propagate each root's number down its chain (roots map to
-    // themselves; segments read their root's entry).
-    for h in 0..total {
-        gpid_of[h] = gpid_of[root_of(h)];
-    }
-    let map = |sid: usize, pid: u32| -> u32 {
-        let g = gpid_of[noff[sid] + pid as usize];
-        debug_assert_ne!(g, u32::MAX, "live state references a completed packet");
+    let map = |sid: usize, pid: usize| -> u32 {
+        let g = gpid_of[sid][pid];
+        debug_assert_ne!(g, u32::MAX, "live state references a freed handle");
         g
     };
 
@@ -2552,11 +2557,11 @@ pub(crate) fn export_shards(
             for k in 0..len {
                 let f = s.flit_buf[slot * s.ring + ((head + k) & s.ring_mask)];
                 queue.push(FlitImage {
-                    packet: map(sid, f.packet),
-                    dst: f.dst.0,
-                    is_head: f.is_head,
-                    is_tail: f.is_tail,
-                    ready: f.ready,
+                    packet: map(sid, f.packet()),
+                    dst: s.packets[f.packet()].dst.0,
+                    is_head: f.is_head(),
+                    is_tail: f.is_tail(),
+                    ready: f.ready_at(now),
                 });
             }
             let in_port = idx / vcs;
@@ -2584,7 +2589,7 @@ pub(crate) fn export_shards(
                 out_port: meta::out_port(m) as u8,
                 out_vc: meta::out_vc(m) as u8,
                 active_pid: if meta::tag(m) == meta::ACTIVE {
-                    map(sid, s.active_pid[slot])
+                    map(sid, s.active_pid[slot] as usize)
                 } else {
                     u32::MAX
                 },
@@ -2593,9 +2598,9 @@ pub(crate) fn export_shards(
         }
         nodes.push(NodeImage {
             slots,
-            src_queue: st.src_queue.iter().map(|&p| map(sid, p)).collect(),
+            src_queue: st.src_queue.iter().map(|&p| map(sid, p as usize)).collect(),
             emitting: st.emitting.map(|em| EmissionImage {
-                packet: map(sid, em.packet),
+                packet: map(sid, em.packet as usize),
                 emitted: em.emitted,
                 total: em.total,
                 vc: em.vc,
@@ -2624,10 +2629,10 @@ pub(crate) fn export_shards(
                     arrive,
                     vc,
                     flit: FlitImage {
-                        packet: map(sid, f.packet),
-                        dst: f.dst.0,
-                        is_head: f.is_head,
-                        is_tail: f.is_tail,
+                        packet: map(sid, f.packet()),
+                        dst: s.packets[f.packet()].dst.0,
+                        is_head: f.is_head(),
+                        is_tail: f.is_tail(),
                         ready: 0,
                     },
                 });
@@ -2679,47 +2684,97 @@ pub(crate) fn snapshot_shards(
     Snapshot::encode(&gs, plan_hash, workload_hash)
 }
 
-/// Lazy per-(shard, global packet) handle minting during import. Each
-/// shard that holds any piece of a packet gets exactly one local handle;
-/// the handles are chained through `import_of` (in minting order) so a
-/// later re-export resolves them back to one global packet.
+/// Handle minting during import. The live engine holds one handle per
+/// visit of a packet's route to a shard — admission takes the first, and
+/// every boundary head ingest one more (an express dip or an up*/down*
+/// detour may leave a shard and come back) — and frees each when the
+/// packet's tail leaves that visit. Import mints the same: one handle per
+/// (packet, visit), where the visit of a node on the route is the number
+/// of shard changes between the packet's source and it ([`route_visit`]).
 struct Minter {
-    /// `local_of[shard][gpid]`: the minted local pid, `u32::MAX` if none.
-    local_of: Vec<Vec<u32>>,
-    /// Chain tail per global packet (`u16::MAX` = no handle yet).
-    last: Vec<(u16, u32)>,
-    /// Shard owning each packet's destination node — the one handle that
-    /// carries the ejection count (counting it anywhere else would
-    /// double-count on re-export).
-    dst_shard: Vec<u16>,
+    /// Admission number of each packet: its rank among its origin's
+    /// packets in table order (export lists them in admission order).
+    admission: Vec<u32>,
+    /// Handles minted so far, by (packet, visit).
+    handle: HashMap<(u32, u32), u32>,
+    /// Whether a handle at each packet's destination node was minted: the
+    /// one that carries the ejection count.
+    at_dst: Vec<bool>,
 }
 
 impl Minter {
-    fn mint(&mut self, s: &mut ShardState, gs: &GlobalState, gpid: u32) -> u32 {
-        let g = gpid as usize;
-        let have = self.local_of[s.id][g];
-        if have != u32::MAX {
-            return have;
+    /// Numbers `gs`'s packets and continues each origin's admission
+    /// numbering in `shards` after its live packets.
+    fn new(plan: &EnginePlan<'_>, gs: &GlobalState, shards: &mut [ShardState]) -> Self {
+        let part = &plan.partition;
+        let admission = gs
+            .packets
+            .iter()
+            .map(|p| {
+                let g = usize::from(p.src);
+                let s = &mut shards[usize::from(part.shard_of_node[g])];
+                let next = &mut s.next_admission[part.local_of_node[g] as usize];
+                *next += 1;
+                *next - 1
+            })
+            .collect();
+        Minter {
+            admission,
+            handle: HashMap::new(),
+            at_dst: vec![false; gs.packets.len()],
         }
-        let img = &gs.packets[g];
-        let pid = s.packets.len() as u32;
-        s.packets.push(PacketInfo {
-            src: NodeId(img.src),
-            dst: NodeId(img.dst),
-            inject_cycle: img.inject_cycle,
-            flits: img.flits,
-            ejected: if usize::from(self.dst_shard[g]) == s.id {
-                img.ejected
-            } else {
-                0
-            },
-        });
-        s.class_of.push(class_from_u8(img.class));
-        s.import_of.push(self.last[g]);
-        self.last[g] = (s.id as u16, pid);
-        self.local_of[s.id][g] = pid;
-        pid
     }
+
+    /// The handle of packet `gpid` at node `at` in `s`, the shard owning
+    /// `at`; `Corrupt` when `at` is not on the packet's route.
+    fn mint(
+        &mut self,
+        plan: &EnginePlan<'_>,
+        s: &mut ShardState,
+        gs: &GlobalState,
+        gpid: u32,
+        at: NodeId,
+    ) -> Result<u32, SnapshotError> {
+        let g = gpid as usize;
+        let img = &gs.packets[g];
+        let visit = route_visit(plan, img, at).ok_or(SnapshotError::Corrupt)?;
+        let h = *self.handle.entry((gpid, visit)).or_insert_with(|| {
+            let info = PacketInfo {
+                src: NodeId(img.src),
+                dst: NodeId(img.dst),
+                admission: self.admission[g],
+                inject_cycle: img.inject_cycle,
+                flits: img.flits,
+                ejected: 0,
+            };
+            s.alloc(info, class_from_u8(img.class))
+        });
+        if at.0 == img.dst {
+            s.packets[h as usize].ejected = img.ejected;
+            self.at_dst[g] = true;
+        }
+        Ok(h)
+    }
+}
+
+/// The visit of node `at` on the route of packet `img`: the number of
+/// shard changes between the packet's source and `at`. `None` when the
+/// route does not pass `at`.
+fn route_visit(plan: &EnginePlan<'_>, img: &PacketImage, at: NodeId) -> Option<u32> {
+    let shard = &plan.partition.shard_of_node;
+    let dst = NodeId(img.dst);
+    let mut n = NodeId(img.src);
+    let mut visit = 0;
+    // A route passes each node at most once.
+    for _ in 0..plan.topo.num_nodes() {
+        if n == at {
+            return Some(visit);
+        }
+        let next = plan.topo.link(plan.routes.next_link(n, dst)?).dst;
+        visit += u32::from(shard[next.index()] != shard[n.index()]);
+        n = next;
+    }
+    None
 }
 
 /// Rebuilds per-shard engine state from a decoded snapshot under `plan`
@@ -2745,15 +2800,7 @@ pub(crate) fn import_shards(
     gs.check_packets(plan.cfg.max_outstanding)?;
     let nshards = plan.partition.num_shards();
     let mut shards: Vec<ShardState> = (0..nshards).map(|id| ShardState::new(plan, id)).collect();
-    let mut minter = Minter {
-        local_of: vec![vec![u32::MAX; gs.packets.len()]; nshards],
-        last: vec![(u16::MAX, 0); gs.packets.len()],
-        dst_shard: gs
-            .packets
-            .iter()
-            .map(|p| plan.partition.shard_of_node[usize::from(p.dst)])
-            .collect(),
-    };
+    let mut minter = Minter::new(plan, gs, &mut shards);
 
     // --- per-node state ---
     for (g, n) in gs.nodes.iter().enumerate() {
@@ -2786,14 +2833,12 @@ pub(crate) fn import_shards(
                 return Err(SnapshotError::Corrupt);
             }
             for (k, f) in img.queue.iter().enumerate() {
-                let pid = minter.mint(s, gs, f.packet);
-                s.flit_buf[slot * s.ring + k] = Flit {
-                    packet: pid,
-                    dst: NodeId(f.dst),
-                    is_head: f.is_head,
-                    is_tail: f.is_tail,
-                    ready: f.ready,
-                };
+                // Ready cycles are compared in 32 bits (`SlotFlit`).
+                if f.ready.abs_diff(gs.now) >= READY_SPAN {
+                    return Err(SnapshotError::Corrupt);
+                }
+                let pid = minter.mint(plan, s, gs, f.packet, NodeId(g as u16))?;
+                s.flit_buf[slot * s.ring + k] = SlotFlit::new(pid, f.is_head, f.is_tail, f.ready);
             }
             // Ring cursor normalized to head = 0.
             s.slot_meta[slot] = u32::from(img.tag)
@@ -2813,8 +2858,8 @@ pub(crate) fn import_shards(
                     s.active_mask[pb + p] |= 1 << idx;
                     s.ctl[local].active_ports |= 1 << p;
                     s.holder_mask[pb + p] |= 1 << img.out_vc;
-                    let pid = minter.mint(s, gs, img.active_pid);
-                    s.active_pid[slot] = pid;
+                    s.active_pid[slot] =
+                        minter.mint(plan, s, gs, img.active_pid, NodeId(g as u16))?;
                 }
                 _ => {
                     if len > 0 {
@@ -2840,12 +2885,12 @@ pub(crate) fn import_shards(
             s.sa_rr[pb + p] = n.sa_rr[p] as u8;
         }
         for &gpid in &n.src_queue {
-            let pid = minter.mint(s, gs, gpid);
+            let pid = minter.mint(plan, s, gs, gpid, NodeId(g as u16))?;
             s.nodes[local].src_queue.push_back(pid);
         }
         s.pending_sources += n.src_queue.len() as u64;
         if let Some(em) = &n.emitting {
-            let pid = minter.mint(s, gs, em.packet);
+            let pid = minter.mint(plan, s, gs, em.packet, NodeId(g as u16))?;
             s.nodes[local].emitting = Some(Emission {
                 packet: pid,
                 emitted: em.emitted,
@@ -2869,25 +2914,14 @@ pub(crate) fn import_shards(
     for (lid, evs) in gs.links.iter().enumerate() {
         let sid = usize::from(plan.partition.link_dst_shard[lid]);
         let s = &mut shards[sid];
+        let to = plan.topo.link(LinkId(lid as u32)).dst;
         for ev in evs {
             if ev.arrive - gs.now >= plan.wheel_len as u64 {
                 return Err(SnapshotError::Corrupt);
             }
-            let pid = minter.mint(s, gs, ev.flit.packet);
-            s.wheel_push(
-                ev.arrive,
-                (
-                    lid as u32,
-                    ev.vc,
-                    Flit {
-                        packet: pid,
-                        dst: NodeId(ev.flit.dst),
-                        is_head: ev.flit.is_head,
-                        is_tail: ev.flit.is_tail,
-                        ready: 0,
-                    },
-                ),
-            );
+            let pid = minter.mint(plan, s, gs, ev.flit.packet, to)?;
+            let f = SlotFlit::new(pid, ev.flit.is_head, ev.flit.is_tail, 0);
+            s.wheel_push(ev.arrive, (lid as u32, ev.vc, f));
         }
     }
 
@@ -2918,9 +2952,14 @@ pub(crate) fn import_shards(
                 continue; // intra-shard sends never consult the remap
             }
             let s = &mut shards[dst_shard];
-            let pid = minter.mint(s, gs, img.active_pid);
+            let to = plan.topo.link(LinkId(lid as u32)).dst;
+            let pid = minter.mint(plan, s, gs, img.active_pid, to)?;
             s.remap[lid * vcs + usize::from(img.out_vc)] = pid;
         }
+    }
+    // A packet with ejected flits holds the ejecting VC at its destination.
+    if (gs.packets.iter().zip(&minter.at_dst)).any(|(p, &placed)| p.ejected > 0 && !placed) {
+        return Err(SnapshotError::Corrupt);
     }
 
     // --- derived credit state ---
@@ -3837,13 +3876,7 @@ mod tests {
         let plan = EnginePlan::new(&t, &routes, SimConfig::paper(), Partition::single(&t));
         let mut s = ShardState::new(&plan, 0);
         assert_eq!(s.next_arrival_cycle(10), None, "empty calendar");
-        let f = Flit {
-            packet: 0,
-            dst: NodeId(1),
-            is_head: true,
-            is_tail: true,
-            ready: 0,
-        };
+        let f = SlotFlit::new(0, true, true, 0);
         // An arrival within the wheel's revolution is found from any
         // earlier cycle in one bitset probe, including across the
         // bucket-index wrap (cycle 13 lives in a lower bucket than 11).
@@ -3915,6 +3948,183 @@ mod tests {
             [before[0] + before[1], 0, before[2]],
             "class bytes after a re-export (reference: {before:?})"
         );
+    }
+
+    /// Packet-table length of every shard after a uniform open-loop run
+    /// at 0.1 flits/node/cycle (below saturation) on an 8×8 mesh, with
+    /// `measure` injection cycles after a 200-cycle warm-up.
+    fn table_lengths(spec: ShardSpec, measure: u64) -> Vec<usize> {
+        let t = small_mesh(8, 8);
+        let routes = RoutingTable::compute_xy(&t);
+        let plan = EnginePlan::new(&t, &routes, SimConfig::paper(), Partition::new(&t, spec));
+        let mut shards: Vec<ShardState> = (0..plan.partition.num_shards())
+            .map(|id| ShardState::new(&plan, id))
+            .collect();
+        let m = hyppi_traffic::SyntheticPattern::Uniform.matrix(&t, 0.1);
+        let tables = InjectTables::new(&t, &m);
+        let workload = Workload::Synthetic {
+            tables: &tables,
+            warmup: 200,
+            measure,
+            seed: 3,
+        };
+        let shared = Shared::new(shards.len(), 1);
+        let end = worker_loop(
+            &plan,
+            &shared,
+            &mut shards,
+            workload,
+            false,
+            0,
+            RunCursor::default(),
+            u64::MAX,
+            &mut NoopProbe,
+            None,
+        );
+        assert!(matches!(end, Ok(RunEnd::Done(_))), "{end:?}");
+        // Drained: every handle is back on its free list.
+        assert!(shards.iter().all(|s| s.live_handles() == 0));
+        shards.iter().map(|s| s.packets.len()).collect()
+    }
+
+    /// A shard's packet table holds its peak count of live packets, so
+    /// ten times the run length must not grow it (it grew about tenfold
+    /// while every handle lived until the engine was dropped).
+    #[test]
+    fn packet_tables_do_not_grow_with_run_length() {
+        for spec in [ShardSpec::SINGLE, ShardSpec::quadrants()] {
+            let short = table_lengths(spec, 2_000);
+            let long = table_lengths(spec, 20_000);
+            for (s, (&a, &b)) in short.iter().zip(&long).enumerate() {
+                assert!(a > 0, "shard {s} of {spec:?} saw no packets");
+                assert!(
+                    2 * b <= 3 * a,
+                    "shard {s} of {spec:?}: {b} handles after the long run, {a} after the short"
+                );
+            }
+        }
+    }
+
+    /// Import mints the handles the live engine holds: one per visit of
+    /// a packet's route to a shard. On a 12-wide span-5 express mesh cut
+    /// into two 6-wide halves, some routes dip back across the cut to an
+    /// express endpoint and return, visiting a shard twice; a 32-flit
+    /// packet on such a route holds two handles there while it spans both
+    /// visits, and a restore that gave it one would free it under the
+    /// flits of the later visit.
+    #[test]
+    fn import_mints_one_handle_per_route_visit() {
+        let t = express_mesh(
+            MeshSpec {
+                width: 12,
+                height: 4,
+                core_spacing_mm: 1.0,
+                base_tech: LinkTechnology::Electronic,
+                capacity: Gbps::new(50.0),
+            },
+            ExpressSpec {
+                span: 5,
+                tech: LinkTechnology::Hyppi,
+            },
+        );
+        let routes = RoutingTable::compute_xy(&t);
+        let spec = ShardSpec { sx: 2, sy: 1 };
+        let plan = EnginePlan::new(&t, &routes, SimConfig::paper(), Partition::new(&t, spec));
+        let shard = |n: NodeId| plan.partition.shard_of_node[n.index()];
+        let visits_twice = |src: NodeId, dst: NodeId| {
+            let mut runs = vec![shard(src)];
+            for l in routes.path(&t, src, dst) {
+                let s = shard(t.link(l).dst);
+                if runs.last() != Some(&s) {
+                    runs.push(s);
+                }
+            }
+            runs.len() > 2 && runs.first() == runs.last()
+        };
+        let (src, dst) = t
+            .nodes()
+            .flat_map(|s| t.nodes().map(move |d| (s, d)))
+            .find(|&(s, d)| visits_twice(s, d))
+            .expect("a route that leaves its shard and comes back");
+        let event = TraceEvent {
+            cycle: 0,
+            src,
+            dst,
+            flits: 32,
+        };
+        let trace = Trace::new("re-entry", t.num_nodes() as u16, 0.0, vec![event]);
+        let mut spans_both = false;
+        for split in 1..80 {
+            let mut shards: Vec<ShardState> = (0..2).map(|id| ShardState::new(&plan, id)).collect();
+            let end = worker_loop(
+                &plan,
+                &Shared::new(2, 1),
+                &mut shards,
+                Workload::Trace(&trace),
+                false,
+                0,
+                RunCursor::default(),
+                split,
+                &mut NoopProbe,
+                None,
+            );
+            let Ok(RunEnd::Stopped(cursor)) = end else {
+                break;
+            };
+            let live: Vec<usize> = shards.iter().map(|s| s.live_handles()).collect();
+            spans_both |= live[usize::from(shard(src))] == 2;
+            let gs = export_shards(&plan, &shards, &cursor);
+            let (restored, _) = import_shards(&plan, &gs).expect("snapshot imports");
+            let again: Vec<usize> = restored.iter().map(|s| s.live_handles()).collect();
+            assert_eq!(again, live, "live handles per shard at split {split}");
+        }
+        assert!(spans_both, "the packet never spanned both visits");
+    }
+
+    /// The importer takes a buffered flit's `ready` only within
+    /// `READY_SPAN` of the boundary: the engine keeps its low 32 bits.
+    #[test]
+    fn import_rejects_ready_cycles_beyond_the_32_bit_span() {
+        let t = small_mesh(4, 1);
+        let routes = RoutingTable::compute_xy(&t);
+        let plan = EnginePlan::new(&t, &routes, SimConfig::paper(), Partition::single(&t));
+        let event = TraceEvent {
+            cycle: 0,
+            src: NodeId(0),
+            dst: NodeId(3),
+            flits: 32,
+        };
+        let trace = Trace::new("ready", 4, 0.0, vec![event]);
+        let mut shards = vec![ShardState::new(&plan, 0)];
+        let end = worker_loop(
+            &plan,
+            &Shared::new(1, 1),
+            &mut shards,
+            Workload::Trace(&trace),
+            false,
+            0,
+            RunCursor::default(),
+            10,
+            &mut NoopProbe,
+            None,
+        );
+        let Ok(RunEnd::Stopped(cursor)) = end else {
+            panic!("the packet is still in flight at cycle 10: {end:?}");
+        };
+        let gs = export_shards(&plan, &shards, &cursor);
+        let with_ready = |ready: u64| {
+            let mut gs = gs.clone();
+            let flit = gs
+                .nodes
+                .iter_mut()
+                .flat_map(|n| n.slots.iter_mut())
+                .find_map(|s| s.queue.first_mut())
+                .expect("a buffered flit");
+            flit.ready = ready;
+            import_shards(&plan, &gs).map(|_| ())
+        };
+        assert_eq!(with_ready(gs.now + READY_SPAN - 1), Ok(()));
+        assert_eq!(with_ready(gs.now + READY_SPAN), Err(SnapshotError::Corrupt));
     }
 
     #[test]

@@ -206,8 +206,19 @@ fn synthetic_splice_open_and_closed_loop() {
     );
 }
 
+/// Live packets at a snapshot boundary: origins minus completions, from
+/// header bytes 80..96.
+fn live_packets(snap: &Snapshot) -> u64 {
+    let b = snap.bytes();
+    let origins = u64::from_le_bytes(b[80..88].try_into().unwrap());
+    let completed = u64::from_le_bytes(b[88..96].try_into().unwrap());
+    origins - completed
+}
+
 /// Sharded splice matrix: snapshot under one shard grid, restore under
-/// another (including P=1 both ways), sequential and threaded.
+/// another (including P=1 both ways), sequential and threaded. The splits
+/// hold 4, 5 and 12 live packets: the packet table's order (by origin,
+/// then admission number) must not depend on the partition.
 #[test]
 fn sharded_repartition_splice() {
     let topo = small_mesh(8, 8);
@@ -222,7 +233,7 @@ fn sharded_repartition_splice() {
         ShardSpec { sx: 2, sy: 2 },
         ShardSpec { sx: 4, sy: 2 },
     ];
-    for split in [57u64, 300] {
+    for split in [7u64, 1339, 2605] {
         // Snapshots taken at P=1 and at each grid…
         let mut snaps: Vec<(String, Snapshot)> = Vec::new();
         snaps.push((
@@ -232,6 +243,10 @@ fn sharded_repartition_splice() {
                 .expect("bounded run completes")
                 .expect_paused(),
         ));
+        assert!(
+            live_packets(&snaps[0].1) >= 2,
+            "split {split} holds fewer than two live packets"
+        );
         for grid in grids {
             for threads in [1usize, 0] {
                 let snap = ShardedSimulator::new(&topo, &routes, cfg, grid)

@@ -304,6 +304,41 @@ mod tests {
         assert!(Trace::from_bytes(raw).is_ok());
     }
 
+    /// Byte-flip mutation sweep: every byte of `sample()`'s image XORed
+    /// with 0x01, 0x80 and 0xFF decodes to a typed error or to a trace
+    /// that keeps the reader's invariants — sorted cycles, nodes inside
+    /// `num_nodes`, no zero-flit event — and never panics.
+    #[test]
+    fn byte_flips_fail_typed_or_decode_a_valid_trace() {
+        let raw = sample().to_bytes().to_vec();
+        let mut decoded = 0;
+        for at in 0..raw.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut b = raw.clone();
+                b[at] ^= mask;
+                let outcome = std::panic::catch_unwind(|| Trace::from_bytes(Bytes::from(b)));
+                let Ok(result) = outcome else {
+                    panic!("byte {at} ^ {mask:#04x} panicked the reader");
+                };
+                let Ok(t) = result else { continue };
+                decoded += 1;
+                assert!(
+                    t.events.windows(2).all(|w| w[0].cycle <= w[1].cycle),
+                    "byte {at} ^ {mask:#04x}: events out of order"
+                );
+                assert!(
+                    t.events
+                        .iter()
+                        .all(|e| e.src.0 < t.num_nodes && e.dst.0 < t.num_nodes && e.flits > 0),
+                    "byte {at} ^ {mask:#04x}: event out of range or empty"
+                );
+            }
+        }
+        // Flips of the name, the duration, the wall time and most event
+        // fields leave a well-formed trace.
+        assert!(decoded > 0);
+    }
+
     #[test]
     fn empty_trace_roundtrip() {
         let t = Trace::new("empty", 16, 0.0, vec![]);
