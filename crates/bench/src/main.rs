@@ -17,6 +17,55 @@
 use hyppi::experiments::{fig3, fig5, fig8, table1, table2, table3, table4, table5, table6};
 use hyppi::prelude::*;
 
+/// Flags that take a value (`--flag VALUE`).
+const VALUE_FLAGS: [&str; 10] = [
+    "--json",
+    "--shards",
+    "--closed-loop",
+    "--burst",
+    "--kernel",
+    "--save",
+    "--resume",
+    "--metrics",
+    "--trace",
+    "--trace-cap",
+];
+
+/// Flags that take no value.
+const BOOL_FLAGS: [&str; 1] = ["--cold"];
+
+/// The artefact to render: the first token that is neither a flag nor a
+/// value flag's value (`all` when there is none). An unknown `--` token,
+/// or a value flag without its value, exits 2 before anything runs.
+fn artefact(args: &[String]) -> String {
+    let mut artefact = None;
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if VALUE_FLAGS.contains(&a) {
+            if i + 1 == args.len() {
+                eprintln!("{a} needs a value");
+                std::process::exit(2);
+            }
+            i += 2;
+            continue;
+        }
+        if a.starts_with("--") && !BOOL_FLAGS.contains(&a) {
+            eprintln!(
+                "unknown flag '{a}' (flags taking a value: {}; without: {})",
+                VALUE_FLAGS.join(" "),
+                BOOL_FLAGS.join(" ")
+            );
+            std::process::exit(2);
+        }
+        if !a.starts_with("--") && artefact.is_none() {
+            artefact = Some(a.to_string());
+        }
+        i += 1;
+    }
+    artefact.unwrap_or_else(|| "all".into())
+}
+
 /// Value of a `--flag VALUE` pair anywhere in the argument list.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -134,13 +183,7 @@ fn report_recorded<T>(result: std::io::Result<(T, Vec<String>)>) -> T {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // First token that is neither a --flag nor a --flag's value.
-    let arg = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && (*i == 0 || !args[i - 1].starts_with("--")))
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "all".into());
+    let arg = artefact(&args);
     let all = arg == "all";
     let mut ran = false;
 
@@ -355,20 +398,6 @@ fn main() {
         println!("{}", r.render());
         maybe_write_json_str(&args, &r.to_json());
     }
-    if arg == "tenant_sweep" {
-        // Multi-tenant sweep: a CG-shaped victim tenant's tail latency
-        // versus a uniform aggressor tenant's offered load, on the 32x32
-        // and 64x64 meshes, open and closed loop (disjoint XY tiles, so
-        // the victim side is flat); minutes of runtime, on-demand only.
-        ran = true;
-        let shards = shards_flag(&args);
-        println!(
-            "## Tenant sweep — victim tails vs. aggressor load ({shards} shards, 32x32 + 64x64)"
-        );
-        let r = hyppi::experiments::tenant_sweep(shards);
-        println!("{}", r.render());
-        maybe_write_json_str(&args, &r.to_json());
-    }
     if arg == "sweep-span" {
         ran = true;
         sweep_span();
@@ -396,10 +425,10 @@ fn main() {
     if !ran {
         eprintln!(
             "unknown artefact '{arg}'. Known: all, table1..table6, fig3, fig5, fig6, fig8, \
-             load_sweep, load_sweep32, npb32, fault_sweep, tenant_sweep, sweep-span, \
+             load_sweep, load_sweep32, npb32, fault_sweep, sweep-span, \
              sweep-rate, sweep-vcs, sweep-buffers, sweep-routing \
-             (load_sweep/load_sweep32/fault_sweep/tenant_sweep accept --json PATH; \
-             load_sweep32/npb32/fault_sweep/tenant_sweep accept --shards N; load_sweep32 \
+             (load_sweep/load_sweep32/fault_sweep accept --json PATH; \
+             load_sweep32/npb32/fault_sweep accept --shards N; load_sweep32 \
              accepts --closed-loop WINDOW; load_sweep/load_sweep32 accept \
              --burst steady|onoff:B|mmpp:B bursty injection; sweeps accept --cold to \
              disable warm-start anchoring; npb32 accepts --kernel FT|CG|MG|LU|all and \

@@ -9,7 +9,6 @@ use std::process::Command;
 fn bad_arguments_exit_2_without_panicking() {
     let cases: &[&[&str]] = &[
         &["npb32", "--shards", "0"],
-        &["tenant_sweep", "--shards", "0"],
         &["load_sweep32", "--shards", "x"],
         // 37 is prime: a 37x1 grid cannot cut the 32x32 mesh.
         &["fault_sweep", "--shards", "37"],
@@ -17,6 +16,10 @@ fn bad_arguments_exit_2_without_panicking() {
         &["load_sweep32", "--closed-loop", "0"],
         &["load_sweep", "--burst", "onoff:x"],
         &["no_such_artefact"],
+        // `--cold` takes no value, so the artefact is still unknown.
+        &["--cold", "no_such_artefact"],
+        &["table1", "--colt"],
+        &["load_sweep", "--json"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))

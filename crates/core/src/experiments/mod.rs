@@ -16,7 +16,6 @@
 //! | 32×32 load sweep (sharded) | [`load_sweep::load_sweep32`] | large-mesh curves (uniform/transpose + rescaled NPB shapes), open- or closed-loop |
 //! | 32×32 NPB window (sharded) | [`npb::npb32`] | rescaled 1024-rank kernel, shard parity asserted |
 //! | fault sweep (robustness ext.) | [`fault_sweep::fault_sweep`] | saturation + tails vs. fault count, 16×16 and 32×32, open- and closed-loop |
-//! | tenant sweep (multi-tenancy ext.) | [`tenant_sweep::tenant_sweep`] | victim tail latency vs. aggressor load, 32×32 and 64×64, open- and closed-loop |
 //!
 //! Every driver is deterministic; the `repro` binary in `crates/bench`
 //! regenerates all of them (the workspace-root `README.md` carries the
@@ -30,7 +29,6 @@ pub mod fig3;
 pub mod load_sweep;
 pub mod npb;
 pub mod tables;
-pub mod tenant_sweep;
 
 pub use ablations::{buffer_sensitivity, routing_policy_comparison, vc_sensitivity};
 pub use all_optical::{fig8, table6, Fig8Result};
@@ -49,7 +47,3 @@ pub use npb::{
     Table5Result,
 };
 pub use tables::{table1, table2};
-pub use tenant_sweep::{
-    tenant_curve, tenant_sweep, TenantSweepCurve, TenantSweepResult, AGGRESSOR_RATES,
-    TENANT_CLOSED_LOOP_WINDOW, VICTIM_RATE,
-};

@@ -87,7 +87,6 @@ pub mod prelude {
     };
     pub use hyppi_traffic::{
         packetize_message, BurstSpec, CommVolume, NpbKernel, NpbTraceSpec, Packet, SoteriouConfig,
-        SyntheticPattern, TenantSpec, TenantWorkload, Trace, TraceEvent, TrafficMatrix,
-        DATA_PACKET_FLITS,
+        SyntheticPattern, Trace, TraceEvent, TrafficMatrix, DATA_PACKET_FLITS,
     };
 }

@@ -76,10 +76,7 @@ use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
     express_mesh, mesh, ExpressSpec, FaultSpec, MeshSpec, NodeId, RoutingTable, ShardSpec, Topology,
 };
-use hyppi_traffic::{
-    BurstSpec, NpbKernel, NpbTraceSpec, ScaledNpbSpec, SyntheticPattern, TenantSpec,
-    TenantWorkload, Trace,
-};
+use hyppi_traffic::{BurstSpec, NpbKernel, NpbTraceSpec, ScaledNpbSpec, SyntheticPattern, Trace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -371,44 +368,6 @@ const GROWTH_MEASURE: (u64, u64) = (2_000, 20_000);
 /// How much more the long run's heap may grow than the short run's.
 const GROWTH_GATE: f64 = 1.5;
 
-/// One per-tenant latency lane of the tenant record.
-struct TenantLane {
-    mean_latency: f64,
-    p99: u64,
-    p999: u64,
-    packets: u64,
-}
-
-impl TenantLane {
-    fn of(lane: &hyppi_netsim::TenantStats) -> TenantLane {
-        TenantLane {
-            mean_latency: if lane.latency.count == 0 {
-                0.0
-            } else {
-                lane.latency.sum as f64 / lane.latency.count as f64
-            },
-            p99: lane.latency.p99(),
-            p999: lane.latency.p999(),
-            packets: lane.latency.count,
-        }
-    }
-}
-
-/// The multi-tenant isolation cell: a hotspot victim and a uniform
-/// aggressor on vertical half-tiles of the 16×16 mesh, run with a quiet
-/// and a loaded aggressor, parity-asserted across all three engines with
-/// the tenant map attached.
-struct TenantRecord {
-    mesh: &'static str,
-    victim_rate: f64,
-    aggressor_quiet: f64,
-    aggressor_loaded: f64,
-    victim_quiet: TenantLane,
-    victim_loaded: TenantLane,
-    aggressor: TenantLane,
-    secs: f64,
-}
-
 /// Cell filters parsed from `--cells KERNEL[:SPAN],...` or the positional
 /// kernel argument.
 #[derive(Clone)]
@@ -648,7 +607,6 @@ fn main() {
     let fault = run_fault_section(quick, fast);
     let fault_sat = run_fault_saturation_section(quick, shards);
     let burst = run_burst_section(quick, fast);
-    let tenant = run_tenant_section(quick, fast);
 
     // Machine-readable record for the perf trajectory, built on the
     // shared `hyppi_netsim::json` writer.
@@ -944,21 +902,6 @@ fn main() {
                         })
                         .collect::<Vec<Json>>(),
                 ),
-        )
-        .field(
-            "tenant",
-            Obj::new()
-                .field("mesh", tenant.mesh)
-                .field("grid", "2x1")
-                .field("victim_pattern", "hotspot")
-                .field("aggressor_pattern", "uniform")
-                .field("victim_rate", Json::fixed(tenant.victim_rate, 3))
-                .field("aggressor_quiet", Json::fixed(tenant.aggressor_quiet, 3))
-                .field("aggressor_loaded", Json::fixed(tenant.aggressor_loaded, 3))
-                .field("secs", Json::fixed(tenant.secs, 4))
-                .field("victim_quiet", tenant_lane_json(&tenant.victim_quiet))
-                .field("victim_loaded", tenant_lane_json(&tenant.victim_loaded))
-                .field("aggressor", tenant_lane_json(&tenant.aggressor)),
         )
         .field(
             "cells",
@@ -1837,15 +1780,6 @@ fn run_memory_section() -> MemoryRecord {
     MemoryRecord { engines, growth }
 }
 
-fn tenant_lane_json(lane: &TenantLane) -> Json {
-    Obj::new()
-        .field("mean_latency", Json::fixed(lane.mean_latency, 4))
-        .field("p99", lane.p99)
-        .field("p999", lane.p999)
-        .field("packets", lane.packets)
-        .build()
-}
-
 /// The p99.9-vs-burstiness curve: the 16×16 uniform cell re-run with
 /// ON/OFF modulated injection at peak-to-mean ratios 1/2/4/8, each point
 /// merging the latency histograms of [`BURST_SEEDS`] and recording the
@@ -1931,96 +1865,4 @@ fn run_burst_section(quick: bool, fast: bool) -> Vec<BurstPoint> {
         "b=8 clustering must stretch the p99.9 tail past steady"
     );
     points
-}
-
-/// The multi-tenant isolation cell: a hotspot victim (left half-tile)
-/// co-scheduled with a uniform aggressor (right half-tile) on the 16×16
-/// mesh, run with the aggressor quiet and loaded. The tiles share no
-/// router or link under XY routing, so the victim's lane must not move.
-/// Per-tenant latency lanes come from the tenant map attached to the
-/// engines; the loaded
-/// run is parity-asserted across all three engines plus the quadrant
-/// shard grid (tenant tiles and engine shards are independent
-/// rectangles, so the 2×1 tenant layout crosses the 2×2 shard cuts).
-fn run_tenant_section(quick: bool, fast: bool) -> TenantRecord {
-    let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
-    let routes = RoutingTable::compute_xy(&topo);
-    let (victim_rate, quiet, loaded, warmup, measure) = if quick {
-        (0.08, 0.02, 0.16, 100, 400)
-    } else {
-        (0.08, 0.02, 0.16, 300, 1200)
-    };
-    let spec = TenantSpec::pair(
-        TenantWorkload {
-            pattern: SyntheticPattern::Hotspot,
-            rate: victim_rate,
-        },
-        TenantWorkload {
-            pattern: SyntheticPattern::Uniform,
-            rate: quiet,
-        },
-    );
-    let map = spec.map(&topo);
-    let mut cfg = SimConfig::paper();
-    cfg.max_cycles = 2_000_000;
-
-    let t0 = Instant::now();
-    let run = |aggressor_rate: f64| {
-        let s = spec.with_rate(1, aggressor_rate);
-        let m = s.matrix(&topo);
-        Simulator::new(&topo, &routes, cfg)
-            .with_tenants(&map)
-            .run_synthetic(&m, warmup, measure, 11)
-            .expect("tenant active-set run completes")
-    };
-    let quiet_stats = run(quiet);
-    let loaded_stats = run(loaded);
-    let secs = t0.elapsed().as_secs_f64();
-
-    assert_eq!(
-        quiet_stats.tenants[0], loaded_stats.tenants[0],
-        "disjoint tenant tiles must be isolated"
-    );
-    for stats in [&quiet_stats, &loaded_stats] {
-        assert_eq!(stats.tenants.len(), 2, "two tenant lanes expected");
-        let lane_packets: u64 = stats.tenants.iter().map(|t| t.latency.count).sum();
-        assert_eq!(
-            lane_packets, stats.all.count,
-            "tenant lanes must partition the aggregate"
-        );
-    }
-    let loaded_matrix = spec.with_rate(1, loaded).matrix(&topo);
-    if !fast {
-        let reference = ReferenceSimulator::new(&topo, &routes, cfg)
-            .with_tenants(&map)
-            .run_synthetic(&loaded_matrix, warmup, measure, 11)
-            .expect("tenant reference run completes");
-        assert_eq!(loaded_stats, reference, "tenant engine parity violated");
-    }
-    let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::quadrants())
-        .with_tenants(&map)
-        .run_synthetic(&loaded_matrix, warmup, measure, 11)
-        .expect("tenant sharded run completes");
-    assert_eq!(sharded, loaded_stats, "tenant shard parity violated");
-
-    let record = TenantRecord {
-        mesh: "16x16",
-        victim_rate,
-        aggressor_quiet: quiet,
-        aggressor_loaded: loaded,
-        victim_quiet: TenantLane::of(&quiet_stats.tenants[0]),
-        victim_loaded: TenantLane::of(&loaded_stats.tenants[0]),
-        aggressor: TenantLane::of(&loaded_stats.tenants[1]),
-        secs,
-    };
-    println!(
-        "TENANT 16x16 hotspot@{victim_rate:.2} | uniform {quiet:.2}->{loaded:.2}: victim p99.9 {} -> {} (isolated) | aggressor lat {:.1} clks (p99.9 {}) | {:.2?} | parity OK ({})",
-        record.victim_quiet.p999,
-        record.victim_loaded.p999,
-        record.aggressor.mean_latency,
-        record.aggressor.p999,
-        std::time::Duration::from_secs_f64(record.secs),
-        if fast { "sharded" } else { "seed + sharded" },
-    );
-    record
 }

@@ -191,10 +191,8 @@ pub use reference::ReferenceSimulator;
 pub use shard::{Engine, ShardedSimulator};
 pub use sim::{RunOutcome, SimError, Simulator};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use stats::{LatencyStats, SimStats, TenantStats};
-pub use sweep::{
-    LoadCurve, LoadPoint, SaturationSearch, SweepConfig, SweepRunner, TenantLoadPoint,
-};
+pub use stats::{LatencyStats, SimStats};
+pub use sweep::{LoadCurve, LoadPoint, SaturationSearch, SweepConfig, SweepRunner};
 pub use telemetry::{
     EngineProfile, FlightRecorder, MetricsSampler, NoopProbe, PacketTracer, Probe, ProfileSink,
     StallCause, TelemetryOpts,

@@ -23,7 +23,7 @@ use crate::snapshot::{
 };
 use crate::stats::SimStats;
 use hyppi_topology::{LinkId, NodeId, RoutingTable, Topology};
-use hyppi_traffic::{injection_draw, BurstState, TenantMap, Trace, TrafficMatrix};
+use hyppi_traffic::{injection_draw, BurstState, Trace, TrafficMatrix};
 use std::collections::VecDeque;
 
 /// Dateline VC class of a packet (see the `router` module docs).
@@ -150,9 +150,6 @@ pub struct ReferenceSimulator<'a> {
     /// `packets` (snapshot bookkeeping: keeps the exported admission and
     /// completion totals exact across save/restore cycles).
     dropped_packets: u64,
-    /// Node → tenant map of a multi-tenant run (statistics bookkeeping
-    /// only — mirrors the active-set engines' per-tenant lanes).
-    tenants: Option<&'a TenantMap>,
     stats: SimStats,
 }
 
@@ -232,19 +229,8 @@ impl<'a> ReferenceSimulator<'a> {
             accept_from: 0,
             accept_until: u64::MAX,
             dropped_packets: 0,
-            tenants: None,
             stats: SimStats::new(topo.links().len(), topo.num_nodes()),
         }
-    }
-
-    /// Installs a node → tenant map: the run's [`SimStats`] then carries
-    /// per-tenant lanes (see [`crate::TenantStats`]), bit-for-bit those
-    /// of the active-set engines.
-    pub fn with_tenants(mut self, map: &'a TenantMap) -> Self {
-        assert_eq!(map.tenant_of_node.len(), self.topo.num_nodes());
-        self.tenants = Some(map);
-        self.stats.init_tenants(map.tenants);
-        self
     }
 
     /// Installs the healthy-mesh baseline (topology + routes the faults
@@ -675,10 +661,6 @@ impl<'a> ReferenceSimulator<'a> {
                     self.buffered[node] += 1;
                     self.active_flits += 1;
                     self.stats.flits_injected += 1;
-                    if let Some(tm) = self.tenants {
-                        self.stats.tenants[usize::from(tm.tenant_of_node[node])].flits_injected +=
-                            1;
-                    }
                     em.emitted += 1;
                     self.nodes[node].emitting = if em.emitted == em.total {
                         self.pending_sources -= 1;
@@ -840,26 +822,12 @@ impl<'a> ReferenceSimulator<'a> {
                     if accepted {
                         self.stats.accepted_flits += 1;
                     }
-                    // Tenant traffic is tile-internal: the ejecting node's
-                    // tenant is the packet's tenant.
-                    if let Some(tm) = self.tenants {
-                        let lane = &mut self.stats.tenants[usize::from(tm.tenant_of_node[node])];
-                        lane.flits_delivered += 1;
-                        if accepted {
-                            lane.accepted_flits += 1;
-                        }
-                    }
                     self.active_flits -= 1;
                     if self.packets[pid].is_complete() {
                         let info = self.packets[pid];
                         if info.inject_cycle != u64::MAX {
                             self.stats
                                 .record_packet(info.flits, now + 1 - info.inject_cycle);
-                            if let Some(tm) = self.tenants {
-                                self.stats.tenants[usize::from(tm.tenant_of_node[node])]
-                                    .latency
-                                    .record(now + 1 - info.inject_cycle);
-                            }
                         }
                         // Closed loop: the window slot frees; first
                         // observable next cycle (emission precedes switch
@@ -1021,13 +989,7 @@ impl<'a> ReferenceSimulator<'a> {
 
     /// Serializes the engine state under this plan's fingerprint.
     fn snapshot_at(&self, cursor: &RunCursor, workload_hash: u64) -> Snapshot {
-        let plan_hash = plan_fingerprint(
-            self.topo,
-            self.routes,
-            &self.cfg,
-            self.baseline,
-            self.tenants,
-        );
+        let plan_hash = plan_fingerprint(self.topo, self.routes, &self.cfg, self.baseline);
         Snapshot::encode(&self.export(cursor), plan_hash, workload_hash)
     }
 
@@ -1044,7 +1006,6 @@ impl<'a> ReferenceSimulator<'a> {
             self.routes,
             &self.cfg,
             self.baseline,
-            self.tenants,
         ))?;
         let stored = snap.workload_hash();
         if stored != 0 && workload_hash != 0 && stored != workload_hash {

@@ -142,7 +142,7 @@ use crate::telemetry::{
     EngineProfile, EngineView, NoopProbe, PacketKey, Probe, ProfileSink, StallCause,
 };
 use hyppi_topology::{LinkId, NodeId, Partition, RoutingTable, ShardSpec, Topology};
-use hyppi_traffic::{injection_draw, BurstState, TenantMap, Trace, TrafficMatrix};
+use hyppi_traffic::{injection_draw, BurstState, Trace, TrafficMatrix};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -346,11 +346,6 @@ pub(crate) struct EnginePlan<'a> {
     /// For each shard, the sorted shards that may address mail to it
     /// (boundary-flit senders and boundary-credit returners).
     pub inbox_sources: Vec<Vec<u16>>,
-    /// Node → tenant ownership of a multi-tenant run (`None` — the
-    /// common case — records no per-tenant lanes). Pure bookkeeping:
-    /// tenancy never changes routing or arbitration, only which
-    /// [`crate::TenantStats`] lane each emission/ejection is credited to.
-    pub tenants: Option<&'a TenantMap>,
 }
 
 impl<'a> EnginePlan<'a> {
@@ -466,20 +461,7 @@ impl<'a> EnginePlan<'a> {
             in_port_of_link,
             wheel_len,
             inbox_sources: sources,
-            tenants: None,
         }
-    }
-
-    /// Installs the node → tenant map of a multi-tenant run: every
-    /// engine entry point then splits per-tenant statistic lanes out of
-    /// the aggregate (see [`crate::TenantStats`]).
-    pub fn set_tenants(&mut self, map: &'a TenantMap) {
-        assert_eq!(
-            map.tenant_of_node.len(),
-            self.topo.num_nodes(),
-            "tenant map sized for a different topology"
-        );
-        self.tenants = Some(map);
     }
 
     /// Installs the healthy-mesh baseline used to account
@@ -916,13 +898,7 @@ impl ShardState {
             pending_sources: 0,
             origin_packets: 0,
             completed_packets: 0,
-            stats: {
-                let mut s = SimStats::new(topo.links().len(), topo.num_nodes());
-                if let Some(tm) = plan.tenants {
-                    s.init_tenants(tm.tenants);
-                }
-                s
-            },
+            stats: SimStats::new(topo.links().len(), topo.num_nodes()),
         }
     }
 
@@ -1283,11 +1259,6 @@ impl ShardState {
                         }
                         pushed = true;
                         self.stats.flits_injected += 1;
-                        if let Some(tm) = plan.tenants {
-                            let g = usize::from(self.global_of_node[node]);
-                            self.stats.tenants[usize::from(tm.tenant_of_node[g])].flits_injected +=
-                                1;
-                        }
                         em.emitted += 1;
                         self.nodes[node].emitting = if em.emitted == em.total {
                             self.pending_sources -= 1;
@@ -1530,19 +1501,8 @@ impl ShardState {
                         // Ejection.
                         self.packets[pid].ejected += 1;
                         self.stats.flits_delivered += 1;
-                        let accepted = now >= self.accept_from && now < self.accept_until;
-                        if accepted {
+                        if now >= self.accept_from && now < self.accept_until {
                             self.stats.accepted_flits += 1;
-                        }
-                        // Tenant traffic is tile-internal, so the ejecting
-                        // node's tenant is the packet's tenant.
-                        if let Some(tm) = plan.tenants {
-                            let g = usize::from(self.global_of_node[node]);
-                            let lane = &mut self.stats.tenants[usize::from(tm.tenant_of_node[g])];
-                            lane.flits_delivered += 1;
-                            if accepted {
-                                lane.accepted_flits += 1;
-                            }
                         }
                         if self.packets[pid].is_complete() {
                             self.completed_packets += 1;
@@ -1560,12 +1520,6 @@ impl ShardState {
                             if info.inject_cycle != u64::MAX {
                                 self.stats
                                     .record_packet(info.flits, now + 1 - info.inject_cycle);
-                                if let Some(tm) = plan.tenants {
-                                    let g = usize::from(self.global_of_node[node]);
-                                    self.stats.tenants[usize::from(tm.tenant_of_node[g])]
-                                        .latency
-                                        .record(now + 1 - info.inject_cycle);
-                                }
                             }
                             // Closed loop: hand the window slot back to the
                             // origin. An immigrant packet's origin lives in
@@ -2674,13 +2628,7 @@ pub(crate) fn snapshot_shards(
     workload_hash: u64,
 ) -> Snapshot {
     let gs = export_shards(plan, shards, cursor);
-    let plan_hash = plan_fingerprint(
-        plan.topo,
-        plan.routes,
-        &plan.cfg,
-        plan.baseline,
-        plan.tenants,
-    );
+    let plan_hash = plan_fingerprint(plan.topo, plan.routes, &plan.cfg, plan.baseline);
     Snapshot::encode(&gs, plan_hash, workload_hash)
 }
 
@@ -3014,7 +2962,6 @@ fn restore_shards(
         plan.routes,
         &plan.cfg,
         plan.baseline,
-        plan.tenants,
     ))?;
     let stored = snap.workload_hash();
     if stored != 0 && workload_hash != 0 && stored != workload_hash {
@@ -3097,17 +3044,6 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
     /// [`SimStats::rerouted_hops`] for detours versus the healthy route.
     pub fn with_baseline(mut self, topo: &'a Topology, routes: &'a RoutingTable) -> Self {
         self.plan.set_baseline(topo, routes);
-        self
-    }
-
-    /// Installs a node → tenant map: the run's [`SimStats`] then carries
-    /// per-tenant lanes (see [`crate::TenantStats`]) split out of the
-    /// aggregate, bit-for-bit identical at every shard count.
-    pub fn with_tenants(mut self, map: &'a TenantMap) -> Self {
-        self.plan.set_tenants(map);
-        for s in &mut self.shards {
-            s.stats.init_tenants(map.tenants);
-        }
         self
     }
 

@@ -22,7 +22,7 @@
 //! Every snapshot starts with a fixed 96-byte header:
 //!
 //! * magic `b"HYPSNAP1"` — rejects non-snapshots ([`SnapshotError::BadMagic`]);
-//! * format version (currently 3) — rejects other formats
+//! * format version (currently 4) — rejects other formats
 //!   ([`SnapshotError::BadVersion`]);
 //! * a **checksum** (FNV-1a 64 over every other byte of the snapshot) —
 //!   a damaged byte outside the magic, the version and the plan
@@ -46,18 +46,19 @@
 //! never panics on untrusted input.
 
 use crate::config::SimConfig;
-use crate::stats::{LatencyStats, SimStats, TenantStats, HISTOGRAM_BUCKETS};
+use crate::stats::{LatencyStats, SimStats, HISTOGRAM_BUCKETS};
 use hyppi_topology::{LinkClass, NodeId, RoutingTable, Topology};
-use hyppi_traffic::{TenantMap, Trace};
+use hyppi_traffic::Trace;
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HYPSNAP1";
 
-/// Current snapshot format version. Version 3 replaced the header's
-/// injection-RNG words with a body checksum (see
-/// `docs/SNAPSHOT_FORMAT.md`); older bytes are rejected with
+/// Current snapshot format version. Version 4 dropped the lane table
+/// that closed the stats section, and its plan-fingerprint fold; version
+/// 3 had replaced the header's injection-RNG words with a body checksum
+/// (see `docs/SNAPSHOT_FORMAT.md`). Older bytes are rejected with
 /// [`SnapshotError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 96;
@@ -811,14 +812,6 @@ impl Enc {
         }
         self.u64(s.rerouted_hops);
         self.u64(s.unreachable_pairs);
-        // v2: per-tenant lanes (count 0 on single-tenant runs).
-        self.u32(s.tenants.len() as u32);
-        for t in &s.tenants {
-            self.latency(&t.latency);
-            self.u64(t.flits_injected);
-            self.u64(t.flits_delivered);
-            self.u64(t.accepted_flits);
-        }
     }
 }
 
@@ -902,21 +895,6 @@ impl Dec<'_> {
         }
         s.rerouted_hops = self.u64()?;
         s.unreachable_pairs = self.u64()?;
-        // v2: per-tenant lanes. Tenants tile the node grid, so a lane
-        // count beyond the node count is nonsense.
-        let ntenants = self.u32()? as usize;
-        if ntenants > nodes {
-            return Err(SnapshotError::Corrupt);
-        }
-        s.tenants = Vec::with_capacity(ntenants);
-        for _ in 0..ntenants {
-            s.tenants.push(TenantStats {
-                latency: self.latency()?,
-                flits_injected: self.u64()?,
-                flits_delivered: self.u64()?,
-                accepted_flits: self.u64()?,
-            });
-        }
         Ok(s)
     }
 }
@@ -978,7 +956,6 @@ pub(crate) fn plan_fingerprint(
     routes: &RoutingTable,
     cfg: &SimConfig,
     baseline: Option<(&Topology, &RoutingTable)>,
-    tenants: Option<&TenantMap>,
 ) -> u64 {
     let mut h = FNV_OFFSET;
     fold(&mut h, b"hyppi-plan-v2");
@@ -997,18 +974,6 @@ pub(crate) fn plan_fingerprint(
         Some((bt, br)) => {
             fold_u64(&mut h, 1);
             fold_topo_routes(&mut h, bt, br);
-        }
-    }
-    // Tenant layout: the stats section's lane shape (and the meaning of
-    // each lane) must agree between saver and restorer.
-    match tenants {
-        None => fold_u64(&mut h, 0),
-        Some(tm) => {
-            fold_u64(&mut h, 1);
-            fold_u64(&mut h, tm.tenants as u64);
-            for &t in &tm.tenant_of_node {
-                fold_u64(&mut h, u64::from(t));
-            }
         }
     }
     h
@@ -1182,6 +1147,15 @@ mod tests {
             SnapshotError::BadVersion { found: 2 }
         );
 
+        // Version-3 bytes (a stats section with a lane table after
+        // `unreachable_pairs`) are rejected the same way.
+        let mut v3 = bytes.clone();
+        v3[8] = 3;
+        assert_eq!(
+            Snapshot::from_bytes(v3).unwrap_err(),
+            SnapshotError::BadVersion { found: 3 }
+        );
+
         assert_eq!(
             Snapshot::from_bytes(bytes[..50].to_vec()).unwrap_err(),
             SnapshotError::Truncated
@@ -1281,7 +1255,7 @@ mod tests {
             .run_synthetic_until(&m, 100, 300, 7, 150)
             .expect("bounded run completes")
             .expect_paused();
-        let plan = plan_fingerprint(&topo, &routes, &cfg, None, None);
+        let plan = plan_fingerprint(&topo, &routes, &cfg, None);
         let gs = snap.decode_for(plan).expect("intact snapshot decodes");
         let mut cases = vec![("intact", gs.clone())];
         let node = gs.nodes.iter().position(|n| n.outstanding > 0);

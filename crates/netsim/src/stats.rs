@@ -161,34 +161,6 @@ impl LatencyStats {
     }
 }
 
-/// Per-tenant slice of a multi-tenant run's statistics. Tenant traffic
-/// is tile-internal by construction ([`hyppi_traffic::TenantSpec`]), so
-/// every packet's source and destination share a tenant and each counter
-/// below is attributed at the node where the aggregate counter grows —
-/// the per-tenant lanes partition the aggregate exactly.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TenantStats {
-    /// Latency over this tenant's completed packets (own histogram, so
-    /// per-tenant p99/p99.9 curves come for free).
-    pub latency: LatencyStats,
-    /// Flits this tenant's NICs pushed into the network.
-    pub flits_injected: u64,
-    /// Flits delivered to this tenant's destinations.
-    pub flits_delivered: u64,
-    /// Flits ejected inside the acceptance window.
-    pub accepted_flits: u64,
-}
-
-impl TenantStats {
-    /// Merges another run's (or shard's) lane into this one.
-    pub fn merge(&mut self, other: &TenantStats) {
-        self.latency.merge(&other.latency);
-        self.flits_injected += other.flits_injected;
-        self.flits_delivered += other.flits_delivered;
-        self.accepted_flits += other.accepted_flits;
-    }
-}
-
 /// Results of one simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimStats {
@@ -234,13 +206,6 @@ pub struct SimStats {
     /// Packets dropped at admission because the routing table has no path
     /// for their (src, dst) pair — traffic to or from dead routers.
     pub unreachable_pairs: u64,
-    /// Per-tenant statistic lanes, tenant-id indexed. Empty on
-    /// single-tenant runs (the common case); sized by
-    /// [`init_tenants`](Self::init_tenants) when the engine is given a
-    /// tenant map. The lanes partition the aggregate: summed over tenants
-    /// they reproduce `flits_injected` / `flits_delivered` /
-    /// `accepted_flits` and the `all` latency class exactly.
-    pub tenants: Vec<TenantStats>,
 }
 
 impl SimStats {
@@ -253,11 +218,6 @@ impl SimStats {
             peak_outstanding: vec![0; nodes],
             ..Default::default()
         }
-    }
-
-    /// Sizes the per-tenant lanes for a `count`-tenant run (zeroed).
-    pub fn init_tenants(&mut self, count: usize) {
-        self.tenants = vec![TenantStats::default(); count];
     }
 
     /// Records one completed packet.
@@ -309,17 +269,6 @@ impl SimStats {
             .zip(&other.peak_outstanding)
         {
             *a = (*a).max(*b);
-        }
-        // Tenant lanes merge elementwise. A side without lanes (empty) is
-        // a zero contribution; with lanes on both sides the tenant counts
-        // must agree.
-        if self.tenants.is_empty() {
-            self.tenants = other.tenants.clone();
-        } else if !other.tenants.is_empty() {
-            assert_eq!(self.tenants.len(), other.tenants.len());
-            for (a, b) in self.tenants.iter_mut().zip(&other.tenants) {
-                a.merge(b);
-            }
         }
     }
 
@@ -432,37 +381,6 @@ mod tests {
         assert_eq!(a.peak_outstanding, vec![2, 0, 1]);
         assert_eq!(a.accepted_throughput(3, 3), 1.0);
         assert_eq!(SimStats::new(1, 1).accepted_throughput(1, 0), 0.0);
-    }
-
-    #[test]
-    fn absorb_merges_tenant_lanes() {
-        let mut a = SimStats::new(1, 2);
-        a.init_tenants(2);
-        a.tenants[0].latency.record(10);
-        a.tenants[0].flits_injected = 4;
-        a.tenants[0].flits_delivered = 3;
-        a.tenants[1].accepted_flits = 2;
-        let mut b = SimStats::new(1, 2);
-        b.init_tenants(2);
-        b.tenants[0].latency.record(30);
-        b.tenants[0].flits_injected = 1;
-        b.tenants[1].flits_delivered = 5;
-        b.tenants[1].accepted_flits = 6;
-        a.absorb(&b);
-        assert_eq!(a.tenants[0].latency.count, 2);
-        assert_eq!(a.tenants[0].latency.max, 30);
-        assert_eq!(a.tenants[0].flits_injected, 5);
-        assert_eq!(a.tenants[0].flits_delivered, 3);
-        assert_eq!(a.tenants[1].flits_delivered, 5);
-        assert_eq!(a.tenants[1].accepted_flits, 8);
-        // Absorbing a lane-less run leaves the lanes untouched; absorbing
-        // lanes into a lane-less run adopts them.
-        let before = a.tenants.clone();
-        a.absorb(&SimStats::new(1, 2));
-        assert_eq!(a.tenants, before);
-        let mut fresh = SimStats::new(1, 2);
-        fresh.absorb(&a);
-        assert_eq!(fresh.tenants, before);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use crate::snapshot::Snapshot;
 use crate::stats::{LatencyStats, SimStats};
 use crate::telemetry::Probe;
 use hyppi_topology::{FaultSpec, RoutingTable, ShardSpec, Topology};
-use hyppi_traffic::{BurstSpec, TenantMap, TenantSpec, TrafficMatrix};
+use hyppi_traffic::{BurstSpec, TrafficMatrix};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -158,10 +158,6 @@ pub struct SweepConfig {
     /// same mean load. Orthogonal to the spatial pattern — the pattern
     /// decides *where*, the burst process decides *when*.
     pub burst: BurstSpec,
-    /// Multi-tenant partitioning: `Some` co-schedules the spec's
-    /// workloads on disjoint mesh tiles and every [`LoadPoint`] gains
-    /// per-tenant lanes. `None` (default) sweeps single-tenant.
-    pub tenants: Option<TenantSpec>,
     /// `true` re-runs the warm-up phase for every rate-grid point (the
     /// pre-snapshot protocol); `false` (default) warm-starts each point
     /// from a cached post-warm-up [`Snapshot`] of the pattern's anchor
@@ -189,7 +185,6 @@ impl SweepConfig {
             accept_epsilon: 0.05,
             faults: None,
             burst: BurstSpec::Steady,
-            tenants: None,
             cold: false,
         }
     }
@@ -224,13 +219,6 @@ impl SweepConfig {
     pub fn burstiness(mut self, spec: BurstSpec) -> Self {
         spec.validate();
         self.burst = spec;
-        self
-    }
-
-    /// Co-schedules the spec's workloads as tenants on disjoint mesh
-    /// tiles (see [`SweepConfig::tenants`]).
-    pub fn with_tenants(mut self, spec: TenantSpec) -> Self {
-        self.tenants = Some(spec);
         self
     }
 
@@ -289,21 +277,6 @@ pub struct LoadPoint {
     /// Packets dropped at admission for lack of a route, summed over
     /// completed seeds (see `SimStats::unreachable_pairs`).
     pub unreachable_pairs: u64,
-    /// Per-tenant lanes, tenant-id indexed. Empty on single-tenant
-    /// sweeps — every pre-existing field above keeps its meaning (they
-    /// aggregate over all tenants).
-    pub tenants: Vec<TenantLoadPoint>,
-}
-
-/// One tenant's slice of a [`LoadPoint`] (all seeds merged).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TenantLoadPoint {
-    /// Merged latency statistics of the tenant's measured packets.
-    pub latency: LatencyStats,
-    /// Measured-packet throughput per tenant node per measured cycle.
-    pub throughput: f64,
-    /// Accepted throughput per tenant node per window cycle.
-    pub accepted: f64,
 }
 
 impl LoadPoint {
@@ -360,10 +333,6 @@ pub struct SweepRunner<'a> {
     faulted: Option<(Topology, RoutingTable)>,
     sim: SimConfig,
     cfg: SweepConfig,
-    /// Resolved tenant ownership when [`SweepConfig::tenants`] is set:
-    /// attached to every run, and its per-tile node counts normalize the
-    /// per-tenant throughput columns.
-    tenant_map: Option<TenantMap>,
     /// Post-warm-up anchor snapshots, one per seed, keyed by the anchor
     /// matrix's [`TrafficMatrix::fingerprint`] — one entry per traffic
     /// pattern swept through this runner, shared between `run_grid` and
@@ -398,7 +367,6 @@ impl<'a> SweepRunner<'a> {
         sim.max_cycles = cfg.run_max_cycles;
         sim.max_outstanding = cfg.max_outstanding;
         sim.burst = cfg.burst;
-        let tenant_map = cfg.tenants.as_ref().map(|t| t.map(topo));
         let faulted = match &cfg.faults {
             Some(spec) if !spec.is_empty() => {
                 let ft = spec.apply(topo);
@@ -414,7 +382,6 @@ impl<'a> SweepRunner<'a> {
             faulted,
             sim,
             cfg,
-            tenant_map,
             anchors: Mutex::new(HashMap::new()),
         }
     }
@@ -442,9 +409,6 @@ impl<'a> SweepRunner<'a> {
         .with_threads(self.cfg.threads);
         if self.faulted.is_some() {
             sim = sim.with_baseline(self.topo, self.routes);
-        }
-        if let Some(tm) = &self.tenant_map {
-            sim = sim.with_tenants(tm);
         }
         sim
     }
@@ -541,19 +505,12 @@ impl<'a> SweepRunner<'a> {
         let mut accepted_flits = 0u64;
         let mut rerouted_hops = 0u64;
         let mut unreachable_pairs = 0u64;
-        let ntenants = self.tenant_map.as_ref().map_or(0, |tm| tm.tenants);
-        let mut lanes = vec![TenantLoadPoint::default(); ntenants];
-        let mut lane_accepted = vec![0u64; ntenants];
         for stats in outcomes.iter().flatten() {
             latency.merge(&stats.all);
             cycles += stats.cycles;
             accepted_flits += stats.accepted_flits;
             rerouted_hops += stats.rerouted_hops;
             unreachable_pairs += stats.unreachable_pairs;
-            for (t, lane) in stats.tenants.iter().enumerate() {
-                lanes[t].latency.merge(&lane.latency);
-                lane_accepted[t] += lane.accepted_flits;
-            }
             completed += 1;
         }
         let stable = completed as usize == outcomes.len();
@@ -568,20 +525,6 @@ impl<'a> SweepRunner<'a> {
                 accepted_flits as f64 / window,
             )
         };
-        if completed > 0 {
-            if let Some(tm) = &self.tenant_map {
-                let mut tile_nodes = vec![0u64; ntenants];
-                for &t in &tm.tenant_of_node {
-                    tile_nodes[usize::from(t)] += 1;
-                }
-                for (t, lane) in lanes.iter_mut().enumerate() {
-                    let window =
-                        f64::from(completed) * self.cfg.measure as f64 * tile_nodes[t] as f64;
-                    lane.throughput = lane.latency.count as f64 / window;
-                    lane.accepted = lane_accepted[t] as f64 / window;
-                }
-            }
-        }
         LoadPoint {
             offered,
             latency,
@@ -592,7 +535,6 @@ impl<'a> SweepRunner<'a> {
             stable,
             rerouted_hops,
             unreachable_pairs,
-            tenants: lanes,
         }
     }
 

@@ -39,7 +39,6 @@ use crate::json::{Json, Obj};
 use crate::shard::{EnginePlan, ShardState};
 use crate::stats::SimStats;
 use hyppi_topology::NodeId;
-use hyppi_traffic::TenantMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -315,10 +314,6 @@ pub struct MetricsSample {
     /// Per-shard-edge mailbox volume in the interval (only edges with
     /// traffic): `(from, to, flits, credits)`.
     pub mailbox_edges: Vec<(u16, u16, u64, u64)>,
-    /// Per-tenant stall events during the interval, outer index = tenant,
-    /// inner indexed like [`StallCause::ALL`]. Empty unless the sampler
-    /// was built with [`MetricsSampler::with_tenants`].
-    pub tenant_stalls: Vec<[u64; 5]>,
 }
 
 impl MetricsSample {
@@ -331,8 +326,7 @@ impl MetricsSample {
         for (i, cause) in StallCause::ALL.iter().enumerate() {
             o = o.field(&format!("stall_{}", cause.name()), self.stalls[i]);
         }
-        o = o
-            .field("link_util_mean", Json::fixed(self.link_util_mean, 6))
+        o.field("link_util_mean", Json::fixed(self.link_util_mean, 6))
             .field("link_util_max", Json::fixed(self.link_util_max, 6))
             .field(
                 "link_util_argmax",
@@ -367,19 +361,8 @@ impl MetricsSample {
                         })
                         .collect(),
                 ),
-            );
-        if !self.tenant_stalls.is_empty() {
-            o = o.field(
-                "tenant_stalls",
-                Json::Arr(
-                    self.tenant_stalls
-                        .iter()
-                        .map(|lane| Json::Arr(lane.iter().map(|&v| Json::UInt(v)).collect()))
-                        .collect(),
-                ),
-            );
-        }
-        o.build()
+            )
+            .build()
     }
 }
 
@@ -408,10 +391,6 @@ pub struct MetricsSampler {
     next_boundary: u64,
     // Cumulative counters fed by hooks (stall / exchange events).
     stalls: [u64; 5],
-    // Tenant attribution for stall events: global node → tenant id.
-    // Empty when the run is single-tenant (no per-tenant lanes).
-    tenant_of_node: Vec<u16>,
-    tenant_stalls: Vec<[u64; 5]>,
     mailbox_flits: u64,
     mailbox_credits: u64,
     mailbox_edges: Vec<(u16, u16, u64, u64)>,
@@ -428,7 +407,6 @@ struct MetricsPrev {
     delivered: u64,
     link_flits: Vec<u64>,
     stalls: [u64; 5],
-    tenant_stalls: Vec<[u64; 5]>,
     mailbox_flits: u64,
     mailbox_credits: u64,
     mailbox_edges: Vec<(u16, u16, u64, u64)>,
@@ -442,8 +420,6 @@ impl MetricsSampler {
             interval,
             next_boundary: interval,
             stalls: [0; 5],
-            tenant_of_node: Vec::new(),
-            tenant_stalls: Vec::new(),
             mailbox_flits: 0,
             mailbox_credits: 0,
             mailbox_edges: Vec::new(),
@@ -451,16 +427,6 @@ impl MetricsSampler {
             cur: CycleGauges::default(),
             samples: Vec::new(),
         }
-    }
-
-    /// Attributes stall events to tenants: each sample gains a
-    /// `tenant_stalls` lane per tenant, split by [`StallCause`]. The map
-    /// must cover the run's topology (same map handed to the engine via
-    /// `with_tenants`).
-    pub fn with_tenants(mut self, map: &TenantMap) -> Self {
-        self.tenant_of_node = map.tenant_of_node.clone();
-        self.tenant_stalls = vec![[0; 5]; map.tenants];
-        self
     }
 
     /// The recorded samples so far.
@@ -506,18 +472,6 @@ impl MetricsSampler {
         for (i, s) in stalls.iter_mut().enumerate() {
             *s = delta(self.stalls[i], p.map_or(0, |p| p.stalls[i]));
         }
-        let tenant_stalls: Vec<[u64; 5]> = self
-            .tenant_stalls
-            .iter()
-            .enumerate()
-            .map(|(t, lane)| {
-                let mut d = [0u64; 5];
-                for (i, v) in d.iter_mut().enumerate() {
-                    *v = delta(lane[i], p.map_or(0, |p| p.tenant_stalls[t][i]));
-                }
-                d
-            })
-            .collect();
         let prev_edges = p.map_or(&[][..], |p| &p.mailbox_edges[..]);
         let mailbox_edges: Vec<(u16, u16, u64, u64)> = self
             .mailbox_edges
@@ -552,7 +506,6 @@ impl MetricsSampler {
             mailbox_flits: delta(self.mailbox_flits, p.map_or(0, |p| p.mailbox_flits)),
             mailbox_credits: delta(self.mailbox_credits, p.map_or(0, |p| p.mailbox_credits)),
             mailbox_edges,
-            tenant_stalls,
         });
         self.prev = Some(MetricsPrev {
             cycle_end,
@@ -560,7 +513,6 @@ impl MetricsSampler {
             delivered: self.cur.delivered,
             link_flits: self.cur.link_flits.clone(),
             stalls: self.stalls,
-            tenant_stalls: self.tenant_stalls.clone(),
             mailbox_flits: self.mailbox_flits,
             mailbox_credits: self.mailbox_credits,
             mailbox_edges: self.mailbox_edges.clone(),
@@ -571,11 +523,8 @@ impl MetricsSampler {
 }
 
 impl Probe for MetricsSampler {
-    fn on_stall(&mut self, cause: StallCause, node: NodeId, _now: u64) {
+    fn on_stall(&mut self, cause: StallCause, _node: NodeId, _now: u64) {
         self.stalls[cause.index()] += 1;
-        if let Some(&t) = self.tenant_of_node.get(usize::from(node.0)) {
-            self.tenant_stalls[usize::from(t)][cause.index()] += 1;
-        }
     }
 
     fn on_exchange(&mut self, from: usize, to: usize, flits: usize, credits: usize, _now: u64) {

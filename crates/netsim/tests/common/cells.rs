@@ -32,10 +32,7 @@ use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
     express_mesh, mesh, ExpressSpec, FaultSpec, MeshSpec, NodeId, RoutingTable, ShardSpec, Topology,
 };
-use hyppi_traffic::{
-    BurstSpec, SyntheticPattern, TenantMap, TenantSpec, TenantWorkload, Trace, TraceEvent,
-    TrafficMatrix,
-};
+use hyppi_traffic::{BurstSpec, SyntheticPattern, Trace, TraceEvent, TrafficMatrix};
 
 /// Synthetic warm-up cycles used by every synthetic cell.
 pub const WARMUP: u64 = 100;
@@ -140,8 +137,12 @@ pub fn uniform_matrix(topo: &Topology, rate: f64) -> TrafficMatrix {
 pub enum CellWorkload {
     /// SplitMix64 fixture trace.
     Trace { seed: u64, packets: usize },
-    /// Bernoulli synthetic injection over a uniform matrix.
-    Synthetic { rate: f64, seed: u64 },
+    /// Bernoulli synthetic injection over a pattern's matrix.
+    Synthetic {
+        pattern: SyntheticPattern,
+        rate: f64,
+        seed: u64,
+    },
 }
 
 /// One fully-built parity cell: topology (faults applied), routes, the
@@ -159,11 +160,6 @@ pub struct Cell {
     /// Paper config, open- or closed-loop.
     pub cfg: SimConfig,
     pub workload: CellWorkload,
-    /// Multi-tenant layout: the spec (drives the synthetic matrix) and
-    /// its resolved node-ownership map (attached to every engine so the
-    /// per-tenant `SimStats` lanes are recorded); `None` on
-    /// single-tenant cells.
-    pub tenants: Option<(TenantSpec, TenantMap)>,
 }
 
 /// The shard grids every sharded suite pins cells on: vertical halves,
@@ -183,16 +179,17 @@ impl Cell {
         }
     }
 
-    /// The cell's traffic matrix and seed (synthetic cells only). On
-    /// multi-tenant cells the matrix comes from the tenant spec (each
-    /// tenant's pattern on its own tile); the workload `rate` is
-    /// documentation only there.
+    /// The cell's traffic matrix and seed (synthetic cells only).
     pub fn matrix(&self) -> Option<(TrafficMatrix, u64)> {
         match self.workload {
-            CellWorkload::Synthetic { rate, seed } => {
-                let m = match &self.tenants {
-                    Some((spec, _)) => spec.matrix(&self.topo),
-                    None => uniform_matrix(&self.topo, rate),
+            CellWorkload::Synthetic {
+                pattern,
+                rate,
+                seed,
+            } => {
+                let m = match pattern {
+                    SyntheticPattern::Uniform => uniform_matrix(&self.topo, rate),
+                    _ => pattern.matrix(&self.topo, rate),
                 };
                 Some((m, seed))
             }
@@ -205,9 +202,6 @@ impl Cell {
         let mut sim = Simulator::new(&self.topo, &self.routes, self.cfg);
         if let Some((h, hr)) = &self.baseline {
             sim = sim.with_baseline(h, hr);
-        }
-        if let Some((_, map)) = &self.tenants {
-            sim = sim.with_tenants(map);
         }
         self.drive_single(sim)
     }
@@ -231,9 +225,6 @@ impl Cell {
         if let Some((h, hr)) = &self.baseline {
             sim = sim.with_baseline(h, hr);
         }
-        if let Some((_, map)) = &self.tenants {
-            sim = sim.with_tenants(map);
-        }
         match self.workload {
             CellWorkload::Trace { .. } => sim
                 .run_trace(&self.trace().expect("trace cell"))
@@ -252,9 +243,6 @@ impl Cell {
             ShardedSimulator::new(&self.topo, &self.routes, self.cfg, spec).with_threads(threads);
         if let Some((h, hr)) = &self.baseline {
             sim = sim.with_baseline(h, hr);
-        }
-        if let Some((_, map)) = &self.tenants {
-            sim = sim.with_tenants(map);
         }
         sim
     }
@@ -318,9 +306,6 @@ impl Cell {
             if let Some((h, hr)) = &self.baseline {
                 sim = sim.with_baseline(h, hr);
             }
-            if let Some((_, map)) = &self.tenants {
-                sim = sim.with_tenants(map);
-            }
             sim
         };
         match self.workload {
@@ -358,9 +343,6 @@ impl Cell {
         let mut sim = Simulator::new(&self.topo, &self.routes, self.cfg);
         if let Some((h, hr)) = &self.baseline {
             sim = sim.with_baseline(h, hr);
-        }
-        if let Some((_, map)) = &self.tenants {
-            sim = sim.with_tenants(map);
         }
         let stats = match self.workload {
             CellWorkload::Trace { .. } => sim
@@ -436,7 +418,6 @@ fn build(
                 baseline: None,
                 cfg,
                 workload,
-                tenants: None,
             }
         }
         Some(spec) => {
@@ -451,30 +432,31 @@ fn build(
                 baseline: Some((healthy, healthy_routes)),
                 cfg,
                 workload,
-                tenants: None,
             }
         }
     }
 }
 
 /// The full cell matrix: 5 topology families × {open, closed(4)} ×
-/// {trace, synthetic} = 20 base cells, plus six bursty / multi-tenant
-/// cells. Closed-loop synthetic cells run past the small-mesh knee so
-/// NIC windows actually fill.
+/// {trace, synthetic} = 20 base cells, plus six bursty / hotspot cells.
+/// Closed-loop synthetic cells run past the small-mesh knee so NIC
+/// windows actually fill.
 ///
-/// The extra cells pin the dynamic-traffic and multi-tenancy subsystems
-/// across every suite:
+/// The base synthetic cells are uniform; the extra cells pin bursty
+/// injection and a non-uniform matrix across every suite:
 ///
 /// * `plain/open/synthetic-onoff` — ON/OFF modulated injection;
 /// * `hyppi/open/synthetic-mmpp` — MMPP arrivals over 2-cycle cut
 ///   links;
 /// * `hyppi-faulted/open/synthetic-onoff` — bursty sources while the
 ///   shard-cut links are faulted (bursty-on-faulted-cut);
-/// * `plain/open/tenant` — hotspot|uniform tenant pair, per-tenant
-///   stats lanes absorbed across shards and snapshots;
-/// * `plain/closed/tenant` — the same pair under source credits;
-/// * `hyppi/open/tenant-mmpp` — tenants *and* bursty modulation on the
-///   all-optical mesh.
+/// * `plain/open/hotspot` — a quarter of all traffic aimed at the four
+///   corners, so a few ejection ports and the links into them carry
+///   most of the load;
+/// * `plain/closed/hotspot` — the same pattern under source credits,
+///   fast enough that the 4-packet windows fill;
+/// * `hyppi/open/hotspot-mmpp` — the hotspot *and* bursty modulation on
+///   the all-optical mesh.
 pub fn catalog() -> Vec<Cell> {
     type Family = (&'static str, fn() -> Topology, Option<fn() -> FaultSpec>);
     let families: Vec<Family> = vec![
@@ -511,6 +493,7 @@ pub fn catalog() -> Vec<Cell> {
                 cfg,
                 loop_name,
                 CellWorkload::Synthetic {
+                    pattern: SyntheticPattern::Uniform,
                     rate,
                     seed: seed_base + 1,
                 },
@@ -543,50 +526,41 @@ pub fn catalog() -> Vec<Cell> {
             faults,
             cfg,
             "open",
-            CellWorkload::Synthetic { rate: 0.08, seed },
+            CellWorkload::Synthetic {
+                pattern: SyntheticPattern::Uniform,
+                rate: 0.08,
+                seed,
+            },
         );
         cell.name = format!("{}-{suffix}", cell.name);
         cells.push(cell);
     }
 
-    // Multi-tenant cells: a hotspot|uniform pair on vertical half-tiles.
-    // The resolved map is attached to every engine, so the per-tenant
-    // stats lanes are pinned bit-for-bit alongside the aggregate.
-    let pair = TenantSpec::pair(
-        TenantWorkload {
-            pattern: SyntheticPattern::Hotspot,
-            rate: 0.06,
-        },
-        TenantWorkload {
-            pattern: SyntheticPattern::Uniform,
-            rate: 0.08,
-        },
-    );
-    let closed_pair = pair.with_rate(0, 0.18).with_rate(1, 0.22);
-    for (family, topo, cfg, spec, loop_name, suffix) in [
+    // Hotspot cells: the catalog's non-uniform matrices.
+    for (family, topo, cfg, loop_name, rate, suffix) in [
         (
             "plain",
             plain_mesh(6, 6),
             SimConfig::paper(),
-            pair.clone(),
             "open",
-            "tenant",
+            0.06,
+            "hotspot",
         ),
         (
             "plain",
             plain_mesh(6, 6),
             SimConfig::paper_closed_loop(4),
-            closed_pair,
             "closed",
-            "tenant",
+            0.2,
+            "hotspot",
         ),
         (
             "hyppi",
             hyppi_mesh(8, 8),
             mmpp_cfg,
-            pair,
             "open",
-            "tenant-mmpp",
+            0.06,
+            "hotspot-mmpp",
         ),
     ] {
         let seed = 2000 + cells.len() as u64;
@@ -596,11 +570,13 @@ pub fn catalog() -> Vec<Cell> {
             None,
             cfg,
             loop_name,
-            CellWorkload::Synthetic { rate: 0.08, seed },
+            CellWorkload::Synthetic {
+                pattern: SyntheticPattern::Hotspot,
+                rate,
+                seed,
+            },
         );
         cell.name = format!("{family}/{loop_name}/{suffix}");
-        let map = spec.map(&cell.topo);
-        cell.tenants = Some((spec, map));
         cells.push(cell);
     }
 

@@ -86,9 +86,9 @@ fn strip_partitions_match_p1() {
 }
 
 /// The catalog itself is well-formed: 20 base cells plus the bursty and
-/// multi-tenant cells, every (family, loop, workload) combination
-/// present exactly once, tenant cells carry lanes that partition the
-/// aggregate, and the all-optical cells deliver traffic.
+/// hotspot cells, every (family, loop, workload) combination present
+/// exactly once, the closed hotspot cell fills its window, and the
+/// all-optical cells deliver traffic.
 #[test]
 fn catalog_shape() {
     let cells = cells::catalog();
@@ -109,22 +109,18 @@ fn catalog_shape() {
         "plain/open/synthetic-onoff",
         "hyppi/open/synthetic-mmpp",
         "hyppi-faulted/open/synthetic-onoff",
-        "plain/open/tenant",
-        "plain/closed/tenant",
-        "hyppi/open/tenant-mmpp",
+        "plain/open/hotspot",
+        "plain/closed/hotspot",
+        "hyppi/open/hotspot-mmpp",
     ] {
         assert!(names.contains(extra), "missing cell {extra}");
     }
-    for cell in cells.iter().filter(|c| c.tenants.is_some()) {
-        let stats = cell.run_single();
-        assert_eq!(stats.tenants.len(), 2, "{}: tenant lanes", cell.name);
-        let lane_sum: u64 = stats.tenants.iter().map(|t| t.flits_delivered).sum();
-        assert_eq!(
-            lane_sum, stats.flits_delivered,
-            "{}: tenant lanes partition the aggregate",
-            cell.name
-        );
-    }
+    let closed = cells
+        .iter()
+        .find(|c| c.name == "plain/closed/hotspot")
+        .expect("closed hotspot cell");
+    let peak = closed.run_single().peak_outstanding.into_iter().max();
+    assert_eq!(peak, Some(4), "closed hotspot cell fills its window");
     for cell in cells.iter().filter(|c| c.name.starts_with("hyppi")) {
         let stats = cell.run_single();
         assert!(stats.flits_delivered > 0, "{}: vacuous cell", cell.name);

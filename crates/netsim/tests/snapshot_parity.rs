@@ -470,7 +470,7 @@ fn restore_rejects_mismatches() {
     assert_eq!(err, SnapshotError::BadVersion { found: 0xFE });
 }
 
-/// Offset of the format-v3 body checksum in the snapshot header.
+/// Offset of the body checksum (format v3 onward) in the snapshot header.
 const CHECKSUM_AT: usize = 56;
 
 /// Rewrites the body checksum (FNV-1a 64 over every byte but the

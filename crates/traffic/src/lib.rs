@@ -29,12 +29,9 @@
 //! transpose, complement, hotspot, Soteriou, NPB-shaped) that feed the
 //! simulator's load sweeps, the counter-based Bernoulli draw that
 //! injects them ([`burst::injection_draw`], a pure function of (seed,
-//! node, cycle)), seeded temporal burstiness modulators
+//! node, cycle)), and seeded temporal burstiness modulators
 //! ([`burst::BurstSpec`] — ON/OFF and MMPP-style factor processes that
-//! decide *when* the steady patterns' traffic fires), and multi-tenant
-//! composition ([`tenant::TenantSpec`] — disjoint rectangular tiles
-//! each running their own pattern, resolved to a node → tenant map the
-//! simulator splits statistics by).
+//! decide *when* the steady patterns' traffic fires).
 
 pub mod burst;
 pub mod matrix;
@@ -42,7 +39,6 @@ pub mod npb;
 pub mod packetize;
 pub mod patterns;
 pub mod soteriou;
-pub mod tenant;
 pub mod trace;
 pub mod volume;
 
@@ -52,6 +48,5 @@ pub use npb::{NpbKernel, NpbTraceSpec, ScaledNpbSpec};
 pub use packetize::{packetize_message, Packet, DATA_PACKET_FLITS};
 pub use patterns::SyntheticPattern;
 pub use soteriou::SoteriouConfig;
-pub use tenant::{TenantMap, TenantSpec, TenantWorkload};
 pub use trace::{Trace, TraceEvent};
 pub use volume::CommVolume;
