@@ -16,6 +16,34 @@
 
 use hyppi::experiments::{fig3, fig5, fig8, table1, table2, table3, table4, table5, table6};
 use hyppi::prelude::*;
+use std::io::Write;
+
+/// `std`'s `print!`, except that a reader closing stdout (`repro all |
+/// head -1`) ends the run quietly with status 0 instead of a panic.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `std`'s `println!`, with [`print!`]'s handling of a closed stdout.
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 /// Flags that take a value (`--flag VALUE`).
 const VALUE_FLAGS: [&str; 10] = [

@@ -36,3 +36,19 @@ fn bad_arguments_exit_2_without_panicking() {
         );
     }
 }
+
+/// A reader that stops early (`repro all | head -1`) closes stdout under
+/// `repro`: the run ends quietly with status 0, not with a panic.
+#[test]
+fn closed_stdout_exits_0_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("table1")
+        .stdout(writer)
+        .output()
+        .expect("repro binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+}

@@ -277,14 +277,15 @@ pub fn sample_connected(topo: &Topology, count: usize, seed: u64) -> (FaultSpec,
 }
 
 /// Sweeps `counts` fault counts on one mesh, `samples` seeded draws per
-/// count (uniform traffic). The same base seed grid makes the whole curve
-/// reproducible bit-for-bit.
+/// count (uniform traffic under the engine settings `sim`). The same base
+/// seed grid makes the whole curve reproducible bit-for-bit.
 pub fn fault_curve(
     topo: &Topology,
     label: &str,
     counts: &[usize],
     samples: usize,
     probe_rate: f64,
+    sim: SimConfig,
     base_cfg: &SweepConfig,
 ) -> FaultSweepCurve {
     let routes = RoutingTable::compute_xy(topo);
@@ -303,7 +304,7 @@ pub fn fault_curve(
             } else {
                 base_cfg.clone().faults(spec)
             };
-            let runner = SweepRunner::new(topo, &routes, SimConfig::paper(), cfg);
+            let runner = SweepRunner::new(topo, &routes, sim, cfg);
             let gen = |r: f64| SyntheticPattern::Uniform.matrix(topo, r);
             let sat = runner.find_saturation(&gen, SWEEP_MAX_RATE);
             let probe = runner.run_point(&gen(probe_rate));
@@ -373,6 +374,7 @@ pub fn fault_sweep(
         &FAULT_COUNTS_16,
         SAMPLES_16,
         FAULT_PROBE_RATE,
+        SimConfig::paper(),
         &cfg16,
     ));
     curves.push(fault_curve(
@@ -381,7 +383,8 @@ pub fn fault_sweep(
         &FAULT_COUNTS_16,
         SAMPLES_16,
         FAULT_PROBE_RATE,
-        &cfg16.clone().closed_loop(CLOSED_LOOP_WINDOW),
+        SimConfig::paper_closed_loop(CLOSED_LOOP_WINDOW),
+        &cfg16,
     ));
     let mesh32 = super::npb::mesh32();
     let mut cfg32 = SweepConfig {
@@ -404,6 +407,7 @@ pub fn fault_sweep(
         &FAULT_COUNTS_32,
         SAMPLES_32,
         FAULT_PROBE_RATE,
+        SimConfig::paper(),
         &cfg32,
     ));
     curves.push(fault_curve(
@@ -412,7 +416,8 @@ pub fn fault_sweep(
         &FAULT_COUNTS_32,
         SAMPLES_32,
         FAULT_PROBE_RATE,
-        &cfg32.clone().closed_loop(CLOSED_LOOP_WINDOW),
+        SimConfig::paper_closed_loop(CLOSED_LOOP_WINDOW),
+        &cfg32,
     ));
     let mut written = Vec::new();
     if telemetry.enabled() {
@@ -470,6 +475,7 @@ mod tests {
             &[0, 3],
             2,
             0.05,
+            SimConfig::paper(),
             &SweepConfig::quick(),
         );
         // 1 healthy anchor + 2 faulted samples.
@@ -505,6 +511,7 @@ mod tests {
             &[0, 2],
             1,
             0.05,
+            SimConfig::paper(),
             &SweepConfig::quick(),
         );
         let r = FaultSweepResult {

@@ -8,7 +8,7 @@
 //! reports mean latency plus p50/p95/p99/p99.9 tails from the
 //! simulator's log-linear histograms, accepted throughput, and the
 //! bisection-searched saturation load (mean latency crossing
-//! `sat_multiple ×` the zero-load latency — see `hyppi_netsim::sweep`).
+//! `SAT_MULTIPLE ×` the zero-load latency — see `hyppi_netsim::sweep`).
 //!
 //! [`load_sweep32`] scales the methodology to a 32×32 mesh by routing
 //! every run through the sharded engine
@@ -206,18 +206,20 @@ impl LoadSweepResult {
     }
 }
 
-/// Sweeps `patterns` on one topology, labelling curves
+/// Sweeps `patterns` on one topology under the engine settings `sim`
+/// (closed-loop window, burst process), labelling curves
 /// `"<pattern> <label>"`.
 pub fn sweep_curves(
     topo: &Topology,
     label: &str,
     patterns: &[SyntheticPattern],
+    sim: SimConfig,
     cfg: &SweepConfig,
     rates: &[f64],
     max_rate: f64,
 ) -> Vec<LoadCurve> {
     let routes = RoutingTable::compute_xy(topo);
-    let runner = SweepRunner::new(topo, &routes, SimConfig::paper(), cfg.clone());
+    let runner = SweepRunner::new(topo, &routes, sim, cfg.clone());
     patterns
         .iter()
         .map(|p| {
@@ -263,10 +265,14 @@ pub fn load_sweep(
     burst: BurstSpec,
     telemetry: &TelemetryOpts,
 ) -> std::io::Result<(LoadSweepResult, Vec<String>)> {
-    let mut cfg = SweepConfig::paper().burstiness(burst);
+    let mut cfg = SweepConfig::paper();
     if cold {
         cfg = cfg.cold();
     }
+    let sim = SimConfig {
+        burst,
+        ..SimConfig::paper()
+    };
     let tag = burst_tag(burst);
     let plain = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let mut patterns = SyntheticPattern::DEFAULT_SWEEP.to_vec();
@@ -275,6 +281,7 @@ pub fn load_sweep(
         &plain,
         &format!("mesh{tag}"),
         &patterns,
+        sim,
         &cfg,
         &SWEEP_RATES,
         SWEEP_MAX_RATE,
@@ -283,7 +290,11 @@ pub fn load_sweep(
         &plain,
         &format!("mesh closed-loop{tag}"),
         &[SyntheticPattern::Uniform],
-        &cfg.clone().closed_loop(CLOSED_LOOP_WINDOW),
+        SimConfig {
+            max_outstanding: CLOSED_LOOP_WINDOW,
+            ..sim
+        },
+        &cfg,
         &SWEEP_RATES,
         SWEEP_MAX_RATE,
     ));
@@ -299,21 +310,24 @@ pub fn load_sweep(
             &xpress,
             &format!("express-x{span}{tag}"),
             &[SyntheticPattern::Uniform],
+            sim,
             &cfg,
             &SWEEP_RATES,
             SWEEP_MAX_RATE,
         ));
     }
-    let written = record_uniform_point(&plain, cfg, telemetry)?;
+    let written = record_uniform_point(&plain, sim, cfg, telemetry)?;
     Ok((LoadSweepResult { curves }, written))
 }
 
 /// The flight-recorder leg of [`load_sweep`] and [`load_sweep32`]: when
 /// `telemetry` asks for artifacts, re-runs uniform traffic on `topo` at
-/// the mid-grid rate under `cfg` with the probes attached and writes the
-/// recordings. Returns the written paths (none when telemetry is off).
+/// the mid-grid rate under `sim` and `cfg` with the probes attached and
+/// writes the recordings. Returns the written paths (none when telemetry
+/// is off).
 fn record_uniform_point(
     topo: &Topology,
+    sim: SimConfig,
     cfg: SweepConfig,
     telemetry: &TelemetryOpts,
 ) -> std::io::Result<Vec<String>> {
@@ -321,7 +335,7 @@ fn record_uniform_point(
         return Ok(Vec::new());
     }
     let routes = RoutingTable::compute_xy(topo);
-    let runner = SweepRunner::new(topo, &routes, SimConfig::paper(), cfg);
+    let runner = SweepRunner::new(topo, &routes, sim, cfg);
     let mut rec = telemetry.recorder();
     let probe_rate = SWEEP_RATES[SWEEP_RATES.len() / 2];
     let _ = runner.record_point(
@@ -351,7 +365,7 @@ fn burst_tag(burst: BurstSpec) -> String {
 /// reproducible on any host.
 ///
 /// `closed_loop` switches every run to credit-limited NICs with that
-/// per-source window ([`SweepConfig::closed_loop`] composed with the
+/// per-source window ([`SimConfig::max_outstanding`] composed with the
 /// `shards` knob — `repro load_sweep32 --closed-loop WINDOW`): latency
 /// becomes window-bounded network latency and the accepted-load column
 /// flattens at the 1024-node saturation plateau instead of tracking
@@ -385,16 +399,17 @@ pub fn load_sweep32(
         threads: 1,
         ..SweepConfig::paper()
     }
-    .with_shards(shards)
-    .burstiness(burst);
+    .with_shards(shards);
     if cold {
         cfg = cfg.cold();
     }
+    let sim = SimConfig {
+        max_outstanding: closed_loop.unwrap_or(0),
+        burst,
+        ..SimConfig::paper()
+    };
     let label = match closed_loop {
-        Some(window) => {
-            cfg = cfg.closed_loop(window);
-            "mesh32 closed-loop"
-        }
+        Some(_) => "mesh32 closed-loop",
         None => "mesh32",
     };
     let label = format!("{label}{}", burst_tag(burst));
@@ -408,11 +423,12 @@ pub fn load_sweep32(
             SyntheticPattern::NpbScaled(NpbKernel::Cg),
             SyntheticPattern::NpbScaled(NpbKernel::Lu),
         ],
+        sim,
         &cfg,
         &SWEEP_RATES,
         SWEEP_MAX_RATE,
     );
-    let written = record_uniform_point(&topo, cfg, telemetry)?;
+    let written = record_uniform_point(&topo, sim, cfg, telemetry)?;
     Ok((LoadSweepResult { curves }, written))
 }
 
@@ -437,6 +453,7 @@ mod tests {
             &topo,
             "5x5",
             &[SyntheticPattern::Uniform, SyntheticPattern::Complement],
+            SimConfig::paper(),
             &SweepConfig::quick(),
             &[0.02, 0.15],
             0.8,
@@ -473,6 +490,7 @@ mod tests {
             &topo,
             "4x4",
             &[SyntheticPattern::Uniform],
+            SimConfig::paper(),
             &SweepConfig::quick(),
             &[0.02, 0.10],
             0.8,
@@ -517,6 +535,7 @@ mod tests {
             &topo,
             "6x6",
             &[SyntheticPattern::Uniform],
+            SimConfig::paper(),
             &SweepConfig::quick(),
             &rates,
             0.8,
@@ -525,6 +544,7 @@ mod tests {
             &topo,
             "6x6",
             &[SyntheticPattern::Uniform],
+            SimConfig::paper(),
             &SweepConfig::quick().with_shards(4),
             &rates,
             0.8,
@@ -550,7 +570,8 @@ mod tests {
             &topo,
             "6x6",
             &[SyntheticPattern::Uniform],
-            &SweepConfig::quick().closed_loop(8),
+            SimConfig::paper_closed_loop(8),
+            &SweepConfig::quick(),
             &rates,
             0.8,
         );
@@ -558,7 +579,8 @@ mod tests {
             &topo,
             "6x6",
             &[SyntheticPattern::Uniform],
-            &SweepConfig::quick().closed_loop(8).with_shards(4),
+            SimConfig::paper_closed_loop(8),
+            &SweepConfig::quick().with_shards(4),
             &rates,
             0.8,
         );

@@ -3,6 +3,7 @@
 
 use crate::table::TextTable;
 use hyppi_phys::{hyppi_params, photonic_params, plasmonic_params, TechnologyParams};
+use hyppi_topology::ROUTER_PIPELINE_CYCLES;
 
 /// Renders Table I from the `hyppi-phys` constants.
 pub fn table1() -> TextTable {
@@ -100,7 +101,7 @@ pub fn table2() -> TextTable {
         ])
         .row(vec![
             "Pipeline depth".to_string(),
-            format!("{} stages", sim.pipeline_stages),
+            format!("{ROUTER_PIPELINE_CYCLES} stages"),
         ])
         .row(vec!["Link latency", "1 clk electronic, 2 clks optical"])
         .row(vec!["Link capacity", "50 Gb/s"]);

@@ -24,8 +24,6 @@ pub struct RouterConfig {
     pub buffer_depth: u32,
     /// Flit width, bits.
     pub flit_bits: u32,
-    /// Router pipeline depth, cycles.
-    pub pipeline_stages: u32,
 }
 
 impl RouterConfig {
@@ -36,7 +34,6 @@ impl RouterConfig {
             vcs: 4,
             buffer_depth: 8,
             flit_bits: 64,
-            pipeline_stages: 3,
         }
     }
 

@@ -1,5 +1,6 @@
 //! Simulator configuration (Table II).
 
+use hyppi_topology::ROUTER_PIPELINE_CYCLES;
 use hyppi_traffic::BurstSpec;
 use serde::{Deserialize, Serialize};
 
@@ -10,8 +11,6 @@ pub struct SimConfig {
     pub vcs: usize,
     /// Buffer depth per VC in flits (Table II: 8).
     pub buffer_depth: usize,
-    /// Router pipeline depth in cycles (Table II: 3).
-    pub pipeline_stages: u64,
     /// Hard cycle cap; the simulator reports an error past this point
     /// (guards against deadlock in misconfigured runs). Below 2^31: the
     /// active engine keeps flit `ready` cycles as 32-bit words.
@@ -45,7 +44,6 @@ impl SimConfig {
         SimConfig {
             vcs: 4,
             buffer_depth: 8,
-            pipeline_stages: 3,
             max_cycles: 200_000_000,
             max_outstanding: 0,
             burst: BurstSpec::Steady,
@@ -60,11 +58,12 @@ impl SimConfig {
         cfg
     }
 
-    /// Cycles a flit must dwell before it may traverse the switch:
-    /// the pipeline minus the traversal stage itself.
+    /// Cycles a flit must dwell before it may traverse the switch: the
+    /// router pipeline ([`ROUTER_PIPELINE_CYCLES`], the constant every
+    /// route cost charges per hop) minus the traversal stage itself.
     #[inline]
     pub fn pipeline_dwell(&self) -> u64 {
-        self.pipeline_stages.saturating_sub(1)
+        u64::from(ROUTER_PIPELINE_CYCLES) - 1
     }
 
     /// Panics on configurations the engine cannot represent. The packed
@@ -86,12 +85,6 @@ impl SimConfig {
             self.buffer_depth <= u8::MAX as usize,
             "ring positions are u8 ({} requested)",
             self.buffer_depth
-        );
-        assert!(self.pipeline_stages >= 1, "pipeline needs >= 1 stage");
-        assert!(
-            self.pipeline_stages <= u64::from(u8::MAX),
-            "pipeline depth is at most 255 stages ({} requested)",
-            self.pipeline_stages
         );
         assert!(
             self.max_cycles < crate::flit::READY_SPAN,
@@ -122,7 +115,6 @@ mod tests {
         let c = SimConfig::paper();
         assert_eq!(c.vcs, 4);
         assert_eq!(c.buffer_depth, 8);
-        assert_eq!(c.pipeline_stages, 3);
         assert_eq!(c.pipeline_dwell(), 2);
         // The paper's setup is open-loop: no NIC window.
         assert_eq!(c.max_outstanding, 0);
@@ -149,14 +141,6 @@ mod tests {
     fn rejects_unrepresentable_cycle_cap() {
         let mut c = SimConfig::paper();
         c.max_cycles = 1 << 31;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "255 stages")]
-    fn rejects_unrepresentable_pipeline() {
-        let mut c = SimConfig::paper();
-        c.pipeline_stages = 256;
         c.validate();
     }
 

@@ -11,7 +11,9 @@
 //!
 //! * 4 virtual channels per port, 8 flit buffers per VC;
 //! * 3-stage router pipeline (route computation; VC + switch allocation;
-//!   switch traversal) — a flit spends at least 3 cycles per router;
+//!   switch traversal) — a flit spends at least 3 cycles per router. The
+//!   depth is the one constant [`hyppi_topology::ROUTER_PIPELINE_CYCLES`],
+//!   which every route cost and the analytic model charge per hop too;
 //! * one crossbar transfer per input port and per output port per cycle;
 //! * round-robin switch and VC allocation arbiters;
 //! * credits returned when a flit leaves the downstream buffer.
@@ -125,11 +127,12 @@
 //! measured-packet throughput, and in-window accepted throughput — while
 //! [`SweepRunner::find_saturation`] bisects for the saturation point:
 //! open-loop, the smallest offered load whose mean latency exceeds a
-//! multiple of the zero-load latency; closed-loop
-//! ([`SweepConfig::closed_loop`]), the smallest offered load whose
-//! accepted throughput falls off the offered-load diagonal (the
-//! accepted-plateau criterion — the latency multiple cannot trigger when
-//! the window bounds latency). Both engines share the
+//! multiple of the zero-load latency; closed-loop (a [`SimConfig`] with
+//! [`SimConfig::max_outstanding`] > 0 — the runner runs the engine
+//! settings it is given), the smallest offered load whose accepted
+//! throughput falls off the offered-load diagonal (the accepted-plateau
+//! criterion — the latency multiple cannot trigger when the window
+//! bounds latency). Both engines share the
 //! [`stats::LatencyStats`] histogram, so sweep statistics stay under the
 //! parity oracle. A [`SweepConfig::shards`] knob routes each run through
 //! the sharded engine, opening 32×32+ meshes. Grids and searches are

@@ -279,8 +279,8 @@ struct OutPortInfo {
 /// `(start + k) % width` would accept, in the same order, so replacing
 /// the scans with mask walks preserves arbitration bit-for-bit.
 struct CyclicBits {
-    hi: u32,
-    lo: u32,
+    hi: u64,
+    lo: u64,
 }
 
 impl Iterator for CyclicBits {
@@ -302,9 +302,9 @@ impl Iterator for CyclicBits {
 }
 
 #[inline]
-fn cyclic_bits(mask: u32, start: usize) -> CyclicBits {
-    debug_assert!(start < 32);
-    let hi_mask = u32::MAX << start;
+fn cyclic_bits(mask: u64, start: usize) -> CyclicBits {
+    debug_assert!(start < 64);
+    let hi_mask = u64::MAX << start;
     CyclicBits {
         hi: mask & hi_mask,
         lo: mask & !hi_mask,
@@ -358,6 +358,13 @@ impl<'a> EnginePlan<'a> {
         assert_eq!(routes.num_nodes(), topo.num_nodes());
         cfg.validate();
         let dateline = topo.count_links(|l| l.is_express()) > 0;
+        // Class A (admission) takes the VCs below class B's top quarter;
+        // with one VC it would get none, and no source could emit.
+        assert!(
+            !dateline || cfg.vcs >= 2,
+            "an express (dateline) mesh needs at least 2 VCs, one per class ({} requested)",
+            cfg.vcs
+        );
         let mut in_port_of_link = vec![0u8; topo.links().len()];
         for node in topo.nodes() {
             for (i, &lid) in topo.incoming(node).iter().enumerate() {
@@ -643,9 +650,9 @@ pub(crate) struct ShardState {
     credits: Vec<CreditCell>,
     // --- flattened per-port router control state ---
     /// Routed-VC bitmask per (node, out-port) — bit = in-VC index.
-    routed_mask: Vec<u32>,
+    routed_mask: Vec<u64>,
     /// Active-VC bitmask per (node, out-port) — bit = in-VC index.
-    active_mask: Vec<u32>,
+    active_mask: Vec<u64>,
     /// VC-allocation round-robin pointer per (node, out-port).
     va_rr: Vec<u8>,
     /// Switch-allocation round-robin pointer per (node, out-port).
@@ -759,8 +766,8 @@ impl ShardState {
             vc_base.push(total_slots);
             let slots = st.in_ports() * cfg.vcs;
             assert!(
-                slots <= 32,
-                "per-node VC count {slots} exceeds the u32 arbitration masks \
+                slots <= 64,
+                "per-node VC count {slots} exceeds the 64-bit arbitration masks \
                  (node {}: {} in-ports × {} VCs)",
                 st.node.0,
                 st.in_ports(),
@@ -1205,7 +1212,7 @@ impl ShardState {
                             // no express link.
                             let info = self.packets[pid as usize];
                             let base = self.ctl[node].vc_base as usize; // in-port 0 ⇒ slot = base + vc
-                            let pick = cyclic_bits(plan.class_a_mask, 0).find(|&v| {
+                            let pick = cyclic_bits(plan.class_a_mask.into(), 0).find(|&v| {
                                 meta::len(self.slot_meta[base + v]) < plan.cfg.buffer_depth
                             });
                             if let Some(v) = pick {
@@ -1768,7 +1775,7 @@ impl ShardState {
                             self.out_port_info[pb + out_port].degraded,
                         );
                         let lid = st.out_links[out_port - 1].index();
-                        for v in cyclic_bits(self.holder_mask[pb + out_port] & open, 0) {
+                        for v in cyclic_bits((self.holder_mask[pb + out_port] & open).into(), 0) {
                             edges[src_chan].push(chan(lid, v));
                         }
                     }
@@ -3495,6 +3502,17 @@ mod tests {
             assert_eq!(stats.all.max, 7, "threads {threads}");
             assert_eq!(stats.flits_delivered, 1);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 VCs")]
+    fn rejects_one_vc_on_a_dateline_mesh() {
+        let (base, tech) = (LinkTechnology::Electronic, LinkTechnology::Hyppi);
+        let t = express_mesh(MeshSpec::paper(base), ExpressSpec { span: 3, tech });
+        let mut cfg = SimConfig::paper();
+        cfg.vcs = 1;
+        let routes = RoutingTable::compute_xy(&t);
+        let _ = ShardedSimulator::new(&t, &routes, cfg, ShardSpec::for_count(4));
     }
 
     #[test]

@@ -466,6 +466,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least 2 VCs")]
+    fn rejects_one_vc_on_a_dateline_mesh() {
+        // With one VC the dateline leaves class A none: every source
+        // would park and the quiet network would read as drained.
+        let (base, tech) = (LinkTechnology::Electronic, LinkTechnology::Hyppi);
+        let t = express_mesh(MeshSpec::paper(base), ExpressSpec { span: 3, tech });
+        let mut cfg = SimConfig::paper();
+        cfg.vcs = 1;
+        let _ = Simulator::new(&t, &RoutingTable::compute_xy(&t), cfg);
+    }
+
+    #[test]
     fn wheel_covers_every_link_latency() {
         // The calendar's correctness needs wheel length > max link
         // latency; verify on the express mesh (2-cycle optical links).

@@ -47,7 +47,7 @@
 
 use crate::config::SimConfig;
 use crate::stats::{LatencyStats, SimStats, HISTOGRAM_BUCKETS};
-use hyppi_topology::{LinkClass, NodeId, RoutingTable, Topology};
+use hyppi_topology::{LinkClass, NodeId, RoutingTable, Topology, ROUTER_PIPELINE_CYCLES};
 use hyppi_traffic::Trace;
 
 /// Magic bytes opening every snapshot.
@@ -948,7 +948,8 @@ fn fold_topo_routes(h: &mut u64, topo: &Topology, routes: &RoutingTable) {
 
 /// Fingerprint of everything that determines engine behavior from a given
 /// state onward: topology links, routing rule, the behavior-relevant
-/// config fields, and the fault-aware baseline (if any). `max_cycles` and
+/// config fields, the pipeline depth ([`ROUTER_PIPELINE_CYCLES`]), and
+/// the fault-aware baseline (if any). `max_cycles` and
 /// the shard layout are excluded — a snapshot may be resumed with a
 /// different cycle budget and a different partition.
 pub(crate) fn plan_fingerprint(
@@ -961,7 +962,7 @@ pub(crate) fn plan_fingerprint(
     fold(&mut h, b"hyppi-plan-v2");
     fold_u64(&mut h, cfg.vcs as u64);
     fold_u64(&mut h, cfg.buffer_depth as u64);
-    fold_u64(&mut h, cfg.pipeline_stages);
+    fold_u64(&mut h, u64::from(ROUTER_PIPELINE_CYCLES));
     fold_u64(&mut h, cfg.max_outstanding as u64);
     // The burst process changes the injection stream from the snapshot
     // boundary onward, exactly like the config fields above.

@@ -11,17 +11,16 @@
 //!   grid × seeds) across threads and merges each rate's seeds into one
 //!   [`LoadPoint`] with mean/p50/p95/p99 latency and accepted throughput;
 //! * [`SweepRunner::find_saturation`] — bisection search for the smallest
-//!   offered load whose mean latency exceeds a configured multiple of the
+//!   offered load whose mean latency exceeds [`SAT_MULTIPLE`] × the
 //!   zero-load latency (or whose run no longer completes).
 //!
 //! Every run goes through one engine path, a [`ShardedSimulator`] over
-//! [`ShardSpec::for_count`]`(shards)` — one tile is the P=1 engine. The
-//! [`SweepConfig`] knobs compose: [`SweepConfig::with_shards`] cuts
-//! every run into more tiles (opening 32×32+ meshes) and
-//! [`SweepConfig::closed_loop`] switches every run to credit-limited
-//! NICs — together they power `repro load_sweep32 --closed-loop WINDOW
-//! --shards P`, the large-mesh accepted-load curves. Results are
-//! bit-for-bit independent of either knob's wall-clock effect.
+//! [`ShardSpec::for_count`]`(shards)` — one tile is the P=1 engine — and
+//! runs the [`SimConfig`] the runner was given, closed-loop window and
+//! burst process included; only its cycle cap is the sweep's. So
+//! [`SweepConfig::with_shards`] (opening 32×32+ meshes) and a closed-loop
+//! `SimConfig` compose in `repro load_sweep32 --closed-loop WINDOW
+//! --shards P`. Results are bit-for-bit independent of the shard count.
 //!
 //! ## Warm-start sweeps
 //!
@@ -53,7 +52,7 @@ use crate::snapshot::Snapshot;
 use crate::stats::{LatencyStats, SimStats};
 use crate::telemetry::Probe;
 use hyppi_topology::{FaultSpec, RoutingTable, ShardSpec, Topology};
-use hyppi_traffic::{BurstSpec, TrafficMatrix};
+use hyppi_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -107,7 +106,16 @@ where
         .collect()
 }
 
-/// Sweep run-control parameters.
+/// Open-loop saturation: mean latency above `SAT_MULTIPLE ×` the
+/// zero-load latency (see [`SweepRunner::find_saturation`]).
+pub const SAT_MULTIPLE: f64 = 3.0;
+
+/// Closed-loop saturation: accepted throughput below
+/// `(1 - ACCEPT_EPSILON) ×` the offered load, the accepted plateau.
+pub const ACCEPT_EPSILON: f64 = 0.05;
+
+/// Sweep run-control parameters. Engine settings (window, burst process)
+/// live in the [`SimConfig`] handed to [`SweepRunner::new`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepConfig {
     /// Injection cycles discarded before measurement starts.
@@ -117,9 +125,6 @@ pub struct SweepConfig {
     /// Workload seeds (each keys the injection draws); each offered load
     /// runs once per seed and the seeds' statistics are merged.
     pub seeds: Vec<u64>,
-    /// A load is saturated when its mean latency exceeds
-    /// `sat_multiple × zero-load latency` (or a run hits the cycle cap).
-    pub sat_multiple: f64,
     /// Offered load used to probe the zero-load latency.
     pub zero_load_rate: f64,
     /// Bisection terminates when the load bracket is narrower than this.
@@ -135,29 +140,11 @@ pub struct SweepConfig {
     /// shard; 1 keeps intra-run execution on the batch worker's thread
     /// (useful when the seed × rate fan-out already saturates the host).
     pub threads: usize,
-    /// Closed-loop NIC window per run: 0 (default) is open-loop
-    /// injection; > 0 caps each source at that many in-network packets
-    /// (see [`crate::SimConfig::max_outstanding`]). Closed-loop sweeps
-    /// measure *network* latency and an accepted-load curve that
-    /// flattens at saturation instead of diverging.
-    pub max_outstanding: usize,
-    /// Closed-loop saturation criterion: a load is saturated once its
-    /// accepted throughput falls below `(1 - accept_epsilon) ×` the
-    /// offered load — i.e. the marginal accepted-per-offered has
-    /// collapsed and the accepted curve has hit its plateau. Unused
-    /// open-loop (there the latency multiple is the criterion).
-    pub accept_epsilon: f64,
     /// Fault set applied to the (healthy) sweep topology: every run then
     /// simulates the faulted mesh with fault-avoiding up*/down* routes,
     /// charging `SimStats::rerouted_hops` against the healthy baseline.
     /// `None` (default) sweeps the topology as given.
     pub faults: Option<FaultSpec>,
-    /// Temporal injection modulation applied to every run (see
-    /// [`crate::SimConfig::burst`]): [`BurstSpec::Steady`] (default)
-    /// keeps plain Bernoulli injection; ON/OFF and MMPP shapes burst the
-    /// same mean load. Orthogonal to the spatial pattern — the pattern
-    /// decides *where*, the burst process decides *when*.
-    pub burst: BurstSpec,
     /// `true` re-runs the warm-up phase for every rate-grid point (the
     /// pre-snapshot protocol); `false` (default) warm-starts each point
     /// from a cached post-warm-up [`Snapshot`] of the pattern's anchor
@@ -175,16 +162,12 @@ impl SweepConfig {
             warmup: 500,
             measure: 2000,
             seeds: vec![11, 42],
-            sat_multiple: 3.0,
             zero_load_rate: 0.005,
             tolerance: 0.01,
             run_max_cycles: 2_000_000,
             shards: 1,
             threads: 0,
-            max_outstanding: 0,
-            accept_epsilon: 0.05,
             faults: None,
-            burst: BurstSpec::Steady,
             cold: false,
         }
     }
@@ -197,28 +180,12 @@ impl SweepConfig {
         self
     }
 
-    /// Switches every run to closed-loop injection with a per-source
-    /// window of `window` outstanding packets.
-    pub fn closed_loop(mut self, window: usize) -> Self {
-        assert!(window >= 1, "closed-loop window must admit a packet");
-        self.max_outstanding = window;
-        self
-    }
-
     /// Applies a fault set to every run of the sweep (see
     /// [`SweepConfig::faults`]). [`SweepRunner::new`] panics if the spec
     /// disconnects live routers — resilience samplers draw a fresh seed
     /// in that case.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
-        self
-    }
-
-    /// Applies a temporal burst process to every run's injection (see
-    /// [`SweepConfig::burst`]).
-    pub fn burstiness(mut self, spec: BurstSpec) -> Self {
-        spec.validate();
-        self.burst = spec;
         self
     }
 
@@ -343,10 +310,10 @@ pub struct SweepRunner<'a> {
 }
 
 impl<'a> SweepRunner<'a> {
-    /// Builds a runner. Three `sim` fields are replaced from `cfg`:
-    /// `max_cycles` by the sweep's per-run cap
-    /// ([`SweepConfig::run_max_cycles`]), and `max_outstanding` and
-    /// `burst` by the sweep's own closed-loop window and burst process.
+    /// Builds a runner whose runs use `sim` with its `max_cycles`
+    /// replaced by the sweep's per-run cap ([`SweepConfig::run_max_cycles`]);
+    /// every other engine setting, the closed-loop window and burst
+    /// process included, is `sim`'s own.
     pub fn new(
         topo: &'a Topology,
         routes: &'a RoutingTable,
@@ -355,18 +322,11 @@ impl<'a> SweepRunner<'a> {
     ) -> Self {
         assert!(!cfg.seeds.is_empty(), "at least one seed required");
         assert!(cfg.measure > 0, "measurement window must be non-empty");
-        assert!(cfg.sat_multiple > 1.0, "saturation multiple must exceed 1");
         assert!(
             cfg.zero_load_rate > 0.0 && cfg.tolerance > 0.0,
             "rates must be positive"
         );
-        assert!(
-            (0.0..1.0).contains(&cfg.accept_epsilon),
-            "accept_epsilon must be in [0, 1)"
-        );
         sim.max_cycles = cfg.run_max_cycles;
-        sim.max_outstanding = cfg.max_outstanding;
-        sim.burst = cfg.burst;
         let faulted = match &cfg.faults {
             Some(spec) if !spec.is_empty() => {
                 let ft = spec.apply(topo);
@@ -627,12 +587,12 @@ impl<'a> SweepRunner<'a> {
     /// whose runs no longer complete. The criterion depends on the
     /// injection mode:
     ///
-    /// * **Open loop** (`max_outstanding == 0`): mean latency exceeds
-    ///   `sat_multiple ×` the zero-load latency. Mean latency grows
+    /// * **Open loop** ([`SimConfig::max_outstanding`] `== 0`): mean
+    ///   latency exceeds [`SAT_MULTIPLE`] × the zero-load latency. Mean latency grows
     ///   monotonically with offered load for the Bernoulli injectors
     ///   used here, which is what makes bisection sound.
-    /// * **Closed loop**: accepted throughput falls below
-    ///   `(1 - accept_epsilon) ×` the offered load — the accepted curve
+    /// * **Closed loop**: accepted throughput falls below (1 −
+    ///   [`ACCEPT_EPSILON`]) × the offered load — the accepted curve
     ///   has hit its plateau (Δaccepted/Δoffered has collapsed). The
     ///   latency multiple cannot work here: the NIC window bounds
     ///   network latency near `window × serviced-RTT`, so the mean never
@@ -656,9 +616,9 @@ impl<'a> SweepRunner<'a> {
         let anchors = self.warm_anchors(gen);
         let probe = |m: &TrafficMatrix| self.probe_point(anchors.as_deref().map(Vec::as_slice), m);
         let zero_load_latency = probe(&gen(self.cfg.zero_load_rate)).mean_latency();
-        let threshold = self.cfg.sat_multiple * zero_load_latency;
-        let closed = self.cfg.max_outstanding > 0;
-        let accept_floor = 1.0 - self.cfg.accept_epsilon;
+        let threshold = SAT_MULTIPLE * zero_load_latency;
+        let closed = self.sim.max_outstanding > 0;
+        let accept_floor = 1.0 - ACCEPT_EPSILON;
         let sample_cycles =
             self.cfg.measure as f64 * self.topo.num_nodes() as f64 * f64::from(seeds);
         let saturated = |p: &LoadPoint| {
@@ -739,7 +699,7 @@ mod tests {
     use super::*;
     use hyppi_phys::{Gbps, LinkTechnology};
     use hyppi_topology::{mesh, MeshSpec, NodeId};
-    use hyppi_traffic::SyntheticPattern;
+    use hyppi_traffic::{BurstSpec, SyntheticPattern};
 
     fn small_mesh(w: u16, h: u16) -> Topology {
         mesh(MeshSpec {
@@ -888,12 +848,8 @@ mod tests {
         // and the measured-packet curve both track the offered load.
         let topo = small_mesh(4, 4);
         let routes = RoutingTable::compute_xy(&topo);
-        let runner = SweepRunner::new(
-            &topo,
-            &routes,
-            SimConfig::paper(),
-            SweepConfig::quick().closed_loop(8),
-        );
+        let sim = SimConfig::paper_closed_loop(8);
+        let runner = SweepRunner::new(&topo, &routes, sim, SweepConfig::quick());
         let gen = |r: f64| SyntheticPattern::Uniform.matrix(&topo, r);
         let p = runner.run_point(&gen(0.05));
         assert!(p.stable);
@@ -912,12 +868,8 @@ mod tests {
     fn closed_loop_saturation_brackets_on_accepted_plateau() {
         let topo = small_mesh(4, 4);
         let routes = RoutingTable::compute_xy(&topo);
-        let runner = SweepRunner::new(
-            &topo,
-            &routes,
-            SimConfig::paper(),
-            SweepConfig::quick().closed_loop(16),
-        );
+        let sim = SimConfig::paper_closed_loop(16);
+        let runner = SweepRunner::new(&topo, &routes, sim, SweepConfig::quick());
         let gen = |r: f64| SyntheticPattern::Uniform.matrix(&topo, r);
         let a = runner.find_saturation(&gen, 1.0);
         assert!(a.saturated_in_range, "accepted load plateaus below 1.0");
@@ -929,7 +881,33 @@ mod tests {
         // Past the reported saturation load the accepted curve really has
         // left the offered-load diagonal.
         let past = runner.run_point(&gen((a.saturation_load * 1.5).min(1.0)));
-        assert!(past.accepted < past.offered * (1.0 - runner.config().accept_epsilon));
+        assert!(past.accepted < past.offered * (1.0 - ACCEPT_EPSILON));
+    }
+
+    #[test]
+    fn runs_use_the_window_and_burst_of_the_sim_config() {
+        // The window and the burst process live in `SimConfig` alone; a
+        // sweep handed either must run it, not the open-loop steady setup.
+        let topo = small_mesh(4, 4);
+        let routes = RoutingTable::compute_xy(&topo);
+        let gen = |r: f64| SyntheticPattern::Uniform.matrix(&topo, r);
+        let point = |sim: SimConfig, rate: f64| {
+            let runner = SweepRunner::new(&topo, &routes, sim, SweepConfig::quick());
+            runner.run_grid(&gen, &[rate]).remove(0)
+        };
+        // Past the knee a 2-packet window holds accepted load far below
+        // what open-loop sources push through.
+        let open = point(SimConfig::paper(), 0.5);
+        let closed = point(SimConfig::paper_closed_loop(2), 0.5);
+        assert!(closed.accepted < 0.5 * open.accepted, "{closed:?} {open:?}");
+        // The same mean load in bursts queues up behind each burst.
+        let mut onoff = SimConfig::paper();
+        onoff.burst = BurstSpec::onoff(4.0);
+        let (steady, bursty) = (point(SimConfig::paper(), 0.1), point(onoff, 0.1));
+        assert!(
+            bursty.mean_latency() > steady.mean_latency(),
+            "{bursty:?} {steady:?}"
+        );
     }
 
     // -- warm-start ------------------------------------------------------
@@ -1053,12 +1031,6 @@ mod tests {
                 .dead_link(NodeId(2), NodeId(3)),
         );
         let _ = SweepRunner::new(&topo, &routes, SimConfig::paper(), cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "window must admit")]
-    fn rejects_zero_window() {
-        let _ = SweepConfig::quick().closed_loop(0);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Every parity suite (`parity.rs`, `shard_parity.rs`,
 //! `snapshot_parity.rs`, `telemetry_parity.rs`) iterates the same cell
 //! matrix — topology family × {open, closed} loop × {trace, synthetic}
-//! workload — so a cell added here is pinned across every engine
-//! dimension at once: P=1 vs the frozen reference, sharded vs P=1,
-//! spliced vs whole, probed vs plain.
+//! workload, plus VC-count and buffer-depth variants — so a cell added
+//! here is pinned across every engine dimension at once: P=1 vs the
+//! frozen reference, sharded vs P=1, spliced vs whole, probed vs plain.
 //!
 //! The topology families:
 //!
@@ -157,7 +157,8 @@ pub struct Cell {
     /// The healthy topology + XY routes the faults were applied to;
     /// `None` on healthy cells.
     pub baseline: Option<(Topology, RoutingTable)>,
-    /// Paper config, open- or closed-loop.
+    /// Engine configuration: Table II, open- or closed-loop, bursty, or
+    /// with another VC count and buffer depth.
     pub cfg: SimConfig,
     pub workload: CellWorkload,
 }
@@ -438,7 +439,8 @@ fn build(
 }
 
 /// The full cell matrix: 5 topology families × {open, closed(4)} ×
-/// {trace, synthetic} = 20 base cells, plus six bursty / hotspot cells.
+/// {trace, synthetic} = 20 base cells, plus six bursty / hotspot cells
+/// and six router-configuration cells.
 /// Closed-loop synthetic cells run past the small-mesh knee so NIC
 /// windows actually fill.
 ///
@@ -457,6 +459,11 @@ fn build(
 ///   fast enough that the 4-packet windows fill;
 /// * `hyppi/open/hotspot-mmpp` — the hotspot *and* bursty modulation on
 ///   the all-optical mesh.
+///
+/// The configuration cells (`<family>/open/<workload>-vc<V>-d<D>`) run
+/// V ∈ {1, 2, 8} virtual channels and buffer depths D ∈ {1, 2, 16} on the
+/// plain, express and hyppi families; every other cell runs Table II's
+/// 4 VCs × 8 flits.
 pub fn catalog() -> Vec<Cell> {
     type Family = (&'static str, fn() -> Topology, Option<fn() -> FaultSpec>);
     let families: Vec<Family> = vec![
@@ -577,6 +584,38 @@ pub fn catalog() -> Vec<Cell> {
             },
         );
         cell.name = format!("{family}/{loop_name}/{suffix}");
+        cells.push(cell);
+    }
+
+    // Router-configuration cells: VC counts and buffer depths away from
+    // Table II's 4 × 8. Eight VCs give a plain-mesh router 40 arbitration
+    // slots and a span-3 express router up to 56; express cells keep the
+    // dateline's minimum of 2 VCs.
+    for (family, topo, vcs, buffer_depth, trace) in [
+        ("plain", plain_mesh(6, 6), 1, 1, true),
+        ("plain", plain_mesh(6, 6), 8, 2, false),
+        ("express", express(8, 4, 3), 2, 16, true),
+        ("express", express(8, 4, 3), 8, 1, false),
+        ("hyppi", hyppi_mesh(8, 8), 1, 16, false),
+        ("hyppi", hyppi_mesh(8, 8), 8, 2, true),
+    ] {
+        let seed = 3000 + cells.len() as u64;
+        let cfg = SimConfig {
+            vcs,
+            buffer_depth,
+            ..SimConfig::paper()
+        };
+        let workload = if trace {
+            CellWorkload::Trace { seed, packets: 400 }
+        } else {
+            CellWorkload::Synthetic {
+                pattern: SyntheticPattern::Uniform,
+                rate: 0.08,
+                seed,
+            }
+        };
+        let mut cell = build(family, topo, None, cfg, "open", workload);
+        cell.name = format!("{}-vc{vcs}-d{buffer_depth}", cell.name);
         cells.push(cell);
     }
 

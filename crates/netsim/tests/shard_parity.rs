@@ -85,16 +85,17 @@ fn strip_partitions_match_p1() {
     }
 }
 
-/// The catalog itself is well-formed: 20 base cells plus the bursty and
-/// hotspot cells, every (family, loop, workload) combination present
-/// exactly once, the closed hotspot cell fills its window, and the
-/// all-optical cells deliver traffic.
+/// The catalog itself is well-formed: 20 base cells plus the bursty,
+/// hotspot and router-configuration cells, every (family, loop, workload)
+/// combination present exactly once, the closed hotspot cell filling its
+/// window, and the all-optical and configuration cells delivering
+/// traffic.
 #[test]
 fn catalog_shape() {
     let cells = cells::catalog();
-    assert_eq!(cells.len(), 26);
+    assert_eq!(cells.len(), 32);
     let names: std::collections::BTreeSet<_> = cells.iter().map(|c| c.name.clone()).collect();
-    assert_eq!(names.len(), 26, "cell names are unique");
+    assert_eq!(names.len(), 32, "cell names are unique");
     for family in ["plain", "express", "faulted", "hyppi", "hyppi-faulted"] {
         for lp in ["open", "closed"] {
             for wl in ["trace", "synthetic"] {
@@ -112,6 +113,12 @@ fn catalog_shape() {
         "plain/open/hotspot",
         "plain/closed/hotspot",
         "hyppi/open/hotspot-mmpp",
+        "plain/open/trace-vc1-d1",
+        "plain/open/synthetic-vc8-d2",
+        "express/open/trace-vc2-d16",
+        "express/open/synthetic-vc8-d1",
+        "hyppi/open/synthetic-vc1-d16",
+        "hyppi/open/trace-vc8-d2",
     ] {
         assert!(names.contains(extra), "missing cell {extra}");
     }
@@ -121,7 +128,10 @@ fn catalog_shape() {
         .expect("closed hotspot cell");
     let peak = closed.run_single().peak_outstanding.into_iter().max();
     assert_eq!(peak, Some(4), "closed hotspot cell fills its window");
-    for cell in cells.iter().filter(|c| c.name.starts_with("hyppi")) {
+    for cell in cells
+        .iter()
+        .filter(|c| c.name.starts_with("hyppi") || c.name.contains("-vc"))
+    {
         let stats = cell.run_single();
         assert!(stats.flits_delivered > 0, "{}: vacuous cell", cell.name);
     }

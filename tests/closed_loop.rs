@@ -181,9 +181,8 @@ fn accepted_load_flattens_at_the_open_loop_saturation_point() {
     let closed = SweepRunner::new(
         &topo,
         &routes,
-        SimConfig::paper(),
-        cfg.clone()
-            .closed_loop(hyppi::experiments::CLOSED_LOOP_WINDOW),
+        SimConfig::paper_closed_loop(hyppi::experiments::CLOSED_LOOP_WINDOW),
+        cfg.clone(),
     );
     let open = SweepRunner::new(&topo, &routes, SimConfig::paper(), cfg);
 
