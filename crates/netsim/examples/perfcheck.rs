@@ -1,10 +1,13 @@
 //! NPB latency matrix + sweep throughput + engine performance record.
 //!
-//! A memory section records, through a counting global allocator,
-//! the engine's heap bytes per node after construction (16×16 to 64×64)
-//! and how much an 8×8 uniform run's heap grows over 2,000 and 20,000
-//! injection cycles; it fails the run when the long run grows it more
-//! than 1.5× the short run's (engine state is bounded by live traffic).
+//! A memory section records, through a counting global allocator, the
+//! bytes and build time of `compute_xy` and the engine's heap bytes per
+//! node and construction time at 1, 4, 16 and 64 shards (16×16 to
+//! 128×128), and how much an 8×8 uniform run's heap grows over 2,000 and
+//! 20,000 injection cycles. It fails the run when the 64-shard engine
+//! holds more than 1.25× the one-shard bytes per node on 64×64 or
+//! 128×128, when the 128×128 route table stores more than 0.5 MiB, or
+//! when the long run grows the heap more than 1.5× the short run's.
 //!
 //! Runs NPB kernel × express span cells of the Fig. 6 grid on the
 //! active-set engine, reporting latency (mean and p50/p95/p99 tails),
@@ -342,10 +345,28 @@ struct BurstPoint {
 /// at burstiness 8, which would mix extra load into the tail.
 const BURST_SEEDS: [u64; 3] = [11, 12, 13];
 
-/// Engine heap after construction on one mesh size.
+/// Engine heap and construction time on one mesh size and shard count.
 struct EngineBytes {
     side: u16,
+    shards: usize,
     bytes: usize,
+    secs: f64,
+}
+
+impl EngineBytes {
+    fn per_node(&self) -> f64 {
+        self.bytes as f64 / (usize::from(self.side) * usize::from(self.side)) as f64
+    }
+}
+
+/// `compute_xy` on one mesh size: its heap (table plus the adjacency copy
+/// `next_link` maps ports through), the bytes of its stored table
+/// (`RoutingTable::table_bytes`), and its build time.
+struct RouteBytes {
+    side: u16,
+    heap_bytes: usize,
+    table_bytes: usize,
+    secs: f64,
 }
 
 /// Peak heap growth of one short and one long run of the same point.
@@ -355,12 +376,24 @@ struct RunGrowth {
     long_bytes: usize,
 }
 
-/// The memory record: engine bytes per node, and how a run's heap grows
-/// with its length.
+/// The memory record: route and engine bytes by mesh size and shard
+/// count, and how a run's heap grows with its length.
 struct MemoryRecord {
+    routes: Vec<RouteBytes>,
     engines: Vec<EngineBytes>,
     growth: Vec<RunGrowth>,
 }
+
+/// Mesh sides and shard counts of the memory section's construction grid.
+const MEMORY_SIDES: [u16; 4] = [16, 32, 64, 128];
+const MEMORY_SHARDS: [usize; 4] = [1, 4, 16, 64];
+
+/// How many times the one-shard engine's bytes per node the 64-shard
+/// engine may hold on 64×64 and 128×128 meshes.
+const SHARD_BYTES_GATE: f64 = 1.25;
+
+/// Most bytes the 128×128 `compute_xy` table may store (0.5 MiB).
+const ROUTE_TABLE_GATE: usize = 512 * 1024;
 
 /// Injection cycles of the memory section's short and long runs.
 const GROWTH_MEASURE: (u64, u64) = (2_000, 20_000);
@@ -713,6 +746,8 @@ fn main() {
                                         Obj::new()
                                             .field("shards", p.shards)
                                             .field("secs", Json::fixed(p.secs, 4))
+                                            .field("reps", p.reps)
+                                            .field("spread_secs", Json::fixed(p.spread, 4))
                                             .field(
                                                 "speedup",
                                                 Json::fixed(r.single_secs / p.secs, 4),
@@ -822,21 +857,35 @@ fn main() {
         .field(
             "memory",
             Obj::new()
+                .field("shard_gate_ratio", Json::fixed(SHARD_BYTES_GATE, 2))
+                .field("route_table_gate_bytes", ROUTE_TABLE_GATE)
+                .field(
+                    "routes",
+                    memory
+                        .routes
+                        .iter()
+                        .map(|r| {
+                            Obj::new()
+                                .field("mesh", format!("{}x{}", r.side, r.side))
+                                .field("heap_bytes", r.heap_bytes)
+                                .field("table_bytes", r.table_bytes)
+                                .field("ms", Json::fixed(r.secs * 1e3, 3))
+                                .build()
+                        })
+                        .collect::<Vec<Json>>(),
+                )
                 .field(
                     "engine",
                     memory
                         .engines
                         .iter()
                         .map(|e| {
-                            let nodes = usize::from(e.side) * usize::from(e.side);
                             Obj::new()
                                 .field("mesh", format!("{}x{}", e.side, e.side))
-                                .field("shards", 1usize)
+                                .field("shards", e.shards)
                                 .field("bytes", e.bytes)
-                                .field(
-                                    "bytes_per_node",
-                                    Json::fixed(e.bytes as f64 / nodes as f64, 1),
-                                )
+                                .field("bytes_per_node", Json::fixed(e.per_node(), 1))
+                                .field("ms", Json::fixed(e.secs * 1e3, 3))
                                 .build()
                         })
                         .collect::<Vec<Json>>(),
@@ -1172,10 +1221,33 @@ fn run_shard_section(quick: bool, shards: usize) -> ShardRecord {
 /// One shard count of an NPB scaling curve.
 struct ScalingPoint {
     shards: usize,
-    /// Wall time of the sharded engine, one worker per shard (the P=1
-    /// point is the plain engine and defines speedup = 1).
+    /// Best wall time of the sharded engine over `reps` runs, one worker
+    /// per shard (the P=1 point is the plain engine and defines
+    /// speedup = 1).
     secs: f64,
+    reps: usize,
+    /// Slowest minus best of the `reps` runs.
+    spread: f64,
 }
+
+/// Runs `run` `reps` times: the best wall time, the spread (slowest
+/// minus best), and the last run's result.
+fn best_of<T>(reps: usize, mut run: impl FnMut() -> T) -> (f64, f64, T) {
+    let (mut best, mut worst) = (f64::INFINITY, 0.0f64);
+    let mut out = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        out = Some(run());
+        let secs = t.elapsed().as_secs_f64();
+        best = best.min(secs);
+        worst = worst.max(secs);
+    }
+    (best, worst - best, out.expect("at least one run"))
+}
+
+/// Runs per point of the P=1 and P=2 scaling cells, which the P=2 gate
+/// compares; P=4 and P=8 are timed once.
+const SCALING_REPS: usize = 3;
 
 /// The NPB shard-scaling record for one mesh size: a CG trace on an
 /// all-HyPPI mesh timed at 1/2/4/8 shards.
@@ -1195,10 +1267,11 @@ struct ScalingRecord {
 /// parity-asserted bit-for-bit against the P=1 engine (the contract
 /// `tests/shard_parity.rs` pins on the unified cell catalog), and every
 /// speedup is recorded with `host_threads` / `measured_on_single_core`.
-/// The one gate is 64×64 at P=2 beating P=1, armed on full runs on
-/// multi-core hosts; the 16×16 and 32×32 runs are below useful grain
-/// and `--quick` runs too short a trace to time, so those speedups are
-/// reported, not asserted.
+/// P=1 and P=2 are timed best-of-[`SCALING_REPS`] with their spread, so
+/// one slow run on a shared host does not decide the one gate: 64×64 at
+/// P=2 beating P=1, armed on full runs on multi-core hosts. The 16×16
+/// and 32×32 runs are below useful grain and `--quick` runs too short a
+/// trace to time, so those speedups are reported, not asserted.
 fn run_scaling_section(quick: bool) -> Vec<ScalingRecord> {
     let kernel = NpbKernel::Cg;
     // Decimation strides keep the trace volume roughly constant per
@@ -1225,29 +1298,45 @@ fn run_scaling_section(quick: bool) -> Vec<ScalingRecord> {
         let mut cfg = SimConfig::paper();
         cfg.max_cycles = 20_000_000;
 
-        let t0 = Instant::now();
-        let single = Simulator::new(&topo, &routes, cfg)
-            .run_trace(&trace)
-            .expect("P=1 engine completes");
-        let single_secs = t0.elapsed().as_secs_f64();
-
+        let (single_secs, single_spread, single) = best_of(SCALING_REPS, || {
+            Simulator::new(&topo, &routes, cfg)
+                .run_trace(&trace)
+                .expect("P=1 engine completes")
+        });
+        println!(
+            "SCALING {label} {}: P=1 best of {SCALING_REPS} {single_secs:.2}s, spread {single_spread:.2}s",
+            kernel.name(),
+        );
         let mut points = vec![ScalingPoint {
             shards: 1,
             secs: single_secs,
+            reps: SCALING_REPS,
+            spread: single_spread,
         }];
         for p in [2usize, 4, 8] {
-            let t = Instant::now();
-            let stats = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::for_count(p))
-                .run_trace(&trace)
-                .expect("sharded engine completes");
-            let secs = t.elapsed().as_secs_f64();
+            let reps = if p == 2 { SCALING_REPS } else { 1 };
+            let (secs, spread, stats) = best_of(reps, || {
+                ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::for_count(p))
+                    .run_trace(&trace)
+                    .expect("sharded engine completes")
+            });
             assert_eq!(stats, single, "{label}: shard parity violated at P={p}");
+            let timing = if reps > 1 {
+                format!("best of {reps} {secs:.2}s, spread {spread:.2}s")
+            } else {
+                format!("{secs:.2}s")
+            };
             println!(
-                "SCALING {label} {}: P={p} {secs:.2}s ({:.2}x vs P=1 {single_secs:.2}s) | parity OK",
+                "SCALING {label} {}: P={p} {timing} ({:.2}x vs P=1 {single_secs:.2}s) | parity OK",
                 kernel.name(),
                 single_secs / secs,
             );
-            points.push(ScalingPoint { shards: p, secs });
+            points.push(ScalingPoint {
+                shards: p,
+                secs,
+                reps,
+                spread,
+            });
         }
         let record = ScalingRecord {
             mesh: label,
@@ -1708,15 +1797,22 @@ fn fault_sat_curve(
         .collect()
 }
 
-/// The memory section. Engine bytes per node: the heap a P=1 engine
-/// holds after construction on 16×16, 32×32 and 64×64 electronic meshes
-/// (topology and routes excluded). Run growth: the peak heap of an 8×8
-/// uniform open-loop run at 0.1 flits/node/cycle (below saturation) over
-/// its heap after construction, for `GROWTH_MEASURE` short and long
+/// The memory section. Routes: the heap, stored table bytes and build
+/// time of `compute_xy` on 16×16 to 128×128 electronic meshes. Engine
+/// bytes per node: the heap an engine holds after construction on each
+/// of those meshes at P = 1, 4, 16 and 64 (topology and routes
+/// excluded), with its construction time. Run growth: the peak heap of an
+/// 8×8 uniform open-loop run at 0.1 flits/node/cycle (below saturation)
+/// over its heap after construction, for `GROWTH_MEASURE` short and long
 /// injection windows at P=1 and P=4 (one worker, so allocation is
-/// deterministic). The engine's state is bounded by live traffic, so a
-/// run ten times longer must not grow the heap more than `GROWTH_GATE`
-/// times the short run's; perfcheck exits nonzero otherwise.
+/// deterministic). Allocation sizes do not depend on the host, so three
+/// gates hold anywhere, and perfcheck exits nonzero when one fails: the
+/// 64-shard engine holds at most `SHARD_BYTES_GATE` times the one-shard
+/// bytes per node on 64×64 and 128×128 (shard tables cover what each
+/// shard owns); the 128×128 route table stores at most
+/// `ROUTE_TABLE_GATE` bytes (lines are interned); and a run ten times
+/// longer grows the heap at most `GROWTH_GATE` times the short run's
+/// (engine state is bounded by live traffic).
 fn run_memory_section() -> MemoryRecord {
     let electronic = |side: u16| {
         mesh(MeshSpec {
@@ -1727,20 +1823,66 @@ fn run_memory_section() -> MemoryRecord {
             capacity: Gbps::new(50.0),
         })
     };
+    let mut routes_rec = Vec::new();
     let mut engines = Vec::new();
-    for side in [16u16, 32, 64] {
+    for side in MEMORY_SIDES {
         let topo = electronic(side);
-        let routes = RoutingTable::compute_xy(&topo);
         let before = heap_mark();
-        let sim = Simulator::new(&topo, &routes, SimConfig::paper());
-        let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
-        drop(sim);
+        let t0 = Instant::now();
+        let routes = RoutingTable::compute_xy(&topo);
+        let secs = t0.elapsed().as_secs_f64();
+        let r = RouteBytes {
+            side,
+            heap_bytes: LIVE_BYTES.load(Ordering::Relaxed) - before,
+            table_bytes: routes.table_bytes(),
+            secs,
+        };
         println!(
-            "MEMORY {side}x{side} engine: {bytes} B after construction ({:.1} B/node)",
-            bytes as f64 / (usize::from(side) * usize::from(side)) as f64
+            "MEMORY {side}x{side} compute_xy: {} B heap, {} B table, {:.2} ms",
+            r.heap_bytes,
+            r.table_bytes,
+            r.secs * 1e3
         );
-        engines.push(EngineBytes { side, bytes });
+        routes_rec.push(r);
+        for shards in MEMORY_SHARDS {
+            let before = heap_mark();
+            let t0 = Instant::now();
+            let spec = ShardSpec::for_count(shards);
+            let sim = ShardedSimulator::new(&topo, &routes, SimConfig::paper(), spec);
+            let secs = t0.elapsed().as_secs_f64();
+            let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+            drop(sim);
+            let e = EngineBytes {
+                side,
+                shards,
+                bytes,
+                secs,
+            };
+            println!(
+                "MEMORY {side}x{side} engine P={shards}: {bytes} B after construction ({:.1} B/node), {:.2} ms",
+                e.per_node(),
+                secs * 1e3
+            );
+            engines.push(e);
+        }
+        if side >= 64 {
+            let at = |p: usize| {
+                let e = engines.iter().find(|e| e.side == side && e.shards == p);
+                e.expect("measured above").per_node()
+            };
+            let ratio = at(64) / at(1);
+            assert!(
+                ratio <= SHARD_BYTES_GATE,
+                "{side}x{side}: the 64-shard engine holds {ratio:.2}x the one-shard bytes per node (gate {SHARD_BYTES_GATE}x)"
+            );
+        }
     }
+    let table = routes_rec.iter().find(|r| r.side == 128);
+    let bytes = table.expect("measured above").table_bytes;
+    assert!(
+        bytes <= ROUTE_TABLE_GATE,
+        "128x128: compute_xy stores {bytes} B (gate {ROUTE_TABLE_GATE} B)"
+    );
     let topo = electronic(8);
     let routes = RoutingTable::compute_xy(&topo);
     let m = SyntheticPattern::Uniform.matrix(&topo, 0.10);
@@ -1777,7 +1919,11 @@ fn run_memory_section() -> MemoryRecord {
         );
         growth.push(g);
     }
-    MemoryRecord { engines, growth }
+    MemoryRecord {
+        routes: routes_rec,
+        engines,
+        growth,
+    }
 }
 
 /// The p99.9-vs-burstiness curve: the 16×16 uniform cell re-run with

@@ -19,6 +19,27 @@
 //! driver (`Engine::drive`) behind every `run_*` / `resume_*` entry point
 //! of both names.
 //!
+//! ## Shard-local indices
+//!
+//! A shard's tables cover only what it owns, so an engine holds O(N)
+//! state at any shard count. Three numberings replace global ids inside
+//! a shard, and each equals the global one at P=1:
+//!
+//! * **Nodes**: the shard's nodes in ascending id
+//!   (`Partition::local_of_node`).
+//! * **Driven links**: the links whose source the shard owns, in
+//!   ascending id (`Partition::local_of_link`, carried per out-port as
+//!   `OutPortInfo::rank`). Credit cells and `SimStats::link_flits` use it.
+//! * **Buffer slots**: a link's receiving end is its VC-0 slot in the
+//!   destination shard (`EnginePlan::in_slot`, carried per out-port as
+//!   `OutPortInfo::dst_slot`). Calendar events, boundary flits and the
+//!   wormhole remap use it.
+//!
+//! Mail names the receiver's index: a boundary flit its slot, a boundary
+//! credit the cell in the shard driving the link. Only `merge_stats`,
+//! snapshot export and import, and [`EngineView`] translate back to
+//! global ids.
+//!
 //! Three hot-path structures keep the per-traversal cost low while
 //! staying observable-behavior-preserving (the frozen
 //! [`crate::reference`] engine is the oracle; `tests/parity.rs` pins it):
@@ -159,8 +180,8 @@ pub(crate) enum VcClass {
     B,
 }
 
-/// One booked link arrival: (link, destination VC, flit).
-pub(crate) type ArrivalEvent = (u32, u8, SlotFlit);
+/// One booked link arrival: (destination buffer slot, flit).
+pub(crate) type ArrivalEvent = (u32, SlotFlit);
 
 /// One lazily-normalized credit counter for a downstream (link, VC)
 /// buffer. Credits freed during cycle `t` must not be spendable until
@@ -258,11 +279,16 @@ pub(crate) struct NodeCtl {
 }
 
 /// Packed per-(node, out-port) link facts consumed by the traversal
-/// winner path: one 8-byte load instead of three scattered table reads.
+/// winner path: one 16-byte load instead of scattered table reads.
 #[derive(Debug, Clone, Copy)]
 struct OutPortInfo {
-    /// Global link id; `u32::MAX` for the ejection port.
-    link: u32,
+    /// The link's index among the links this shard drives
+    /// (`Partition::local_of_link`): its credit cells and its
+    /// `link_flits` entry. `u32::MAX` for the ejection port.
+    rank: u32,
+    /// Buffer slot of VC 0 that the link feeds, in the slot layout of
+    /// the shard owning its destination ([`EnginePlan::in_slot`]).
+    dst_slot: u32,
     /// Shard owning the link's destination (own id for ejection).
     dst_shard: u16,
     /// Link latency in cycles (0 for ejection).
@@ -341,6 +367,9 @@ pub(crate) struct EnginePlan<'a> {
     pub baseline: Option<(&'a Topology, &'a RoutingTable)>,
     /// In-port index (at the link's dst node) fed by each link.
     pub in_port_of_link: Vec<u8>,
+    /// First buffer slot of each node in its shard's slot layout: the
+    /// shard's nodes in ascending id, `in_ports × vcs` slots each.
+    pub slot_base: Vec<u32>,
     /// Calendar wheel length (power of two > max link latency).
     pub wheel_len: usize,
     /// For each shard, the sorted shards that may address mail to it
@@ -369,6 +398,14 @@ impl<'a> EnginePlan<'a> {
         for node in topo.nodes() {
             for (i, &lid) in topo.incoming(node).iter().enumerate() {
                 in_port_of_link[lid.index()] = (i + 1) as u8;
+            }
+        }
+        let mut slot_base = vec![0u32; topo.num_nodes()];
+        for nodes in &partition.nodes_of_shard {
+            let mut next = 0u32;
+            for &v in nodes {
+                slot_base[v.index()] = next;
+                next += ((1 + topo.incoming(v).len()) * cfg.vcs) as u32;
             }
         }
         // Calendar sized to cover the longest link latency. Zero-latency
@@ -466,9 +503,18 @@ impl<'a> EnginePlan<'a> {
             degraded_class_b_mask,
             baseline: None,
             in_port_of_link,
+            slot_base,
             wheel_len,
             inbox_sources: sources,
         }
+    }
+
+    /// Buffer slot of VC 0 fed by link `lid`, in the slot layout of the
+    /// shard owning the link's destination.
+    #[inline]
+    pub fn in_slot(&self, lid: usize) -> u32 {
+        let dst = self.topo.links()[lid].dst;
+        self.slot_base[dst.index()] + u32::from(self.in_port_of_link[lid]) * self.cfg.vcs as u32
     }
 
     /// Installs the healthy-mesh baseline used to account
@@ -527,10 +573,9 @@ impl<'a> EnginePlan<'a> {
 /// the packet record the receiving shard needs to take a local handle.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BoundaryFlit {
-    /// Link being traversed.
-    pub link: u32,
-    /// Destination VC at the receiving router.
-    pub vc: u8,
+    /// The receiving buffer slot (link and VC), in the receiving shard's
+    /// slot layout.
+    pub slot: u32,
     pub is_head: bool,
     pub is_tail: bool,
     /// Packet dateline class at send time (meaningful for heads).
@@ -548,7 +593,8 @@ pub(crate) struct BoundaryFlit {
 pub(crate) struct OutBundle {
     /// Boundary link arrivals.
     pub flits: Vec<BoundaryFlit>,
-    /// Boundary credit returns, flattened `link * vcs + vc` indices.
+    /// Boundary credit returns: credit-cell indices (`rank * vcs + vc`)
+    /// in the receiving shard.
     pub credits: Vec<u32>,
     /// Closed-loop source credits: origin nodes (owned by the receiving
     /// shard) whose packet completed at a destination this shard owns.
@@ -612,10 +658,9 @@ impl Shared {
 
 // ---- per-shard engine state --------------------------------------------
 
-/// The full active-set router state of one mesh shard. All node-indexed
-/// arrays use *local* indices (the shard's nodes in ascending global id
-/// order); link-indexed arrays stay globally indexed (each shard only
-/// touches the entries it owns).
+/// The full active-set router state of one mesh shard, sized by what the
+/// shard owns: node-, link- and slot-indexed arrays use the shard-local
+/// indices of the module docs.
 pub(crate) struct ShardState {
     pub(crate) id: usize,
     nodes: Vec<NodeState>,
@@ -642,11 +687,11 @@ pub(crate) struct ShardState {
     in_port_of_slot: Vec<u8>,
     /// VC index of each slot (`idx % vcs`, precomputed).
     vc_of_slot: Vec<u8>,
-    /// Free downstream slots, flattened `[link * vcs + vc]`, global link
-    /// ids; only entries whose link source this shard owns are used.
-    /// Each cell is double-buffered in place ([`CreditCell`]) so credits
-    /// freed during a cycle become spendable next cycle without a
-    /// separate end-of-cycle application pass.
+    /// Free downstream slots of every link this shard drives, flattened
+    /// `[rank * vcs + vc]` (`OutPortInfo::rank`). Each cell is
+    /// double-buffered in place ([`CreditCell`]) so credits freed during a
+    /// cycle become spendable next cycle without a separate end-of-cycle
+    /// application pass.
     credits: Vec<CreditCell>,
     // --- flattened per-port router control state ---
     /// Routed-VC bitmask per (node, out-port) — bit = in-VC index.
@@ -664,8 +709,9 @@ pub(crate) struct ShardState {
     holder_mask: Vec<u32>,
     /// Packed link facts per (node, out-port) — see [`OutPortInfo`].
     out_port_info: Vec<OutPortInfo>,
-    /// Upstream credit index (`link * vcs + vc`) freed when a flit pops
-    /// from this slot; `u32::MAX` for injection-port slots.
+    /// Upstream credit index (`rank * vcs + vc` in the shard driving the
+    /// in-link) freed when a flit pops from this slot; `u32::MAX` for
+    /// injection-port slots.
     credit_of_slot: Vec<u32>,
     /// Shard owning the upstream end of each slot's in-port (own id for
     /// injection and intra-shard links).
@@ -682,12 +728,6 @@ pub(crate) struct ShardState {
     /// Flits currently traversing links into this shard (booked in
     /// `wheel`).
     pub(crate) inflight_arrivals: u64,
-    /// Local node fed by each link (`u16::MAX` when this shard does not
-    /// own the link's destination) — flat ingest table so arrival
-    /// delivery needs no topology or partition lookups.
-    arrive_node_of_link: Vec<u16>,
-    /// First (VC-0) buffer slot fed by each link; add the arrival VC.
-    arrive_slot_of_link: Vec<u32>,
     // --- active sets ---
     /// Bit per local node: has any buffered flit (gates RC/VA/SA).
     work_mask: Vec<u64>,
@@ -709,9 +749,10 @@ pub(crate) struct ShardState {
     free: Vec<u32>,
     /// Next admission number per local node (its packets' key half).
     next_admission: Vec<u32>,
-    /// In-transit wormhole remap per `link * vcs + vc`: the local handle
-    /// body/tail flits arriving on that channel belong to. Written when a
-    /// boundary head is ingested.
+    /// In-transit wormhole remap per receiving slot: the local handle
+    /// body/tail flits arriving on that (link, VC) channel belong to.
+    /// Written when a boundary head is ingested; empty when no link
+    /// crosses into this shard.
     remap: Vec<u32>,
     /// Outgoing mailbox staging, one bundle per destination shard.
     outbox: Vec<OutBundle>,
@@ -730,6 +771,8 @@ pub(crate) struct ShardState {
     pub(crate) origin_packets: u64,
     /// Packets fully ejected at owned destinations.
     pub(crate) completed_packets: u64,
+    /// This shard's statistics: `link_flits` per driven-link rank, the
+    /// per-node vectors per local node.
     pub(crate) stats: SimStats,
 }
 
@@ -745,25 +788,28 @@ fn rr_next(idx: usize, total: usize) -> u8 {
 }
 
 impl ShardState {
-    /// Builds the state of shard `id` under `plan`.
+    /// Builds the state of shard `id` under `plan`, in time and space
+    /// proportional to the nodes and links it owns.
     pub fn new(plan: &EnginePlan<'_>, id: usize) -> Self {
         let cfg = plan.cfg;
         let topo = plan.topo;
-        let owned = &plan.partition.nodes_of_shard[id];
+        let part = &plan.partition;
+        let owned = &part.nodes_of_shard[id];
         let nodes: Vec<NodeState> = owned.iter().map(|&n| NodeState::new(topo, n)).collect();
         let global_of_node: Vec<u16> = owned.iter().map(|n| n.0).collect();
-        // Flat slot layout, with the upstream credit index and owner
-        // shard of every slot resolved up front (the traversal winner
-        // path reads them with single slot-indexed loads).
-        let mut vc_base = Vec::with_capacity(nodes.len());
-        let mut node_of_slot = Vec::new();
-        let mut in_port_of_slot = Vec::new();
-        let mut vc_of_slot = Vec::new();
-        let mut credit_of_slot = Vec::new();
-        let mut src_shard_of_slot = Vec::new();
-        let mut total_slots = 0u32;
+        // Flat slot layout (`EnginePlan::slot_base`), with the upstream
+        // credit index and owner shard of every slot resolved up front
+        // (the traversal winner path reads them with single slot-indexed
+        // loads).
+        let total_slots: usize = nodes.iter().map(|st| st.in_ports() * cfg.vcs).sum();
+        let mut node_of_slot = Vec::with_capacity(total_slots);
+        let mut in_port_of_slot = Vec::with_capacity(total_slots);
+        let mut vc_of_slot = Vec::with_capacity(total_slots);
+        let mut credit_of_slot = Vec::with_capacity(total_slots);
+        let mut src_shard_of_slot = Vec::with_capacity(total_slots);
+        let mut fed_from_outside = false;
         for (i, st) in nodes.iter().enumerate() {
-            vc_base.push(total_slots);
+            debug_assert_eq!(plan.slot_base[st.node.index()] as usize, node_of_slot.len());
             let slots = st.in_ports() * cfg.vcs;
             assert!(
                 slots <= 64,
@@ -784,21 +830,21 @@ impl ShardState {
                     src_shard_of_slot.push(id as u16);
                 } else {
                     let lid = st.in_links[in_port - 1].index();
-                    credit_of_slot.push((lid * cfg.vcs + vc) as u32);
-                    src_shard_of_slot.push(plan.partition.link_src_shard[lid]);
+                    let rank = part.local_of_link[lid] as usize;
+                    credit_of_slot.push((rank * cfg.vcs + vc) as u32);
+                    src_shard_of_slot.push(part.link_src_shard[lid]);
+                    fed_from_outside |= usize::from(part.link_src_shard[lid]) != id;
                 }
             }
-            total_slots += slots as u32;
         }
-        let total_slots = total_slots as usize;
         // Flat per-port layout with the link facts of each out-port
         // packed into one record ([`OutPortInfo`]).
+        let total_out_ports: usize = nodes.iter().map(NodeState::out_ports).sum();
         let mut port_base = Vec::with_capacity(nodes.len());
         let mut total_in_vcs_of = Vec::with_capacity(nodes.len());
-        let mut out_port_info = Vec::new();
-        let mut total_out_ports = 0u32;
+        let mut out_port_info = Vec::with_capacity(total_out_ports);
         for st in &nodes {
-            port_base.push(total_out_ports);
+            port_base.push(out_port_info.len() as u32);
             assert!(
                 st.out_ports() <= 15,
                 "out-port count {} exceeds the packed slot-meta field",
@@ -806,7 +852,8 @@ impl ShardState {
             );
             total_in_vcs_of.push((st.in_ports() * cfg.vcs) as u8);
             out_port_info.push(OutPortInfo {
-                link: u32::MAX, // ejection port
+                rank: u32::MAX, // ejection port
+                dst_slot: u32::MAX,
                 dst_shard: id as u16,
                 latency: 0,
                 express: false,
@@ -820,33 +867,19 @@ impl ShardState {
                     link.latency_cycles
                 );
                 out_port_info.push(OutPortInfo {
-                    link: l.index() as u32,
-                    dst_shard: plan.partition.link_dst_shard[l.index()],
+                    rank: part.local_of_link[l.index()],
+                    dst_slot: plan.in_slot(l.index()),
+                    dst_shard: part.link_dst_shard[l.index()],
                     latency: link.latency_cycles as u8,
                     express: link.is_express(),
                     degraded: link.degraded,
                 });
             }
-            total_out_ports += st.out_ports() as u32;
         }
-        // Flat ingest tables: for every link feeding an owned node, the
-        // local node index and the slot of its VC 0, so arrival delivery
-        // is two array loads instead of topology + partition chases.
-        let mut arrive_node_of_link = vec![u16::MAX; topo.links().len()];
-        let mut arrive_slot_of_link = vec![0u32; topo.links().len()];
-        for l in topo.links() {
-            let lid = l.id.index();
-            if usize::from(plan.partition.link_dst_shard[lid]) != id {
-                continue;
-            }
-            let local = plan.partition.local_of_node[l.dst.index()];
-            let in_port = usize::from(plan.in_port_of_link[lid]);
-            arrive_node_of_link[lid] = local as u16;
-            arrive_slot_of_link[lid] = vc_base[local as usize] + (in_port * cfg.vcs) as u32;
-        }
+        let driven_links = total_out_ports - nodes.len();
         let ctl: Vec<NodeCtl> = (0..nodes.len())
             .map(|i| NodeCtl {
-                vc_base: vc_base[i],
+                vc_base: plan.slot_base[owned[i].index()],
                 port_base: port_base[i],
                 in_port_used: 0,
                 buffered: 0,
@@ -860,7 +893,7 @@ impl ShardState {
         let filler = SlotFlit::new(0, false, false, 0);
         let mask_words = nodes.len().div_ceil(64).max(1);
         let n_local = nodes.len();
-        let shards = plan.partition.num_shards();
+        let shards = part.num_shards();
         ShardState {
             id,
             global_of_node,
@@ -873,22 +906,20 @@ impl ShardState {
             in_port_of_slot,
             vc_of_slot,
             node_of_slot,
-            routed_mask: vec![0; total_out_ports as usize],
-            active_mask: vec![0; total_out_ports as usize],
-            va_rr: vec![0; total_out_ports as usize],
-            sa_rr: vec![0; total_out_ports as usize],
-            holder_mask: vec![0; total_out_ports as usize],
+            routed_mask: vec![0; total_out_ports],
+            active_mask: vec![0; total_out_ports],
+            va_rr: vec![0; total_out_ports],
+            sa_rr: vec![0; total_out_ports],
+            holder_mask: vec![0; total_out_ports],
             out_port_info,
             credit_of_slot,
             src_shard_of_slot,
             nodes,
-            credits: vec![CreditCell::new(cfg.buffer_depth as u16); topo.links().len() * cfg.vcs],
+            credits: vec![CreditCell::new(cfg.buffer_depth as u16); driven_links * cfg.vcs],
             wheel: vec![Vec::new(); plan.wheel_len],
             wheel_mask: (plan.wheel_len - 1) as u64,
             wheel_occ: vec![0; plan.wheel_len.div_ceil(64)],
             inflight_arrivals: 0,
-            arrive_node_of_link,
-            arrive_slot_of_link,
             work_mask: vec![0; mask_words],
             src_mask: vec![0; mask_words],
             rc_dirty: Vec::new(),
@@ -897,7 +928,11 @@ impl ShardState {
             class_of: Vec::new(),
             free: Vec::new(),
             next_admission: vec![0; n_local],
-            remap: vec![u32::MAX; topo.links().len() * cfg.vcs],
+            remap: if fed_from_outside {
+                vec![u32::MAX; total_slots]
+            } else {
+                Vec::new()
+            },
             outbox: (0..shards).map(|_| OutBundle::default()).collect(),
             outstanding: vec![0; n_local],
             accept_from: 0,
@@ -905,8 +940,27 @@ impl ShardState {
             pending_sources: 0,
             origin_packets: 0,
             completed_packets: 0,
-            stats: SimStats::new(topo.links().len(), topo.num_nodes()),
+            stats: SimStats::new(driven_links, n_local),
         }
+    }
+
+    /// Each link this shard drives: (its rank, its global id).
+    pub(crate) fn driven_links(&self) -> impl Iterator<Item = (usize, LinkId)> + '_ {
+        self.nodes.iter().zip(&self.ctl).flat_map(move |(st, c)| {
+            let ports = &self.out_port_info[c.port_base as usize + 1..];
+            st.out_links
+                .iter()
+                .zip(ports)
+                .map(|(&l, opi)| (opi.rank as usize, l))
+        })
+    }
+
+    /// The link feeding buffer slot `slot`, and the slot's VC (slot of a
+    /// link in-port, not an injection port).
+    fn link_of_slot(&self, slot: usize) -> (LinkId, u8) {
+        let st = &self.nodes[usize::from(self.node_of_slot[slot])];
+        let in_port = usize::from(self.in_port_of_slot[slot]);
+        (st.in_links[in_port - 1], self.vc_of_slot[slot])
     }
 
     // ---- active-set plumbing -------------------------------------------
@@ -1073,8 +1127,8 @@ impl ShardState {
         self.stats.rerouted_hops += plan.extra_hops(src, dst);
         let backlog = self.nodes[local].src_queue.len() as u32
             + u32::from(self.nodes[local].emitting.is_some());
-        if backlog > self.stats.peak_backlog[src.index()] {
-            self.stats.peak_backlog[src.index()] = backlog;
+        if backlog > self.stats.peak_backlog[local] {
+            self.stats.peak_backlog[local] = backlog;
         }
         self.set_src(local);
     }
@@ -1170,9 +1224,9 @@ impl ShardState {
         let ready = now + 1 + plan.cfg.pipeline_dwell();
         let mut events = std::mem::take(&mut self.wheel[bucket]);
         self.inflight_arrivals -= events.len() as u64;
-        for (lid, vc, flit) in events.drain(..) {
-            let node = usize::from(self.arrive_node_of_link[lid as usize]);
-            let slot = self.arrive_slot_of_link[lid as usize] as usize + usize::from(vc);
+        for (slot, flit) in events.drain(..) {
+            let slot = slot as usize;
+            let node = usize::from(self.node_of_slot[slot]);
             self.push_flit(node, slot, flit.with_ready(ready));
         }
         // Hand the bucket's allocation back for reuse.
@@ -1220,9 +1274,8 @@ impl ShardState {
                                 let mut inject_cycle = info.inject_cycle;
                                 if window > 0 {
                                     self.outstanding[node] += 1;
-                                    let g = usize::from(self.global_of_node[node]);
-                                    if self.outstanding[node] > self.stats.peak_outstanding[g] {
-                                        self.stats.peak_outstanding[g] = self.outstanding[node];
+                                    if self.outstanding[node] > self.stats.peak_outstanding[node] {
+                                        self.stats.peak_outstanding[node] = self.outstanding[node];
                                     }
                                     // Closed-loop latency is network latency:
                                     // restart the measured clock at emission,
@@ -1456,8 +1509,8 @@ impl ShardState {
                         }
                         let out_vc = meta::out_vc(m);
                         if p > 0 {
-                            let lid = opi.link as usize;
-                            if self.credits[lid * vcs + out_vc].normalize(now) == 0 {
+                            let rank = opi.rank as usize;
+                            if self.credits[rank * vcs + out_vc].normalize(now) == 0 {
                                 if P::ENABLED {
                                     probe.on_stall(
                                         StallCause::CreditStarved,
@@ -1482,7 +1535,7 @@ impl ShardState {
                     }
                     let in_port = usize::from(self.in_port_of_slot[base + idx]);
                     self.ctl[node].in_port_used |= 1 << in_port;
-                    self.stats.router_flits[usize::from(self.global_of_node[node])] += 1;
+                    self.stats.router_flits[node] += 1;
 
                     // Return a credit upstream for the slot we just freed;
                     // an injection-port pop re-arms a parked source. A
@@ -1545,8 +1598,8 @@ impl ShardState {
                             self.release(pid);
                         }
                     } else {
-                        let lid = opi.link as usize;
-                        self.credits[lid * vcs + usize::from(out_vc)].take(now);
+                        let rank = opi.rank as usize;
+                        self.credits[rank * vcs + usize::from(out_vc)].take(now);
                         if P::ENABLED && flit.is_head() {
                             let info = &self.packets[pid];
                             probe.on_hop(
@@ -1554,7 +1607,7 @@ impl ShardState {
                                     src: info.src,
                                     inject_cycle: info.inject_cycle,
                                 },
-                                opi.link,
+                                self.nodes[node].out_links[p - 1].0,
                                 now,
                             );
                         }
@@ -1562,8 +1615,9 @@ impl ShardState {
                             // Dateline: the packet is class B from here on.
                             self.class_of[pid] = VcClass::B;
                         }
-                        self.stats.link_flits[lid] += 1;
+                        self.stats.link_flits[rank] += 1;
                         let arrive = now + u64::from(opi.latency);
+                        let slot = opi.dst_slot + u32::from(out_vc);
                         let target = usize::from(opi.dst_shard);
                         if target == self.id {
                             if opi.latency == 1 {
@@ -1581,17 +1635,18 @@ impl ShardState {
                                 // `ready` (nor push its slot's VC state;
                                 // wormhole order is unchanged because a
                                 // link's flits all take this path).
-                                let dst = usize::from(self.arrive_node_of_link[lid]);
-                                let slot =
-                                    self.arrive_slot_of_link[lid] as usize + usize::from(out_vc);
-                                self.push_flit(dst, slot, flit.with_ready(now + 2 + dwell));
+                                let dst = usize::from(self.node_of_slot[slot as usize]);
+                                self.push_flit(
+                                    dst,
+                                    slot as usize,
+                                    flit.with_ready(now + 2 + dwell),
+                                );
                             } else {
-                                self.wheel_push(arrive, (opi.link, out_vc, flit));
+                                self.wheel_push(arrive, (slot, flit));
                             }
                         } else {
                             self.outbox[target].flits.push(BoundaryFlit {
-                                link: lid as u32,
-                                vc: out_vc,
+                                slot,
                                 is_head: flit.is_head(),
                                 is_tail: flit.is_tail(),
                                 class: self.class_of[pid],
@@ -1655,18 +1710,17 @@ impl ShardState {
         for src in bundle.src_credits.drain(..) {
             self.apply_source_credit(plan, NodeId(src));
         }
-        let vcs = plan.cfg.vcs;
         for m in bundle.flits.drain(..) {
-            let key = m.link as usize * vcs + usize::from(m.vc);
+            let slot = m.slot as usize;
             if m.is_head {
                 // The record keeps the *origin* node, not the boundary
                 // link's source: the closed-loop credit goes back to the
                 // NIC that emitted the packet, however many shards away.
-                self.remap[key] = self.alloc(m.packet, m.class);
+                self.remap[slot] = self.alloc(m.packet, m.class);
             }
-            debug_assert_ne!(self.remap[key], u32::MAX, "body flit without a head");
-            let f = SlotFlit::new(self.remap[key], m.is_head, m.is_tail, 0);
-            self.wheel_push(m.arrive, (m.link, m.vc, f));
+            debug_assert_ne!(self.remap[slot], u32::MAX, "body flit without a head");
+            let f = SlotFlit::new(self.remap[slot], m.is_head, m.is_tail, 0);
+            self.wheel_push(m.arrive, (m.slot, f));
         }
     }
 
@@ -1761,7 +1815,9 @@ impl ShardState {
                     meta::ACTIVE if out_port > 0 => {
                         let out_vc = meta::out_vc(m);
                         let lid = st.out_links[out_port - 1].index();
-                        if self.credits[lid * vcs + out_vc].peek(now) == 0 {
+                        let pb = self.ctl[node].port_base as usize;
+                        let rank = self.out_port_info[pb + out_port].rank as usize;
+                        if self.credits[rank * vcs + out_vc].peek(now) == 0 {
                             edges[src_chan].push(chan(lid, out_vc));
                         }
                     }
@@ -1875,12 +1931,13 @@ impl ShardState {
                         if out_port == 0 {
                             "active->eject".to_string()
                         } else {
-                            let lid = st.out_links[out_port - 1];
+                            let pb = self.ctl[node].port_base as usize;
+                            let rank = self.out_port_info[pb + out_port].rank as usize;
                             format!(
                                 "active out{} vc{} credits={} ready={}",
                                 out_port,
                                 out_vc,
-                                self.credits[lid.index() * vcs + out_vc].peek(now),
+                                self.credits[rank * vcs + out_vc].peek(now),
                                 head.ready_at(now)
                             )
                         }
@@ -2389,14 +2446,47 @@ fn worker_loop<P: Probe>(
     Ok(RunEnd::Done(now))
 }
 
-/// Merges the per-shard statistics of a finished run.
+/// Merges the per-shard statistics of a finished run, placing each
+/// shard's link and node entries at their global ids (each link has one
+/// driving shard and each node one owner, so entries never collide).
 pub(crate) fn merge_stats(plan: &EnginePlan<'_>, shards: &[ShardState], cycles: u64) -> SimStats {
     let mut merged = SimStats::new(plan.topo.links().len(), plan.topo.num_nodes());
     for s in shards {
-        merged.absorb(&s.stats);
+        merged.absorb_totals(&s.stats);
+        for (rank, lid) in s.driven_links() {
+            merged.link_flits[lid.index()] = s.stats.link_flits[rank];
+        }
+        for (local, &g) in s.global_of_node.iter().enumerate() {
+            let g = usize::from(g);
+            merged.router_flits[g] = s.stats.router_flits[local];
+            merged.peak_backlog[g] = s.stats.peak_backlog[local];
+            merged.peak_outstanding[g] = s.stats.peak_outstanding[local];
+        }
     }
     merged.cycles = cycles;
     merged
+}
+
+/// The inverse of [`merge_stats`]: the run-wide totals go to shard 0,
+/// and every link and node entry to the shard driving or owning it.
+fn scatter_stats(shards: &mut [ShardState], merged: &SimStats) {
+    for (sid, s) in shards.iter_mut().enumerate() {
+        let mut stats = SimStats::new(s.stats.link_flits.len(), s.nodes.len());
+        if sid == 0 {
+            stats.absorb_totals(merged);
+            stats.cycles = merged.cycles;
+        }
+        for (rank, lid) in s.driven_links() {
+            stats.link_flits[rank] = merged.link_flits[lid.index()];
+        }
+        for (local, &g) in s.global_of_node.iter().enumerate() {
+            let g = usize::from(g);
+            stats.router_flits[local] = merged.router_flits[g];
+            stats.peak_backlog[local] = merged.peak_backlog[g];
+            stats.peak_outstanding[local] = merged.peak_outstanding[g];
+        }
+        s.stats = stats;
+    }
 }
 
 // ---- snapshot export / import ------------------------------------------
@@ -2585,8 +2675,9 @@ pub(crate) fn export_shards(
             // recovers the absolute cycle.
             let arrive = now
                 + ((bucket as u64 + s.wheel.len() as u64 - (now & s.wheel_mask)) & s.wheel_mask);
-            for &(lid, vc, f) in evs {
-                links[lid as usize].push(EventImage {
+            for &(slot, f) in evs {
+                let (lid, vc) = s.link_of_slot(slot as usize);
+                links[lid.index()].push(EventImage {
                     arrive,
                     vc,
                     flit: FlitImage {
@@ -2876,7 +2967,7 @@ pub(crate) fn import_shards(
             }
             let pid = minter.mint(plan, s, gs, ev.flit.packet, to)?;
             let f = SlotFlit::new(pid, ev.flit.is_head, ev.flit.is_tail, 0);
-            s.wheel_push(ev.arrive, (lid as u32, ev.vc, f));
+            s.wheel_push(ev.arrive, (plan.in_slot(lid) + u32::from(ev.vc), f));
         }
     }
 
@@ -2909,7 +3000,7 @@ pub(crate) fn import_shards(
             let s = &mut shards[dst_shard];
             let to = plan.topo.link(LinkId(lid as u32)).dst;
             let pid = minter.mint(plan, s, gs, img.active_pid, to)?;
-            s.remap[lid * vcs + usize::from(img.out_vc)] = pid;
+            s.remap[(plan.in_slot(lid) + u32::from(img.out_vc)) as usize] = pid;
         }
     }
     // A packet with ejected flits holds the ejecting VC at its destination.
@@ -2924,22 +3015,27 @@ pub(crate) fn import_shards(
     // cycle `now` on: any access folds the live cell's pending credits in
     // (they were freed strictly before `now`), landing on this same
     // spendable count.
-    for (i, avail) in gs.lane_credits(plan.topo, depth)?.into_iter().enumerate() {
-        let cell = CreditCell {
-            stamp: 0,
-            avail,
-            pending: 0,
-        };
-        for s in &mut shards {
-            s.credits[i] = cell;
+    let lanes = gs.lane_credits(plan.topo, depth)?;
+    for s in &mut shards {
+        let mut credits = std::mem::take(&mut s.credits);
+        for (rank, lid) in s.driven_links() {
+            for vc in 0..vcs {
+                credits[rank * vcs + vc] = CreditCell {
+                    stamp: 0,
+                    avail: lanes[lid.index() * vcs + vc],
+                    pending: 0,
+                };
+            }
         }
+        s.credits = credits;
     }
 
     // --- global counters, statistics, acceptance window ---
-    // The merged history lands on shard 0; per-shard contributions from
-    // here on re-merge to the continued-run totals (sums stay sums, peak
-    // maxima stay maxima — a node's peaks accrue in exactly one shard).
-    shards[0].stats = gs.stats.clone();
+    // The merged history is scattered back: totals on shard 0, each link
+    // and node entry on its shard. Per-shard contributions from here on
+    // re-merge to the continued-run totals (sums stay sums; a node's
+    // peaks accrue in exactly one shard).
+    scatter_stats(&mut shards, &gs.stats);
     shards[0].origin_packets = gs.origin_packets;
     shards[0].completed_packets = gs.completed_packets;
     for s in &mut shards {
@@ -3834,11 +3930,11 @@ mod tests {
         // An arrival within the wheel's revolution is found from any
         // earlier cycle in one bitset probe, including across the
         // bucket-index wrap (cycle 13 lives in a lower bucket than 11).
-        s.wheel_push(13, (0, 0, f));
+        s.wheel_push(13, (0, f));
         for now in 10..=13 {
             assert_eq!(s.next_arrival_cycle(now), Some(13), "from {now}");
         }
-        s.wheel_push(11, (0, 0, f));
+        s.wheel_push(11, (0, f));
         assert_eq!(s.next_arrival_cycle(10), Some(11));
         assert_eq!(s.next_arrival_cycle(11), Some(11));
     }
@@ -3957,6 +4053,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Each shard's tables cover only the nodes, links and slots it owns:
+    /// summed over a 16-shard 32×32 engine they are as long as the
+    /// one-shard engine's. The wormhole remap, which only boundary links
+    /// write, is empty at P=1 and holds at most one entry per buffer slot.
+    #[test]
+    fn shard_tables_partition_the_mesh() {
+        let t = small_mesh(32, 32);
+        let routes = RoutingTable::compute_xy(&t);
+        let lengths = |spec: ShardSpec| {
+            let plan = EnginePlan::new(&t, &routes, SimConfig::paper(), Partition::new(&t, spec));
+            let shards: Vec<ShardState> = (0..plan.partition.num_shards())
+                .map(|id| ShardState::new(&plan, id))
+                .collect();
+            let sum = |f: fn(&ShardState) -> usize| shards.iter().map(f).sum::<usize>();
+            [
+                sum(|s| s.credits.len()),
+                sum(|s| s.stats.link_flits.len()),
+                sum(|s| {
+                    let st = &s.stats;
+                    st.router_flits.len() + st.peak_backlog.len() + st.peak_outstanding.len()
+                }),
+                sum(|s| s.nodes.len() + s.ctl.len() + s.next_admission.len() + s.outstanding.len()),
+                sum(|s| s.slot_meta.len() + s.credit_of_slot.len() + s.active_pid.len()),
+                sum(|s| s.out_port_info.len() + s.holder_mask.len()),
+                sum(|s| s.remap.len()),
+            ]
+        };
+        let one = lengths(ShardSpec::SINGLE);
+        let sixteen = lengths(ShardSpec::for_count(16));
+        assert_eq!(one[..6], sixteen[..6], "P=1 {one:?}, P=16 {sixteen:?}");
+        assert_eq!(one[1], t.links().len());
+        let slots = one[4] / 3;
+        assert_eq!(
+            (one[6], sixteen[6] <= slots),
+            (0, true),
+            "remap {sixteen:?}"
+        );
     }
 
     /// Import mints the handles the live engine holds: one per visit of

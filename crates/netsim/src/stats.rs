@@ -244,14 +244,7 @@ impl SimStats {
         assert_eq!(self.link_flits.len(), other.link_flits.len());
         assert_eq!(self.router_flits.len(), other.router_flits.len());
         assert_eq!(self.peak_backlog.len(), other.peak_backlog.len());
-        self.all.merge(&other.all);
-        self.control.merge(&other.control);
-        self.data.merge(&other.data);
-        self.flits_delivered += other.flits_delivered;
-        self.flits_injected += other.flits_injected;
-        self.accepted_flits += other.accepted_flits;
-        self.rerouted_hops += other.rerouted_hops;
-        self.unreachable_pairs += other.unreachable_pairs;
+        self.absorb_totals(other);
         for (a, b) in self.link_flits.iter_mut().zip(&other.link_flits) {
             *a += b;
         }
@@ -270,6 +263,19 @@ impl SimStats {
         {
             *a = (*a).max(*b);
         }
+    }
+
+    /// [`Self::absorb`] without the per-link and per-node arrays: the
+    /// latency classes and the run-wide counters.
+    pub(crate) fn absorb_totals(&mut self, other: &SimStats) {
+        self.all.merge(&other.all);
+        self.control.merge(&other.control);
+        self.data.merge(&other.data);
+        self.flits_delivered += other.flits_delivered;
+        self.flits_injected += other.flits_injected;
+        self.accepted_flits += other.accepted_flits;
+        self.rerouted_hops += other.rerouted_hops;
+        self.unreachable_pairs += other.unreachable_pairs;
     }
 
     /// Total flit-link-traversals (flit-hops) — the physical work the

@@ -38,7 +38,7 @@
 use crate::json::{Json, Obj};
 use crate::shard::{EnginePlan, ShardState};
 use crate::stats::SimStats;
-use hyppi_topology::NodeId;
+use hyppi_topology::{LinkId, NodeId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -235,15 +235,25 @@ impl EngineView<'_> {
         self.plan.cfg.vcs
     }
 
-    /// Links in the topology (global count; `stats().link_flits` only
-    /// grows on the entries this shard owns).
+    /// Links in the topology (global count).
     pub fn num_links(&self) -> usize {
         self.plan.topo.links().len()
     }
 
-    /// This shard's cumulative statistics so far.
+    /// This shard's cumulative statistics so far. Its per-link and
+    /// per-node arrays cover only what the shard owns, in shard-local
+    /// order; [`Self::link_flits`] names each link's global id.
     pub fn stats(&self) -> &SimStats {
         &self.state.stats
+    }
+
+    /// Cumulative flits sent so far over each link this shard drives, by
+    /// global link id.
+    pub fn link_flits(&self) -> impl Iterator<Item = (LinkId, u64)> + '_ {
+        let counts = &self.state.stats.link_flits;
+        self.state
+            .driven_links()
+            .map(move |(rank, l)| (l, counts[rank]))
     }
 
     /// Flits currently sitting in this shard's VC buffers.
@@ -366,9 +376,10 @@ impl MetricsSample {
     }
 }
 
-/// Gauges of one in-progress cycle, accumulated across the shards that
+/// Gauges of one sampled cycle, accumulated across the shards that
 /// report it (the probed run is single-worker, so one sampler sees all
-/// shards of every stepped cycle).
+/// shards of every stepped cycle). Only the last stepped cycle of each
+/// interval is gathered.
 #[derive(Debug, Default, Clone)]
 struct CycleGauges {
     cycle: u64,
@@ -549,9 +560,13 @@ impl Probe for MetricsSampler {
     }
 
     fn on_cycle_end(&mut self, view: EngineView<'_>, now: u64) {
+        // Gauges are read only at the end of a sample's last cycle.
+        if now + 1 < self.next_boundary {
+            return;
+        }
         if self.cur.shards_seen == 0 || self.cur.cycle != now {
-            // First shard of a fresh cycle (fast-forward may have skipped
-            // many): reset the gauge accumulators.
+            // First shard of a sampled cycle: reset the gauge
+            // accumulators.
             self.cur = CycleGauges {
                 cycle: now,
                 shards_seen: 0,
@@ -563,8 +578,9 @@ impl Probe for MetricsSampler {
         let stats = view.stats();
         self.cur.injected += stats.flits_injected;
         self.cur.delivered += stats.flits_delivered;
-        for (acc, &v) in self.cur.link_flits.iter_mut().zip(&stats.link_flits) {
-            *acc += v;
+        // Each link is driven, and counted, by one shard.
+        for (l, v) in view.link_flits() {
+            self.cur.link_flits[l.index()] += v;
         }
         self.cur.buffered += view.buffered_flits();
         self.cur.calendar_flits += view.calendar_flits();
@@ -574,7 +590,7 @@ impl Probe for MetricsSampler {
             *acc += v;
         }
         self.cur.shards_seen += 1;
-        if self.cur.shards_seen == view.num_shards() && now + 1 >= self.next_boundary {
+        if self.cur.shards_seen == view.num_shards() {
             self.record_sample();
         }
     }

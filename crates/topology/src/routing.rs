@@ -39,16 +39,24 @@
 //! smallest-port one. The builder picks how its table is stored; queries
 //! look the same. For an N = W×H mesh:
 //!
-//! * **Per line** (`compute_xy`). An XY route is an X leg inside the
-//!   source row followed by a Y leg inside the destination column, and
-//!   each leg depends on its own line only. The table keeps one
-//!   row-restricted reverse Dijkstra per (row, target column) and one
-//!   column-restricted one per (column, target row): N·(W+H) entries of
-//!   5 bytes (port + `u32` cost), built in O(N·(W+H)·log) time.
-//!   [`RoutingTable::next_port`] and [`RoutingTable::cost`] compose the
-//!   two legs from a per-node `u16` coordinate table, with no division,
-//!   much as BookSim derives dimension-order hops from router coordinates.
-//!   A 64×64 mesh takes 2.5 MiB, a 128×128 mesh 20 MiB.
+//! * **Per line, interned** (`compute_xy`). An XY route is an X leg
+//!   inside the source row followed by a Y leg inside the destination
+//!   column, and the legs of a line are a pure function of the links
+//!   joining two of its nodes (their positions, costs and out-ports).
+//!   Lines whose link lists are equal share one *block* of legs: W
+//!   row-restricted reverse Dijkstras (one per target position) for each
+//!   distinct row, H column-restricted ones for each distinct column. A
+//!   plain mesh has two distinct rows and two distinct columns (its edge
+//!   lines, whose routers lack a port, and the rest); express meshes and
+//!   tori have three distinct rows and two distinct columns. So a mesh
+//!   with R distinct rows and C distinct columns stores R·W² + C·H²
+//!   entries of 5 bytes (port + `u32` cost), plus a 2-byte block id per
+//!   row and column: O(N) on a square mesh (0.38 MiB at 128×128). The
+//!   Dijkstras run once per distinct line, after an O(N + L) gather of
+//!   every line's links. [`RoutingTable::next_port`] and
+//!   [`RoutingTable::cost`] compose the two legs from a per-node `u16`
+//!   coordinate table and the block ids, with no division, much as
+//!   BookSim derives dimension-order hops from router coordinates.
 //! * **Dense** (`compute_xy_avoiding`, `compute`). Up\*/down\* detours and
 //!   unrestricted shortest paths do not split into line legs, so these
 //!   keep port and cost for all N² pairs (5·N² bytes: 80 MiB at 64×64),
@@ -63,7 +71,7 @@ use crate::graph::Topology;
 use crate::ids::{Coord, LinkId, NodeId};
 use crate::link::{Link, ROUTER_PIPELINE_CYCLES};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 /// Failure modes of fault-aware route computation.
@@ -125,18 +133,22 @@ enum Tables {
     },
 }
 
-/// The X legs and Y legs of every XY route on a healthy mesh.
+/// The X legs and Y legs of every XY route on a healthy mesh, one block
+/// of legs per distinct line (see the module docs).
 #[derive(Debug, Clone)]
 struct LineTables {
     width: u16,
     height: u16,
     /// Grid coordinate of every node, so queries need no division.
     coord: Vec<Coord>,
-    /// X legs: entry `(y·W + tx)·W + sx` routes `(sx, y)` toward `(tx, y)`
-    /// inside row `y`.
+    /// Leg block of each row, and of each column.
+    row_block: Vec<u16>,
+    col_block: Vec<u16>,
+    /// X legs: entry `(b·W + tx)·W + sx` of block `b = row_block[y]`
+    /// routes `(sx, y)` toward `(tx, y)` inside row `y`.
     row: Legs,
-    /// Y legs: entry `(x·H + ty)·H + sy` routes `(x, sy)` toward `(x, ty)`
-    /// inside column `x`.
+    /// Y legs: entry `(b·H + ty)·H + sy` of block `b = col_block[x]`
+    /// routes `(x, sy)` toward `(x, ty)` inside column `x`.
     col: Legs,
 }
 
@@ -203,11 +215,40 @@ impl fmt::Display for Line {
 }
 
 impl Legs {
-    fn with_capacity(entries: usize) -> Self {
-        Legs {
-            port: Vec::with_capacity(entries),
-            dist: Vec::with_capacity(entries),
-        }
+    /// The blocks of `count` lines of `len` positions (`line(i)` is line
+    /// `i`): the block id of each line, and the legs of each distinct
+    /// line, built when its gathered links first appear.
+    fn interned(
+        topo: &Topology,
+        port_of: &[u8],
+        count: u16,
+        len: u16,
+        line: fn(u16) -> Line,
+    ) -> (Vec<u16>, Legs) {
+        let mut heap = BinaryHeap::new();
+        let mut links = LineLinks::default();
+        let mut blocks: HashMap<LineLinks, u16> = HashMap::new();
+        let mut legs = Legs {
+            port: Vec::new(),
+            dist: Vec::new(),
+        };
+        let block_of = (0..count)
+            .map(|i| {
+                links.gather(topo, port_of, line(i), len);
+                if let Some(&b) = blocks.get(&links) {
+                    return b;
+                }
+                for target in 0..len {
+                    legs.push_line(&links, line(i), target, &mut heap);
+                }
+                let b = blocks.len() as u16;
+                blocks.insert(links.clone(), b);
+                b
+            })
+            .collect();
+        legs.port.shrink_to_fit();
+        legs.dist.shrink_to_fit();
+        (block_of, legs)
     }
 
     /// Appends the legs of `line` toward its position `target`: one
@@ -259,8 +300,8 @@ impl Legs {
 /// The links joining two nodes of one line, gathered once per line for
 /// its W (or H) target Dijkstras: `hops[first[p]..first[p + 1]]` feed
 /// position `p`, each as (source position, hop cost, out-port at the
-/// source).
-#[derive(Default)]
+/// source). The legs of a line are a pure function of these lists.
+#[derive(Default, Clone, PartialEq, Eq, Hash)]
 struct LineLinks {
     first: Vec<u32>,
     hops: Vec<(u16, u32, u8)>,
@@ -295,26 +336,14 @@ impl LineTables {
     fn build(topo: &Topology) -> Self {
         let (w, h) = (topo.width, topo.height);
         let port_of = ports_of_links(topo);
-        let mut heap = BinaryHeap::new();
-        let mut links = LineLinks::default();
-        let mut row = Legs::with_capacity(topo.num_nodes() * usize::from(w));
-        for y in 0..h {
-            links.gather(topo, &port_of, Line::Row(y), w);
-            for tx in 0..w {
-                row.push_line(&links, Line::Row(y), tx, &mut heap);
-            }
-        }
-        let mut col = Legs::with_capacity(topo.num_nodes() * usize::from(h));
-        for x in 0..w {
-            links.gather(topo, &port_of, Line::Column(x), h);
-            for ty in 0..h {
-                col.push_line(&links, Line::Column(x), ty, &mut heap);
-            }
-        }
+        let (row_block, row) = Legs::interned(topo, &port_of, h, w, Line::Row);
+        let (col_block, col) = Legs::interned(topo, &port_of, w, h, Line::Column);
         LineTables {
             width: w,
             height: h,
             coord: topo.nodes().map(|v| topo.coord(v)).collect(),
+            row_block,
+            col_block,
             row,
             col,
         }
@@ -324,14 +353,25 @@ impl LineTables {
     #[inline]
     fn row_at(&self, y: u16, tx: u16, sx: u16) -> usize {
         let w = usize::from(self.width);
-        (usize::from(y) * w + usize::from(tx)) * w + usize::from(sx)
+        let b = usize::from(self.row_block[usize::from(y)]);
+        (b * w + usize::from(tx)) * w + usize::from(sx)
     }
 
     /// Index of the Y leg at `(x, sy)` toward `(x, ty)`.
     #[inline]
     fn col_at(&self, x: u16, ty: u16, sy: u16) -> usize {
         let h = usize::from(self.height);
-        (usize::from(x) * h + usize::from(ty)) * h + usize::from(sy)
+        let b = usize::from(self.col_block[usize::from(x)]);
+        (b * h + usize::from(ty)) * h + usize::from(sy)
+    }
+
+    /// Bytes of the legs, the coordinate table and the block ids.
+    fn bytes(&self) -> usize {
+        let legs = |l: &Legs| l.port.len() + 4 * l.dist.len();
+        legs(&self.row)
+            + legs(&self.col)
+            + 4 * self.coord.len()
+            + 2 * (self.row_block.len() + self.col_block.len())
     }
 
     /// The X leg while the column differs, then the Y leg (which has no
@@ -362,8 +402,8 @@ impl RoutingTable {
     /// matches the paper's router (Fig. 4: "the basic routing always uses
     /// electronics", with horizontal express shortcuts) and — combined with
     /// the express-dateline VC discipline in `hyppi-netsim` — is provably
-    /// deadlock-free (see that crate's documentation). Stored per line:
-    /// O(N·(W+H)) entries (see the module docs).
+    /// deadlock-free (see that crate's documentation). Stored once per
+    /// distinct line: O(W² + H²) entries on a mesh (see the module docs).
     ///
     /// # Panics
     ///
@@ -613,6 +653,17 @@ impl RoutingTable {
         }
     }
 
+    /// Bytes of the stored route entries: the legs, coordinate table and
+    /// block ids of a per-line table, or the 5·N² bytes of a dense one.
+    /// The adjacency copy [`Self::next_link`] maps ports through
+    /// (4·(N + 1) + 4·L bytes for L links) is not counted.
+    pub fn table_bytes(&self) -> usize {
+        match &self.tables {
+            Tables::Lines(lines) => lines.bytes(),
+            Tables::Dense { port, .. } => 5 * self.n * port.len(),
+        }
+    }
+
     /// Words folded into plan fingerprints: the builder's tag and the node
     /// count. A table is a pure function of its topology and its builder,
     /// so these words identify it once the caller also folds the
@@ -668,7 +719,7 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{express_mesh, mesh, ExpressSpec, MeshSpec};
+    use crate::build::{express_mesh, mesh, torus, ExpressSpec, MeshSpec};
     use crate::link::LinkClass;
     use hyppi_phys::{Gbps, LinkTechnology, Micrometers};
 
@@ -726,6 +777,87 @@ mod tests {
             }
         }
         RoutingTable::new(topo, Rule::Xy, Tables::Dense { port, dist })
+    }
+
+    /// The un-interned per-line form interning replaced: every row and
+    /// column its own leg block.
+    fn per_line_reference(topo: &Topology) -> LineTables {
+        let (w, h) = (topo.width, topo.height);
+        let port_of = ports_of_links(topo);
+        let mut heap = BinaryHeap::new();
+        let mut links = LineLinks::default();
+        let mut legs = |count: u16, len: u16, line: fn(u16) -> Line| {
+            let mut l = Legs {
+                port: Vec::new(),
+                dist: Vec::new(),
+            };
+            for i in 0..count {
+                links.gather(topo, &port_of, line(i), len);
+                for target in 0..len {
+                    l.push_line(&links, line(i), target, &mut heap);
+                }
+            }
+            l
+        };
+        LineTables {
+            width: w,
+            height: h,
+            coord: topo.nodes().map(|v| topo.coord(v)).collect(),
+            row_block: (0..h).collect(),
+            col_block: (0..w).collect(),
+            row: legs(h, w, Line::Row),
+            col: legs(w, h, Line::Column),
+        }
+    }
+
+    #[test]
+    fn interned_lines_match_per_line_reference() {
+        let paper = MeshSpec::paper(LinkTechnology::Electronic);
+        let topos = [
+            mesh(paper),
+            hyppi_express(paper, 3),
+            hyppi_express(paper, 5),
+            hyppi_express(paper, 15),
+            mesh(sized(8, 4, LinkTechnology::Hyppi)),
+            hyppi_express(sized(5, 9, LinkTechnology::Electronic), 3),
+            torus(sized(6, 6, LinkTechnology::Electronic)),
+            torus(sized(7, 3, LinkTechnology::Hyppi)),
+            mesh(sized(12, 1, LinkTechnology::Electronic)),
+            hyppi_express(sized(12, 1, LinkTechnology::Electronic), 5),
+        ];
+        for t in &topos {
+            let r = RoutingTable::compute_xy(t);
+            let Tables::Lines(lines) = &r.tables else {
+                panic!("{}: compute_xy stores per line", t.name);
+            };
+            let reference = per_line_reference(t);
+            for dst in t.nodes() {
+                for node in t.nodes() {
+                    let what = || format!("{}: {node}->{dst}", t.name);
+                    assert_eq!(
+                        lines.next_port(node, dst),
+                        reference.next_port(node, dst),
+                        "{}",
+                        what()
+                    );
+                    assert_eq!(
+                        lines.cost(node, dst),
+                        reference.cost(node, dst),
+                        "{}",
+                        what()
+                    );
+                }
+            }
+        }
+        // A plain mesh has two distinct rows (the edge rows, whose
+        // routers lack a port, and the rest) and two distinct columns.
+        let r = RoutingTable::compute_xy(&topos[0]);
+        let Tables::Lines(lines) = &r.tables else {
+            panic!("compute_xy stores per line");
+        };
+        let blocks = |ids: &[u16]| usize::from(ids.iter().copied().max().unwrap_or(0)) + 1;
+        assert_eq!(blocks(&lines.row_block), 2);
+        assert_eq!(blocks(&lines.col_block), 2);
     }
 
     /// `next_port` is 0 exactly when there is no next hop, and otherwise
@@ -816,11 +948,13 @@ mod tests {
         let Tables::Lines(lines) = &r.tables else {
             panic!("compute_xy stores per line");
         };
-        // 5 B per leg entry (port + cost) over N·(W+H) entries, plus the
-        // 4 B-per-node coordinate table: about 20 MiB.
+        // Two row blocks and two column blocks of 128·128 legs at 5 B
+        // (port + cost), the 4 B-per-node coordinate table, and a 2 B
+        // block id per row and column: 0.38 MiB.
         let legs = |l: &Legs| l.port.len() + 4 * l.dist.len();
         let bytes = legs(&lines.row) + legs(&lines.col) + 4 * lines.coord.len();
-        assert_eq!(bytes, 128 * 128 * 256 * 5 + 128 * 128 * 4);
+        assert_eq!(bytes, 4 * 128 * 128 * 5 + 128 * 128 * 4);
+        assert_eq!(r.table_bytes(), bytes + 2 * (128 + 128));
         let n = t.num_nodes();
         for i in 0..500usize {
             let a = NodeId(((i * 7_919) % n) as u16);

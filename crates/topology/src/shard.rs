@@ -72,6 +72,10 @@ pub struct Partition {
     /// Shard owning each link's source endpoint (drives the link:
     /// credit counters, send-side stats), link-id indexed.
     pub link_src_shard: Vec<u16>,
+    /// Index of every link among the links its source shard drives, in
+    /// ascending link id (with one shard, the link id itself), link-id
+    /// indexed.
+    pub local_of_link: Vec<u32>,
     /// Shard owning each link's destination endpoint (receives its
     /// arrivals), link-id indexed.
     pub link_dst_shard: Vec<u16>,
@@ -113,10 +117,18 @@ impl Partition {
             local_of_node[node.index()] = nodes_of_shard[shard].len() as u32;
             nodes_of_shard[shard].push(node);
         }
-        let link_src_shard = topo
+        let link_src_shard: Vec<u16> = topo
             .links()
             .iter()
             .map(|l| shard_of_node[l.src.index()])
+            .collect();
+        let mut driven = vec![0u32; shards];
+        let local_of_link = link_src_shard
+            .iter()
+            .map(|&s| {
+                driven[usize::from(s)] += 1;
+                driven[usize::from(s)] - 1
+            })
             .collect();
         let link_dst_shard: Vec<u16> = topo
             .links()
@@ -129,6 +141,7 @@ impl Partition {
             local_of_node,
             nodes_of_shard,
             link_src_shard,
+            local_of_link,
             link_dst_shard,
         }
     }
@@ -197,6 +210,13 @@ mod tests {
             let s = usize::from(p.shard_of_node[node.index()]);
             let l = p.local_of_node[node.index()] as usize;
             assert_eq!(p.nodes_of_shard[s][l], node);
+        }
+        // Each shard numbers the links it drives 0, 1, … by ascending id.
+        let mut driven = vec![0u32; p.num_shards()];
+        for l in t.links() {
+            let s = usize::from(p.link_src_shard[l.id.index()]);
+            assert_eq!(p.local_of_link[l.id.index()], driven[s], "{:?}", l.id);
+            driven[s] += 1;
         }
         // Tiles are rectangles: per-shard coordinate ranges are exact.
         for (s, nodes) in p.nodes_of_shard.iter().enumerate() {
