@@ -202,7 +202,7 @@ impl NocModel {
             let mut at = s;
             while at != d {
                 router_load[at.index()] += rate;
-                let lid = self.routes.next_link(at, d).expect("connected");
+                let lid = self.routes.next_link(&self.topo, at, d).expect("connected");
                 at = self.topo.link(lid).dst;
             }
             router_load[d.index()] += rate;

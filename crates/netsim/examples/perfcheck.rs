@@ -359,8 +359,7 @@ impl EngineBytes {
     }
 }
 
-/// `compute_xy` on one mesh size: its heap (table plus the adjacency copy
-/// `next_link` maps ports through), the bytes of its stored table
+/// `compute_xy` on one mesh size: its heap, the bytes of its stored table
 /// (`RoutingTable::table_bytes`), and its build time.
 struct RouteBytes {
     side: u16,

@@ -38,7 +38,7 @@ impl EnergyCounts {
             let mut at = src;
             while at != dst {
                 let lid = routes
-                    .next_link(at, dst)
+                    .next_link(topo, at, dst)
                     .expect("connected topology always has a next hop");
                 c.router_flits[at.index()] += flits;
                 c.link_flits[lid.index()] += flits;

@@ -79,7 +79,7 @@ impl NodeState {
         let out_links = topo.outgoing(node).to_vec();
         let mut route_port = vec![0u8; topo.num_nodes()];
         for dst in topo.nodes() {
-            route_port[dst.index()] = match routes.next_link(node, dst) {
+            route_port[dst.index()] = match routes.next_link(topo, node, dst) {
                 None => 0,
                 Some(lid) => {
                     let pos = out_links
@@ -179,7 +179,7 @@ impl<'a> ReferenceSimulator<'a> {
                         chain.push(at);
                         // Unreachable pairs (faulted topologies) have no
                         // next hop; the chain inherits `false` below.
-                        let Some(lid) = routes.next_link(at, dst) else {
+                        let Some(lid) = routes.next_link(topo, at, dst) else {
                             break;
                         };
                         let link = topo.link(lid);

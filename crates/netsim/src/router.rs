@@ -153,7 +153,7 @@ mod tests {
                 // Every routed hop leaves through one of the node's own
                 // link ports, the one driving the table's next link.
                 assert!((1..n.out_ports()).contains(&port), "{node}->{dst}");
-                assert_eq!(Some(n.out_links[port - 1]), r.next_link(node, dst));
+                assert_eq!(Some(n.out_links[port - 1]), r.next_link(&t, node, dst));
                 assert_eq!(t.link(n.out_links[port - 1]).src, node);
             }
         }

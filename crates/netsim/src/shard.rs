@@ -240,17 +240,6 @@ impl CreditCell {
         debug_assert!(avail > 0, "credit underflow");
         self.avail -= 1;
     }
-
-    /// Read-only spendable count at cycle `now` (cold paths that cannot
-    /// normalize in place).
-    #[inline]
-    fn peek(&self, now: u64) -> u16 {
-        if self.stamp < now {
-            self.avail + self.pending
-        } else {
-            self.avail
-        }
-    }
 }
 
 /// Hot per-node control state packed into one record (one cache line's
@@ -1059,16 +1048,6 @@ impl ShardState {
         self.set_work(node);
     }
 
-    #[inline]
-    fn front_flit(&self, slot: usize) -> Option<&SlotFlit> {
-        let m = self.slot_meta[slot];
-        if meta::len(m) == 0 {
-            None
-        } else {
-            Some(&self.flit_buf[slot * self.ring + meta::head(m)])
-        }
-    }
-
     /// Buffered flits per VC index, summed over this shard's ports —
     /// the per-VC occupancy gauge [`EngineView`] exposes to probes.
     pub(crate) fn vc_occupancy(&self, vcs: usize) -> Vec<u64> {
@@ -1761,205 +1740,6 @@ impl ShardState {
             }
         }
     }
-
-    // ---- deadlock triage ------------------------------------------------
-
-    /// Reconstructs which (in-port, in-VC) holds output VC `v` of local
-    /// node `node`'s out-port `p` — cold dump path only; the hot path
-    /// tracks just the packed `holder_mask`.
-    fn holder_of(&self, node: usize, p: usize, v: usize) -> Option<(u8, u8)> {
-        let base = self.ctl[node].vc_base as usize;
-        (0..usize::from(self.ctl[node].total_in_vcs)).find_map(|idx| {
-            let m = self.slot_meta[base + idx];
-            if meta::tag(m) == meta::ACTIVE && meta::out_port(m) == p && meta::out_vc(m) == v {
-                Some((
-                    self.in_port_of_slot[base + idx],
-                    self.vc_of_slot[base + idx],
-                ))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Builds the channel wait-for graph of this shard's stuck state and
-    /// prints one cycle if present. Channels are (link, vc) pairs;
-    /// injection VCs are virtual channels numbered past the links. With
-    /// P > 1 only intra-shard cycles are visible — a genuine cross-shard
-    /// cycle shows up as chains ending at boundary links in several
-    /// shards' dumps.
-    fn dump_waitfor_cycle(&self, plan: &EnginePlan<'_>, now: u64) {
-        let vcs = plan.cfg.vcs;
-        let links = plan.topo.links().len();
-        let chan = |lid: usize, vc: usize| lid * vcs + vc;
-        let inj_chan = |node: usize, vc: usize| links * vcs + node * vcs + vc;
-        let total = links * vcs + plan.topo.num_nodes() * vcs;
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); total];
-        for (node, st) in self.nodes.iter().enumerate() {
-            let base = self.ctl[node].vc_base as usize;
-            for idx in 0..st.in_ports() * vcs {
-                let slot = base + idx;
-                let m = self.slot_meta[slot];
-                if meta::len(m) == 0 {
-                    continue;
-                }
-                let in_port = idx / vcs;
-                let in_vc = idx % vcs;
-                let src_chan = if in_port == 0 {
-                    inj_chan(st.node.index(), in_vc)
-                } else {
-                    chan(st.in_links[in_port - 1].index(), in_vc)
-                };
-                let out_port = meta::out_port(m);
-                match meta::tag(m) {
-                    meta::ACTIVE if out_port > 0 => {
-                        let out_vc = meta::out_vc(m);
-                        let lid = st.out_links[out_port - 1].index();
-                        let pb = self.ctl[node].port_base as usize;
-                        let rank = self.out_port_info[pb + out_port].rank as usize;
-                        if self.credits[rank * vcs + out_vc].peek(now) == 0 {
-                            edges[src_chan].push(chan(lid, out_vc));
-                        }
-                    }
-                    meta::ROUTED if out_port > 0 => {
-                        // Waiting for a held out VC among those VC
-                        // allocation may grant it on this port.
-                        let head = self.front_flit(slot).expect("nonempty");
-                        let pb = self.ctl[node].port_base as usize;
-                        let open = plan.class_mask(
-                            self.class_of[head.packet()],
-                            self.out_port_info[pb + out_port].degraded,
-                        );
-                        let lid = st.out_links[out_port - 1].index();
-                        for v in cyclic_bits((self.holder_mask[pb + out_port] & open).into(), 0) {
-                            edges[src_chan].push(chan(lid, v));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // Iterative DFS cycle detection.
-        let mut color = vec![0u8; total];
-        let mut parent = vec![usize::MAX; total];
-        for start in 0..total {
-            if color[start] != 0 {
-                continue;
-            }
-            let mut stack = vec![(start, 0usize)];
-            color[start] = 1;
-            while let Some(&mut (u, ref mut ei)) = stack.last_mut() {
-                if *ei < edges[u].len() {
-                    let v = edges[u][*ei];
-                    *ei += 1;
-                    if color[v] == 0 {
-                        color[v] = 1;
-                        parent[v] = u;
-                        stack.push((v, 0));
-                    } else if color[v] == 1 {
-                        // Cycle found: unwind from u back to v.
-                        let mut cyc = vec![v, u];
-                        let mut w = u;
-                        while w != v {
-                            w = parent[w];
-                            cyc.push(w);
-                        }
-                        eprintln!(
-                            "WAIT-FOR CYCLE in shard {} ({} channels):",
-                            self.id,
-                            cyc.len() - 1
-                        );
-                        for &c in cyc.iter().rev() {
-                            if c >= links * vcs {
-                                let node = (c - links * vcs) / vcs;
-                                eprintln!("  inj node {} vc {}", node, c % vcs);
-                            } else {
-                                let l = plan.topo.link(LinkId((c / vcs) as u32));
-                                eprintln!(
-                                    "  link {}->{} ({:?}) vc {}",
-                                    l.src.0,
-                                    l.dst.0,
-                                    l.class,
-                                    c % vcs
-                                );
-                            }
-                        }
-                        return;
-                    }
-                } else {
-                    color[u] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        eprintln!(
-            "shard {}: no wait-for cycle found (stall, not deadlock)",
-            self.id
-        );
-    }
-
-    /// Prints every blocked head flit in this shard and why it cannot
-    /// progress.
-    pub(crate) fn dump_blocked(&self, plan: &EnginePlan<'_>, now: u64) {
-        self.dump_waitfor_cycle(plan, now);
-        let vcs = plan.cfg.vcs;
-        let mut lines = 0;
-        for (node, st) in self.nodes.iter().enumerate() {
-            let base = self.ctl[node].vc_base as usize;
-            for idx in 0..st.in_ports() * vcs {
-                let slot = base + idx;
-                let Some(head) = self.front_flit(slot) else {
-                    continue;
-                };
-                let in_port = idx / vcs;
-                let in_vc = idx % vcs;
-                let m = self.slot_meta[slot];
-                let out_port = meta::out_port(m);
-                let reason = match meta::tag(m) {
-                    meta::IDLE => "idle (RC pending)".to_string(),
-                    meta::ROUTED => {
-                        let holders: Vec<String> = (0..vcs)
-                            .map(|v| match self.holder_of(node, out_port, v) {
-                                None => format!("vc{v}:free"),
-                                Some((ip, iv)) => format!("vc{v}:held({ip},{iv})"),
-                            })
-                            .collect();
-                        format!("awaiting VA on out{} [{}]", out_port, holders.join(" "))
-                    }
-                    _ => {
-                        let out_vc = meta::out_vc(m);
-                        if out_port == 0 {
-                            "active->eject".to_string()
-                        } else {
-                            let pb = self.ctl[node].port_base as usize;
-                            let rank = self.out_port_info[pb + out_port].rank as usize;
-                            format!(
-                                "active out{} vc{} credits={} ready={}",
-                                out_port,
-                                out_vc,
-                                self.credits[rank * vcs + out_vc].peek(now),
-                                head.ready_at(now)
-                            )
-                        }
-                    }
-                };
-                eprintln!(
-                    "cycle {now} node {} in{in_port}.vc{in_vc} q={} pkt{} class={:?} dst={} {}",
-                    st.node.0,
-                    meta::len(m),
-                    head.packet(),
-                    self.class_of[head.packet()],
-                    self.packets[head.packet()].dst.0,
-                    reason
-                );
-                lines += 1;
-                if lines > 60 {
-                    eprintln!("... (truncated)");
-                    return;
-                }
-            }
-        }
-    }
 }
 
 // ---- workloads ----------------------------------------------------------
@@ -2230,7 +2010,6 @@ fn worker_loop<P: Probe>(
     shared: &Shared,
     my: &mut [ShardState],
     workload: Workload<'_>,
-    dump_on_stall: bool,
     worker_index: usize,
     start: RunCursor,
     stop_at: u64,
@@ -2419,11 +2198,6 @@ fn worker_loop<P: Probe>(
 
         now += 1;
         if now > plan.cfg.max_cycles {
-            if dump_on_stall {
-                for s in my.iter() {
-                    s.dump_blocked(plan, now);
-                }
-            }
             // Origins and completions accumulate separately: a shard that
             // mostly *receives* traffic completes more packets than it
             // originates, so per-shard differences can be negative; the
@@ -2816,7 +2590,10 @@ fn route_visit(plan: &EnginePlan<'_>, img: &PacketImage, at: NodeId) -> Option<u
         if n == at {
             return Some(visit);
         }
-        let next = plan.topo.link(plan.routes.next_link(n, dst)?).dst;
+        let next = plan
+            .topo
+            .link(plan.routes.next_link(plan.topo, n, dst)?)
+            .dst;
         visit += u32::from(shard[next.index()] != shard[n.index()]);
         n = next;
     }
@@ -3160,21 +2937,6 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
         self.run_trace_probed(trace, &mut NoopProbe)
     }
 
-    /// Like [`run_trace`](Self::run_trace), but on a cycle-limit failure
-    /// prints a blocked-state dump to stderr before returning the error
-    /// (deadlock triage aid).
-    pub fn run_trace_debug(self, trace: &Trace) -> Result<SimStats, SimError> {
-        self.drive(
-            Workload::Trace(trace),
-            None,
-            u64::MAX,
-            &mut NoopProbe,
-            None,
-            true,
-        )
-        .map(RunOutcome::expect_finished)
-    }
-
     /// Runs Bernoulli-injected synthetic traffic: each node injects 1-flit
     /// packets at its row rate of `matrix`, destinations sampled from the
     /// row distribution. Packets injected during the first `warmup` cycles
@@ -3203,7 +2965,7 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
         trace: &Trace,
         probe: &mut P,
     ) -> Result<SimStats, SimError> {
-        self.drive(Workload::Trace(trace), None, u64::MAX, probe, None, false)
+        self.drive(Workload::Trace(trace), None, u64::MAX, probe, None)
             .map(RunOutcome::expect_finished)
     }
 
@@ -3224,7 +2986,7 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
             measure,
             seed,
         };
-        self.drive(workload, None, u64::MAX, probe, None, false)
+        self.drive(workload, None, u64::MAX, probe, None)
             .map(RunOutcome::expect_finished)
     }
 
@@ -3242,7 +3004,6 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
                 u64::MAX,
                 &mut NoopProbe,
                 Some(&sink),
-                false,
             )?
             .expect_finished();
         Ok((stats, sink.profile(workers)))
@@ -3267,7 +3028,7 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
             seed,
         };
         let stats = self
-            .drive(workload, None, u64::MAX, &mut NoopProbe, Some(&sink), false)?
+            .drive(workload, None, u64::MAX, &mut NoopProbe, Some(&sink))?
             .expect_finished();
         Ok((stats, sink.profile(workers)))
     }
@@ -3305,14 +3066,7 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
     /// yields statistics bit-for-bit identical to the uninterrupted run
     /// — `tests/snapshot_parity.rs` pins this.
     pub fn run_trace_until(self, trace: &Trace, stop_at: u64) -> Result<RunOutcome, SimError> {
-        self.drive(
-            Workload::Trace(trace),
-            None,
-            stop_at,
-            &mut NoopProbe,
-            None,
-            false,
-        )
+        self.drive(Workload::Trace(trace), None, stop_at, &mut NoopProbe, None)
     }
 
     /// Resumes a paused trace run from `snap`, itself pausing again at
@@ -3332,7 +3086,6 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
             stop_at,
             &mut NoopProbe,
             None,
-            false,
         )
     }
 
@@ -3361,7 +3114,7 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
             measure,
             seed,
         };
-        self.drive(workload, None, stop_at, &mut NoopProbe, None, false)
+        self.drive(workload, None, stop_at, &mut NoopProbe, None)
     }
 
     /// Resumes a paused synthetic run to completion. The snapshot must
@@ -3386,7 +3139,7 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
             measure,
             seed,
         };
-        self.drive(workload, Some(snap), u64::MAX, &mut NoopProbe, None, false)
+        self.drive(workload, Some(snap), u64::MAX, &mut NoopProbe, None)
             .map(RunOutcome::expect_finished)
     }
 
@@ -3412,8 +3165,7 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
     /// instance observes every shard of every cycle — statistics are
     /// bit-for-bit independent of the worker count, so this only
     /// affects wall clock. `prof`, when set, collects superstep phase
-    /// times from all workers. `dump_on_stall` prints a blocked-state
-    /// dump to stderr on a cycle-limit failure (deadlock triage).
+    /// times from all workers.
     pub(crate) fn drive<P: Probe>(
         self,
         workload: Workload<'_>,
@@ -3421,7 +3173,6 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
         stop_at: u64,
         probe: &mut P,
         prof: Option<&ProfileSink>,
-        dump_on_stall: bool,
     ) -> Result<RunOutcome, SimError> {
         if let Workload::Trace(trace) = workload {
             assert_eq!(usize::from(trace.num_nodes), self.plan.topo.num_nodes());
@@ -3487,16 +3238,7 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
         let end = if workers == 1 {
             let chunk = chunks.pop().expect("one worker has one chunk");
             worker_loop(
-                &plan,
-                &shared,
-                chunk,
-                workload,
-                dump_on_stall,
-                0,
-                start,
-                stop_at,
-                probe,
-                prof,
+                &plan, &shared, chunk, workload, 0, start, stop_at, probe, prof,
             )
         } else {
             debug_assert!(!P::ENABLED, "a probed run is single-worker");
@@ -3512,7 +3254,6 @@ impl<'a, const ONE_SHARD: bool> Engine<'a, ONE_SHARD> {
                                 shared,
                                 chunk,
                                 workload,
-                                dump_on_stall,
                                 w,
                                 start,
                                 stop_at,
@@ -3833,19 +3574,22 @@ mod tests {
 
     #[test]
     fn credit_cell_defers_freed_credits_to_next_cycle() {
+        // The spendable count at `now`, read from a copy so the cell
+        // itself is not normalized.
+        let peek = |mut c: CreditCell, now: u64| c.normalize(now);
         let mut c = CreditCell::new(2);
         assert_eq!(c.normalize(5), 2);
         c.take(5);
-        assert_eq!(c.peek(5), 1);
+        assert_eq!(peek(c, 5), 1);
         // A credit freed during cycle 5 is invisible for the rest of
         // cycle 5 — exactly the old staged-list semantics…
         c.free(5);
         assert_eq!(c.normalize(5), 1);
-        assert_eq!(c.peek(5), 1);
+        assert_eq!(peek(c, 5), 1);
         // …and folds in on any access at a later cycle.
-        assert_eq!(c.peek(6), 2);
+        assert_eq!(peek(c, 6), 2);
         assert_eq!(c.normalize(8), 2);
-        assert_eq!(c.peek(8), 2);
+        assert_eq!(peek(c, 8), 2);
     }
 
     #[test]
@@ -4024,7 +3768,6 @@ mod tests {
             &shared,
             &mut shards,
             workload,
-            false,
             0,
             RunCursor::default(),
             u64::MAX,
@@ -4150,7 +3893,6 @@ mod tests {
                 &Shared::new(2, 1),
                 &mut shards,
                 Workload::Trace(&trace),
-                false,
                 0,
                 RunCursor::default(),
                 split,
@@ -4190,7 +3932,6 @@ mod tests {
             &Shared::new(1, 1),
             &mut shards,
             Workload::Trace(&trace),
-            false,
             0,
             RunCursor::default(),
             10,

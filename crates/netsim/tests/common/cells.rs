@@ -25,8 +25,8 @@
 //! mode under `cargo test -q`.
 
 use hyppi_netsim::{
-    FlightRecorder, ReferenceSimulator, RunOutcome, ShardedSimulator, SimConfig, SimStats,
-    Simulator,
+    Engine, FlightRecorder, ReferenceSimulator, RunOutcome, ShardedSimulator, SimConfig, SimError,
+    SimStats, Simulator,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
@@ -198,182 +198,175 @@ impl Cell {
         }
     }
 
-    /// Runs the cell on the P=1 production engine.
-    pub fn run_single(&self) -> SimStats {
-        let mut sim = Simulator::new(&self.topo, &self.routes, self.cfg);
-        if let Some((h, hr)) = &self.baseline {
-            sim = sim.with_baseline(h, hr);
-        }
-        self.drive_single(sim)
-    }
-
-    fn drive_single(&self, sim: Simulator<'_>) -> SimStats {
-        match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace(&self.trace().expect("trace cell"))
-                .expect("P=1 run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic(&m, WARMUP, MEASURE, seed)
-                    .expect("P=1 run completes")
-            }
-        }
-    }
-
-    /// Runs the cell on the frozen reference engine.
-    pub fn run_reference(&self) -> SimStats {
-        let mut sim = ReferenceSimulator::new(&self.topo, &self.routes, self.cfg);
-        if let Some((h, hr)) = &self.baseline {
-            sim = sim.with_baseline(h, hr);
-        }
-        match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace(&self.trace().expect("trace cell"))
-                .expect("reference run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic(&m, WARMUP, MEASURE, seed)
-                    .expect("reference run completes")
-            }
+    /// Builds the P=1 engine for this cell (baseline installed).
+    pub fn single(&self) -> Simulator<'_> {
+        let sim = Simulator::new(&self.topo, &self.routes, self.cfg);
+        match &self.baseline {
+            Some((h, hr)) => sim.with_baseline(h, hr),
+            None => sim,
         }
     }
 
     /// Builds the sharded engine for this cell (baseline installed).
     pub fn sharded(&self, spec: ShardSpec, threads: usize) -> ShardedSimulator<'_> {
-        let mut sim =
+        let sim =
             ShardedSimulator::new(&self.topo, &self.routes, self.cfg, spec).with_threads(threads);
-        if let Some((h, hr)) = &self.baseline {
-            sim = sim.with_baseline(h, hr);
+        match &self.baseline {
+            Some((h, hr)) => sim.with_baseline(h, hr),
+            None => sim,
         }
-        sim
+    }
+
+    /// Builds the frozen reference engine for this cell (baseline
+    /// installed).
+    pub fn reference(&self) -> ReferenceSimulator<'_> {
+        let sim = ReferenceSimulator::new(&self.topo, &self.routes, self.cfg);
+        match &self.baseline {
+            Some((h, hr)) => sim.with_baseline(h, hr),
+            None => sim,
+        }
+    }
+
+    /// Runs the cell's workload to completion on `sim` (either engine
+    /// name), returning the run's error instead of panicking.
+    pub fn try_run<const ONE_SHARD: bool>(
+        &self,
+        sim: Engine<'_, ONE_SHARD>,
+    ) -> Result<SimStats, SimError> {
+        match self.workload {
+            CellWorkload::Trace { .. } => sim.run_trace(&self.trace().expect("trace cell")),
+            CellWorkload::Synthetic { .. } => {
+                let (m, seed) = self.matrix().expect("synthetic cell");
+                sim.run_synthetic(&m, WARMUP, MEASURE, seed)
+            }
+        }
+    }
+
+    /// Runs the cell's workload on `sim` until it drains or reaches the
+    /// cycle boundary `stop_at`.
+    pub fn run_until<const ONE_SHARD: bool>(
+        &self,
+        sim: Engine<'_, ONE_SHARD>,
+        stop_at: u64,
+    ) -> Result<RunOutcome, SimError> {
+        match self.workload {
+            CellWorkload::Trace { .. } => {
+                sim.run_trace_until(&self.trace().expect("trace cell"), stop_at)
+            }
+            CellWorkload::Synthetic { .. } => {
+                let (m, seed) = self.matrix().expect("synthetic cell");
+                sim.run_synthetic_until(&m, WARMUP, MEASURE, seed, stop_at)
+            }
+        }
+    }
+
+    /// [`Self::try_run`] on the frozen reference engine.
+    pub fn try_reference(&self) -> Result<SimStats, SimError> {
+        let sim = self.reference();
+        match self.workload {
+            CellWorkload::Trace { .. } => sim.run_trace(&self.trace().expect("trace cell")),
+            CellWorkload::Synthetic { .. } => {
+                let (m, seed) = self.matrix().expect("synthetic cell");
+                sim.run_synthetic(&m, WARMUP, MEASURE, seed)
+            }
+        }
+    }
+
+    /// [`Self::run_until`] on the frozen reference engine.
+    pub fn reference_until(&self, stop_at: u64) -> Result<RunOutcome, SimError> {
+        let sim = self.reference();
+        match self.workload {
+            CellWorkload::Trace { .. } => {
+                sim.run_trace_until(&self.trace().expect("trace cell"), stop_at)
+            }
+            CellWorkload::Synthetic { .. } => {
+                let (m, seed) = self.matrix().expect("synthetic cell");
+                sim.run_synthetic_until(&m, WARMUP, MEASURE, seed, stop_at)
+            }
+        }
+    }
+
+    /// Runs the cell on the P=1 production engine.
+    pub fn run_single(&self) -> SimStats {
+        self.try_run(self.single()).expect("P=1 run completes")
+    }
+
+    /// Runs the cell on the frozen reference engine.
+    pub fn run_reference(&self) -> SimStats {
+        self.try_reference().expect("reference run completes")
     }
 
     /// Runs the cell on the sharded engine.
     pub fn run_sharded(&self, spec: ShardSpec, threads: usize) -> SimStats {
-        let sim = self.sharded(spec, threads);
-        match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace(&self.trace().expect("trace cell"))
-                .expect("sharded run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic(&m, WARMUP, MEASURE, seed)
-                    .expect("sharded run completes")
-            }
-        }
+        self.try_run(self.sharded(spec, threads))
+            .expect("sharded run completes")
     }
 
-    /// Runs the cell on the sharded engine, pausing at `stop_at` and
-    /// resuming the snapshot on a fresh instance — the mid-run splice
-    /// every snapshot suite pins.
+    /// Runs the cell on the engine `build` makes, pausing at `stop_at`
+    /// and resuming the snapshot on a fresh instance — the mid-run
+    /// splice every snapshot suite pins.
+    fn spliced<'c, const ONE_SHARD: bool>(
+        &'c self,
+        build: impl Fn() -> Engine<'c, ONE_SHARD>,
+        stop_at: u64,
+    ) -> SimStats {
+        let snap = match self
+            .run_until(build(), stop_at)
+            .expect("bounded run completes")
+        {
+            RunOutcome::Finished(stats) => return stats,
+            RunOutcome::Paused(snap) => snap,
+        };
+        match self.workload {
+            CellWorkload::Trace { .. } => {
+                build().resume_trace(&snap, &self.trace().expect("trace cell"))
+            }
+            CellWorkload::Synthetic { .. } => {
+                let (m, seed) = self.matrix().expect("synthetic cell");
+                build().resume_synthetic(&snap, &m, WARMUP, MEASURE, seed)
+            }
+        }
+        .expect("resumed run completes")
+    }
+
+    /// [`Self::spliced`] on the sharded engine.
     pub fn run_sharded_spliced(&self, spec: ShardSpec, threads: usize, stop_at: u64) -> SimStats {
-        match self.workload {
-            CellWorkload::Trace { .. } => {
-                let trace = self.trace().expect("trace cell");
-                match self
-                    .sharded(spec, threads)
-                    .run_trace_until(&trace, stop_at)
-                    .expect("bounded run completes")
-                {
-                    RunOutcome::Finished(stats) => stats,
-                    RunOutcome::Paused(snap) => self
-                        .sharded(spec, threads)
-                        .resume_trace(&snap, &trace)
-                        .expect("resumed run completes"),
-                }
-            }
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                match self
-                    .sharded(spec, threads)
-                    .run_synthetic_until(&m, WARMUP, MEASURE, seed, stop_at)
-                    .expect("bounded run completes")
-                {
-                    RunOutcome::Finished(stats) => stats,
-                    RunOutcome::Paused(snap) => self
-                        .sharded(spec, threads)
-                        .resume_synthetic(&snap, &m, WARMUP, MEASURE, seed)
-                        .expect("resumed run completes"),
-                }
-            }
-        }
+        self.spliced(|| self.sharded(spec, threads), stop_at)
     }
 
-    /// Runs the cell on the P=1 engine, pausing at `stop_at` and
-    /// resuming the snapshot.
+    /// [`Self::spliced`] on the P=1 engine.
     pub fn run_single_spliced(&self, stop_at: u64) -> SimStats {
-        let build = || {
-            let mut sim = Simulator::new(&self.topo, &self.routes, self.cfg);
-            if let Some((h, hr)) = &self.baseline {
-                sim = sim.with_baseline(h, hr);
-            }
-            sim
-        };
-        match self.workload {
+        self.spliced(|| self.single(), stop_at)
+    }
+
+    /// Runs the cell on `sim` with the full flight recorder attached,
+    /// returning the stats and the recorder.
+    fn probed<const ONE_SHARD: bool>(
+        &self,
+        sim: Engine<'_, ONE_SHARD>,
+    ) -> (SimStats, FlightRecorder) {
+        let mut rec = FlightRecorder::new().with_metrics(50).with_trace(100_000);
+        let stats = match self.workload {
             CellWorkload::Trace { .. } => {
-                let trace = self.trace().expect("trace cell");
-                match build()
-                    .run_trace_until(&trace, stop_at)
-                    .expect("bounded run completes")
-                {
-                    RunOutcome::Finished(stats) => stats,
-                    RunOutcome::Paused(snap) => build()
-                        .resume_trace(&snap, &trace)
-                        .expect("resumed run completes"),
-                }
+                sim.run_trace_probed(&self.trace().expect("trace cell"), &mut rec)
             }
             CellWorkload::Synthetic { .. } => {
                 let (m, seed) = self.matrix().expect("synthetic cell");
-                match build()
-                    .run_synthetic_until(&m, WARMUP, MEASURE, seed, stop_at)
-                    .expect("bounded run completes")
-                {
-                    RunOutcome::Finished(stats) => stats,
-                    RunOutcome::Paused(snap) => build()
-                        .resume_synthetic(&snap, &m, WARMUP, MEASURE, seed)
-                        .expect("resumed run completes"),
-                }
+                sim.run_synthetic_probed(&m, WARMUP, MEASURE, seed, &mut rec)
             }
-        }
+        };
+        (stats.expect("probed run completes"), rec)
     }
 
-    /// Runs the cell on the P=1 engine with the full flight recorder
-    /// attached, returning the stats and the recorder.
+    /// [`Self::probed`] on the P=1 engine.
     pub fn run_single_probed(&self) -> (SimStats, FlightRecorder) {
-        let mut rec = FlightRecorder::new().with_metrics(50).with_trace(100_000);
-        let mut sim = Simulator::new(&self.topo, &self.routes, self.cfg);
-        if let Some((h, hr)) = &self.baseline {
-            sim = sim.with_baseline(h, hr);
-        }
-        let stats = match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace_probed(&self.trace().expect("trace cell"), &mut rec)
-                .expect("probed run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic_probed(&m, WARMUP, MEASURE, seed, &mut rec)
-                    .expect("probed run completes")
-            }
-        };
-        (stats, rec)
+        self.probed(self.single())
     }
 
-    /// Runs the cell on the sharded engine with the flight recorder
-    /// attached (probed sharded runs are forced single-worker).
+    /// [`Self::probed`] on the sharded engine (probed sharded runs are
+    /// forced single-worker).
     pub fn run_sharded_probed(&self, spec: ShardSpec) -> (SimStats, FlightRecorder) {
-        let mut rec = FlightRecorder::new().with_metrics(50).with_trace(100_000);
-        let sim = self.sharded(spec, 0);
-        let stats = match self.workload {
-            CellWorkload::Trace { .. } => sim
-                .run_trace_probed(&self.trace().expect("trace cell"), &mut rec)
-                .expect("probed run completes"),
-            CellWorkload::Synthetic { .. } => {
-                let (m, seed) = self.matrix().expect("synthetic cell");
-                sim.run_synthetic_probed(&m, WARMUP, MEASURE, seed, &mut rec)
-                    .expect("probed run completes")
-            }
-        };
-        (stats, rec)
+        self.probed(self.sharded(spec, 0))
     }
 }
 

@@ -11,7 +11,9 @@
 mod common;
 
 use common::cells::{self, express, fixture_trace, plain_mesh, uniform_matrix};
-use hyppi_netsim::{ReferenceSimulator, ShardedSimulator, SimConfig, SimStats, Simulator};
+use hyppi_netsim::{
+    ReferenceSimulator, ShardedSimulator, SimConfig, SimError, SimStats, Simulator,
+};
 use hyppi_topology::NodeId;
 use hyppi_topology::{FaultSpec, RoutingTable, ShardSpec, Topology};
 use hyppi_traffic::{NpbKernel, SyntheticPattern, Trace, TraceEvent};
@@ -27,6 +29,49 @@ fn catalog_matches_reference_engine() {
         let single = cell.run_single();
         let reference = cell.run_reference();
         assert_eq!(single, reference, "catalog cell diverged: {}", cell.name);
+    }
+}
+
+/// `SimError::CycleLimit { stuck_packets }` is what a run that stops
+/// draining reports. With `max_cycles` cut short on every catalog cell,
+/// the frozen reference, the P=1 engine and the quadrant grid (one
+/// worker and four) must stop with the same stuck-packet count, and a
+/// run bounded at the limit must pause exactly there: that snapshot is
+/// the image of the stuck state (`docs/SNAPSHOT_FORMAT.md`).
+#[test]
+fn cycle_limit_reports_the_same_stuck_count_on_every_engine() {
+    let quadrants = ShardSpec { sx: 2, sy: 2 };
+    for limit in [60, 250] {
+        for mut cell in cells::catalog() {
+            cell.cfg.max_cycles = limit;
+            let what = format!("{} at max_cycles {limit}", cell.name);
+            let stuck = |engine: &str, run: Result<SimStats, SimError>| match run {
+                Err(SimError::CycleLimit { stuck_packets }) => stuck_packets,
+                other => panic!("{what} ({engine}): expected a cycle limit, got {other:?}"),
+            };
+            let expected = stuck("seed", cell.try_reference());
+            let single = cell.try_run(cell.single());
+            assert_eq!(stuck("P=1", single), expected, "{what}: P=1");
+            for threads in [1, 4] {
+                let sharded = cell.try_run(cell.sharded(quadrants, threads));
+                assert_eq!(
+                    stuck("quadrants", sharded),
+                    expected,
+                    "{what}: quadrants, {threads} workers"
+                );
+            }
+            for (engine, bounded) in [
+                ("seed", cell.reference_until(limit)),
+                ("P=1", cell.run_until(cell.single(), limit)),
+                (
+                    "quadrants",
+                    cell.run_until(cell.sharded(quadrants, 4), limit),
+                ),
+            ] {
+                let snap = bounded.expect("bounded run").expect_paused();
+                assert_eq!(snap.now(), limit, "{what} ({engine})");
+            }
+        }
     }
 }
 

@@ -39,7 +39,7 @@ impl LinkLoads {
             let mut at = src;
             while at != dst {
                 let lid = routes
-                    .next_link(at, dst)
+                    .next_link(topo, at, dst)
                     .expect("connected topology always has a next hop");
                 loads.loads[lid.index()] += rate;
                 at = topo.link(lid).dst;

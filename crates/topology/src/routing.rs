@@ -34,7 +34,7 @@
 //! packet is home, or the pair is unroutable) — the port numbering the
 //! engines' routers use, so route computation needs no link→port remap.
 //! [`RoutingTable::next_port`] answers with it; [`RoutingTable::next_link`]
-//! maps it back through a compact copy of the adjacency. Outgoing lists
+//! maps it back through the topology's own adjacency. Outgoing lists
 //! ascend by link id, so the smallest-link-id tie-break is also the
 //! smallest-port one. The builder picks how its table is stored; queries
 //! look the same. For an N = W×H mesh:
@@ -106,10 +106,6 @@ impl std::error::Error for RouteError {}
 pub struct RoutingTable {
     n: usize,
     rule: Rule,
-    /// Out-port `p ≥ 1` of node `v` drives `out_links[out_base[v] + p - 1]`
-    /// (= `topo.outgoing(v)[p - 1]`); `out_base` has N + 1 entries.
-    out_base: Vec<u32>,
-    out_links: Vec<LinkId>,
     tables: Tables,
 }
 
@@ -412,21 +408,11 @@ impl RoutingTable {
         Self::new(topo, Rule::Xy, Tables::Lines(LineTables::build(topo)))
     }
 
-    /// Wraps built tables with the compact adjacency copy `next_link`
-    /// maps ports through.
+    /// Wraps tables built for `topo` by `rule`.
     fn new(topo: &Topology, rule: Rule, tables: Tables) -> Self {
-        let mut out_base = Vec::with_capacity(topo.num_nodes() + 1);
-        let mut out_links = Vec::with_capacity(topo.links().len());
-        for v in topo.nodes() {
-            out_base.push(out_links.len() as u32);
-            out_links.extend_from_slice(topo.outgoing(v));
-        }
-        out_base.push(out_links.len() as u32);
         RoutingTable {
             n: topo.num_nodes(),
             rule,
-            out_base,
-            out_links,
             tables,
         }
     }
@@ -625,11 +611,13 @@ impl RoutingTable {
         }
     }
 
-    /// Link to take at `node` toward `dst`; `None` when already there.
+    /// Link of `topo` (the topology this table was computed for) to take
+    /// at `node` toward `dst`; `None` when already there or unroutable.
     #[inline]
-    pub fn next_link(&self, node: NodeId, dst: NodeId) -> Option<LinkId> {
+    pub fn next_link(&self, topo: &Topology, node: NodeId, dst: NodeId) -> Option<LinkId> {
+        debug_assert_eq!(topo.num_nodes(), self.n, "table built for another topology");
         let p = usize::from(self.next_port(node, dst));
-        (p != 0).then(|| self.out_links[self.out_base[node.index()] as usize + p - 1])
+        (p != 0).then(|| topo.outgoing(node)[p - 1])
     }
 
     /// Whether the table routes `src` to `dst`. Always true for healthy
@@ -655,8 +643,6 @@ impl RoutingTable {
 
     /// Bytes of the stored route entries: the legs, coordinate table and
     /// block ids of a per-line table, or the 5·N² bytes of a dense one.
-    /// The adjacency copy [`Self::next_link`] maps ports through
-    /// (4·(N + 1) + 4·L bytes for L links) is not counted.
     pub fn table_bytes(&self) -> usize {
         match &self.tables {
             Tables::Lines(lines) => lines.bytes(),
@@ -683,7 +669,7 @@ impl RoutingTable {
         let mut at = src;
         while at != dst {
             let lid = self
-                .next_link(at, dst)
+                .next_link(topo, at, dst)
                 .expect("connected topology always has a next hop");
             path.push(lid);
             at = topo.link(lid).dst;
@@ -700,7 +686,7 @@ impl RoutingTable {
         let mut hops = 0u32;
         while at != dst {
             let lid = self
-                .next_link(at, dst)
+                .next_link(topo, at, dst)
                 .expect("connected topology always has a next hop");
             at = topo.link(lid).dst;
             hops += 1;
@@ -864,7 +850,7 @@ mod tests {
     /// names the out-port driving `next_link`; `reachable` agrees.
     fn assert_ports_match_links(t: &Topology, r: &RoutingTable, node: NodeId, dst: NodeId) {
         let port = usize::from(r.next_port(node, dst));
-        match r.next_link(node, dst) {
+        match r.next_link(t, node, dst) {
             None => assert_eq!(port, 0, "{}: {node}->{dst}", t.name),
             Some(lid) => {
                 assert_ne!(port, 0, "{}: {node}->{dst}", t.name);
@@ -901,8 +887,8 @@ mod tests {
                         what()
                     );
                     assert_eq!(
-                        lines.next_link(node, dst),
-                        dense.next_link(node, dst),
+                        lines.next_link(t, node, dst),
+                        dense.next_link(t, node, dst),
                         "{}",
                         what()
                     );
@@ -1165,7 +1151,7 @@ mod tests {
     fn self_route_is_empty() {
         let (t, r) = paper_mesh();
         assert_eq!(r.cost(NodeId(7), NodeId(7)), 0);
-        assert!(r.next_link(NodeId(7), NodeId(7)).is_none());
+        assert!(r.next_link(&t, NodeId(7), NodeId(7)).is_none());
         assert!(r.path(&t, NodeId(7), NodeId(7)).is_empty());
     }
 
