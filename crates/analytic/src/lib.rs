@@ -17,14 +17,11 @@
 //! [`NocModel`] bundles a topology with its per-link / per-router
 //! energy-area estimates; [`NocModel::evaluate`] produces a
 //! [`NocEvaluation`] with every factor separately (the paper plots each
-//! factor as its own panel in Fig. 5). [`energy`] converts activity counts
-//! from the trace simulations into total dynamic energy (Table V), and
-//! [`sweep`] runs whole batches of evaluations across threads.
+//! factor as its own panel in Fig. 5), and [`energy`] converts activity
+//! counts from the trace simulations into total dynamic energy (Table V).
 
 pub mod energy;
 pub mod model;
-pub mod sweep;
 
 pub use energy::{dynamic_energy_joules, EnergyBreakdown};
 pub use model::{NocEvaluation, NocModel, CORE_CLK_GHZ};
-pub use sweep::parallel_map;

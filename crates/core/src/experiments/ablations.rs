@@ -5,7 +5,7 @@
 //! (Table II) and to our own modeling choices.
 
 use crate::table::TextTable;
-use hyppi_analytic::parallel_map;
+use hyppi_netsim::sweep::parallel_map;
 use hyppi_netsim::{SimConfig, Simulator};
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{express_mesh, mesh, ExpressSpec, MeshSpec, RoutingTable};

@@ -9,7 +9,8 @@
 //! explorations").
 
 use crate::table::{eng, TextTable};
-use hyppi_analytic::{parallel_map, NocEvaluation, NocModel};
+use hyppi_analytic::{NocEvaluation, NocModel};
+use hyppi_netsim::sweep::parallel_map;
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{express_mesh, mesh, ExpressSpec, MeshSpec};
 use hyppi_traffic::SoteriouConfig;

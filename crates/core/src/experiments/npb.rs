@@ -7,7 +7,8 @@
 //! communication volume and the network paths taken by the flits").
 
 use crate::table::TextTable;
-use hyppi_analytic::{dynamic_energy_joules, parallel_map, NocModel};
+use hyppi_analytic::{dynamic_energy_joules, NocModel};
+use hyppi_netsim::sweep::parallel_map;
 use hyppi_netsim::{
     EnergyCounts, NoopProbe, Probe, RunOutcome, ShardedSimulator, SimConfig, SimError, Simulator,
     Snapshot, TelemetryOpts,

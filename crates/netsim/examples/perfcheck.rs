@@ -53,9 +53,20 @@
 //! between records, so compare *speedup ratios* (new vs seed engine,
 //! measured in the same run) across PRs, not raw seconds.
 //!
+//! Each section builds its part of the record where it measures it and
+//! returns it as a [`Json`] value; `main` places the parts in the
+//! record's key order.
+//!
+//! Flags taking a value: `--cells KERNEL[:SPAN],...`, `--shards N`,
+//! `--metrics PATH`, `--trace PATH`, `--trace-cap N`; flags without one:
+//! `--quick`, `--fast`, `--scaling`. Any other argument, a value flag
+//! without its value, a bad number, or a `--cells` entry naming an
+//! unknown kernel or a span outside 0/3/5/15 exits 2 with one stderr
+//! line before any section runs, so the record is not written.
+//!
 //! ```sh
 //! cargo run --release -p hyppi-netsim --example perfcheck              # all, with baseline
-//! cargo run --release -p hyppi-netsim --example perfcheck MG           # one kernel
+//! cargo run --release -p hyppi-netsim --example perfcheck -- --cells MG   # one kernel
 //! cargo run --release -p hyppi-netsim --example perfcheck -- --cells MG:0,FT:5
 //! cargo run --release -p hyppi-netsim --example perfcheck -- --fast    # skip baseline
 //! cargo run --release -p hyppi-netsim --example perfcheck -- --shards 8
@@ -72,17 +83,17 @@
 
 use hyppi_netsim::json::{Json, Obj};
 use hyppi_netsim::{
-    EngineProfile, FlightRecorder, LatencyStats, NoopProbe, ReferenceSimulator, ShardedSimulator,
-    SimConfig, SimStats, Simulator, SweepConfig, SweepRunner, TelemetryOpts,
+    FlightRecorder, LatencyStats, NoopProbe, ReferenceSimulator, ShardedSimulator, SimConfig,
+    SimStats, Simulator, SweepConfig, SweepRunner, TelemetryOpts,
 };
-use hyppi_phys::{Gbps, LinkTechnology};
+use hyppi_phys::LinkTechnology;
 use hyppi_topology::{
     express_mesh, mesh, ExpressSpec, FaultSpec, MeshSpec, NodeId, RoutingTable, ShardSpec, Topology,
 };
 use hyppi_traffic::{BurstSpec, NpbKernel, NpbTraceSpec, ScaledNpbSpec, SyntheticPattern, Trace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Counts the process's live and peak heap bytes for the memory section.
 /// Allocation sizes are deterministic for a given run, so the counts do
@@ -141,249 +152,13 @@ fn heap_mark() -> usize {
     live
 }
 
-struct Cell {
-    kernel: &'static str,
-    span: u16,
-    latency_clks: f64,
-    p50: u64,
-    p99: u64,
-    packets: u64,
-    cycles: u64,
-    flit_hops: u64,
-    new_secs: f64,
-    ref_secs: Option<f64>,
-}
-
-impl Cell {
-    fn mflit_hops_per_sec(&self) -> f64 {
-        self.flit_hops as f64 / self.new_secs / 1e6
-    }
-
-    fn cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / self.new_secs
-    }
-
-    fn speedup(&self) -> Option<f64> {
-        self.ref_secs.map(|r| r / self.new_secs)
-    }
-}
-
-struct SweepRecord {
-    points: usize,
-    seeds: usize,
-    runs: u32,
-    /// Grid + saturation search wall time.
-    secs: f64,
-    /// Wall time of the grid portion only (the cycle totals below cover
-    /// just the grid, so cycles/s is grid-cycles over grid-seconds).
-    grid_secs: f64,
-    aggregate_cycles: u64,
-    saturation_load: f64,
-    saturated_in_range: bool,
-    zero_load_latency: f64,
-}
-
-impl SweepRecord {
-    fn runs_per_sec(&self) -> f64 {
-        f64::from(self.runs) / self.secs
-    }
-
-    fn cycles_per_sec(&self) -> f64 {
-        self.aggregate_cycles as f64 / self.grid_secs
-    }
-}
-
-/// Closed-loop quick cell: the 16×16 uniform load past the saturation
-/// knee with a credit-limited NIC window, parity-asserted across all
-/// three engines, with the accepted throughput recorded.
-struct ClosedLoopRecord {
-    rate: f64,
-    window: usize,
-    warmup: u64,
-    measure: u64,
-    /// In-window accepted throughput, flits/node/cycle — the plateau
-    /// value (≈0.247 on the paper mesh), not the offered rate.
-    accepted: f64,
-    /// Mean network latency (closed-loop clocks start at emission).
-    mean_latency: f64,
-    /// Worst NIC backlog across sources (where closed-loop overload goes).
-    peak_backlog: u32,
-    secs: f64,
-}
-
-/// Shard-scaling measurements on the 32×32 uniform cell.
-struct ShardRecord {
-    mesh: &'static str,
-    rate: f64,
-    warmup: u64,
-    measure: u64,
-    shards: usize,
-    /// Wall time of the P=1 engine on the cell.
-    single_secs: f64,
-    /// Wall time of the sharded engine, one worker per shard.
-    sharded_secs: f64,
-    /// Wall time of the sharded engine forced onto one thread (protocol
-    /// overhead isolated from parallel speedup).
-    sequential_secs: f64,
-    /// `available_parallelism()` of the machine that produced the record
-    /// — on a single-core host the speedup column cannot exceed ~1.
-    host_threads: usize,
-    packets: u64,
-    cycles: u64,
-}
-
-impl ShardRecord {
-    fn speedup(&self) -> f64 {
-        self.single_secs / self.sharded_secs
-    }
-
-    fn protocol_overhead(&self) -> f64 {
-        self.sequential_secs / self.single_secs
-    }
-}
-
-/// Flight-recorder overhead and engine self-profiling on the sharded
-/// 32×32 uniform cell (see `docs/OBSERVABILITY.md`).
-struct TelemetryRecord {
-    mesh: &'static str,
-    rate: f64,
-    warmup: u64,
-    measure: u64,
-    shards: usize,
-    /// Best-of-3 sharded-sequential wall time, plain entry point.
-    plain_secs: f64,
-    /// One run with the full recorder (metrics sampler + packet tracer)
-    /// attached — the probes-on cost, recorded but not asserted.
-    recorder_secs: f64,
-    /// Metrics samples the recorder run produced.
-    samples: usize,
-    /// Packet lifecycle events retained in the trace ring.
-    events: usize,
-    /// Events evicted from the ring (0 unless the run outgrew it).
-    dropped_events: u64,
-    /// Per-superstep-phase wall time of the threaded sharded run.
-    profile: EngineProfile,
-}
-
-/// Checkpoint/restore measurements: snapshot size and save/restore
-/// micro-costs on a mid-run 16×16 cell, a splice parity cell (pause +
-/// resume == uninterrupted, restored across engines), and the
-/// warm-start sweep speedup on the 16×16 rate grid.
-struct SnapshotRecord {
-    mesh: &'static str,
-    snapshot_bytes: usize,
-    bytes_per_node: f64,
-    /// Mean serialization cost of one full-state snapshot, µs.
-    save_us: f64,
-    /// Mean decode + engine-rebuild cost of one restore, µs.
-    restore_us: f64,
-    grid_rates: usize,
-    seeds: usize,
-    warmup: u64,
-    measure: u64,
-    /// Wall time of the rate grid with per-point warm-up re-runs.
-    cold_grid_secs: f64,
-    /// Wall time of the same grid warm-started from cached anchors
-    /// (anchor construction included).
-    warm_grid_secs: f64,
-    /// Simulated-cycle work ratio cold/warm — deterministic, unlike the
-    /// wall-clock ratio, which parallel scheduling can flatten on
-    /// many-core hosts (the grid fans out wider than the anchor phase).
-    work_multiple: f64,
-}
-
-impl SnapshotRecord {
-    fn wall_speedup(&self) -> f64 {
-        self.cold_grid_secs / self.warm_grid_secs
-    }
-}
-
-/// The fault parity cell: a faulty 16×16 uniform run (dead link +
-/// degraded span + dead router, faults on the quadrant cuts), parity
-/// asserted across all three engines.
-struct FaultRecord {
-    rate: f64,
-    warmup: u64,
-    measure: u64,
-    dead_links: usize,
-    degraded_spans: usize,
-    dead_routers: usize,
-    rerouted_hops: u64,
-    unreachable_pairs: u64,
-    mean_latency: f64,
-    secs: f64,
-}
-
-/// One point of the compact saturation-vs-fault-count record.
-struct FaultSatPoint {
-    mesh: &'static str,
-    fault_count: usize,
-    sample_seed: u64,
-    saturation_load: f64,
-    saturated_in_range: bool,
-    rerouted_hops: u64,
-    unreachable_pairs: u64,
-}
-
-/// One point of the p99.9-vs-burstiness record: the 16×16 uniform cell
-/// re-run with ON/OFF modulated injection at growing peak-to-mean ratio,
-/// merged over [`BURST_SEEDS`].
-struct BurstPoint {
-    burstiness: f64,
-    /// Measured packets per node per measured cycle (single-flit packets:
-    /// flits/node/cycle), over every seed — the load the point realized.
-    offered: f64,
-    mean_latency: f64,
-    p99: u64,
-    p999: u64,
-    packets: u64,
-    secs: f64,
-}
-
 /// Seeds merged into every burst point. One seed's ON/OFF realization
 /// over the short measured window can sit ~12% above its long-run mean
 /// at burstiness 8, which would mix extra load into the tail.
 const BURST_SEEDS: [u64; 3] = [11, 12, 13];
 
-/// Engine heap and construction time on one mesh size and shard count.
-struct EngineBytes {
-    side: u16,
-    shards: usize,
-    bytes: usize,
-    secs: f64,
-}
-
-impl EngineBytes {
-    fn per_node(&self) -> f64 {
-        self.bytes as f64 / (usize::from(self.side) * usize::from(self.side)) as f64
-    }
-}
-
-/// `compute_xy` on one mesh size: its heap, the bytes of its stored table
-/// (`RoutingTable::table_bytes`), and its build time.
-struct RouteBytes {
-    side: u16,
-    heap_bytes: usize,
-    table_bytes: usize,
-    secs: f64,
-}
-
-/// Peak heap growth of one short and one long run of the same point.
-struct RunGrowth {
-    shards: usize,
-    short_bytes: usize,
-    long_bytes: usize,
-}
-
-/// The memory record: route and engine bytes by mesh size and shard
-/// count, and how a run's heap grows with its length.
-struct MemoryRecord {
-    routes: Vec<RouteBytes>,
-    engines: Vec<EngineBytes>,
-    growth: Vec<RunGrowth>,
-}
-
-/// Mesh sides and shard counts of the memory section's construction grid.
+/// Mesh sides and shard counts of the memory section's construction grid
+/// (the shard gate compares the last count, P=64, with the first, P=1).
 const MEMORY_SIDES: [u16; 4] = [16, 32, 64, 128];
 const MEMORY_SHARDS: [usize; 4] = [1, 4, 16, 64];
 
@@ -400,36 +175,58 @@ const GROWTH_MEASURE: (u64, u64) = (2_000, 20_000);
 /// How much more the long run's heap may grow than the short run's.
 const GROWTH_GATE: f64 = 1.5;
 
-/// Cell filters parsed from `--cells KERNEL[:SPAN],...` or the positional
-/// kernel argument.
-#[derive(Clone)]
-struct CellFilter(Vec<(String, Option<u16>)>);
+/// The Fig. 6 grid's express spans (0 is the plain mesh).
+const FIG6_SPANS: [u16; 4] = [0, 3, 5, 15];
+
+/// The argument table: flags that take a value, and flags that take none.
+const VALUE_FLAGS: [&str; 5] = ["--cells", "--shards", "--metrics", "--trace", "--trace-cap"];
+const BARE_FLAGS: [&str; 3] = ["--quick", "--fast", "--scaling"];
+
+/// Prints `msg` as one stderr line and exits 2 — the end of every bad
+/// argument, before any section runs or the record is written.
+fn arg_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The Fig. 6 cells selected by `--cells KERNEL[:SPAN],...`; no entry
+/// selects the whole grid.
+struct CellFilter(Vec<(NpbKernel, Option<u16>)>);
 
 impl CellFilter {
+    /// Parses a `--cells` value; an entry naming an unknown kernel or a
+    /// span outside [`FIG6_SPANS`] exits 2.
     fn parse(spec: &str) -> Self {
         let entries = spec
             .split(',')
             .filter(|s| !s.is_empty())
-            .map(|entry| match entry.split_once(':') {
-                Some((k, s)) => {
-                    let span: u16 = s.parse().unwrap_or_else(|_| {
-                        eprintln!("bad span in --cells entry '{entry}'");
-                        std::process::exit(2);
-                    });
-                    (k.to_uppercase(), Some(span))
+            .map(|entry| {
+                let (name, span) = match entry.split_once(':') {
+                    Some((k, s)) => (k, Some(s.parse().ok().filter(|s| FIG6_SPANS.contains(s)))),
+                    None => (entry, None),
+                };
+                let kernel = NpbKernel::ALL
+                    .into_iter()
+                    .find(|k| k.name().eq_ignore_ascii_case(name));
+                match (kernel, span) {
+                    (Some(k), None) => (k, None),
+                    (Some(k), Some(Some(s))) => (k, Some(s)),
+                    _ => arg_error(&format!(
+                        "bad --cells entry '{entry}': kernels are {:?}, spans {FIG6_SPANS:?}",
+                        NpbKernel::ALL.map(NpbKernel::name)
+                    )),
                 }
-                None => (entry.to_uppercase(), None),
             })
             .collect();
         CellFilter(entries)
     }
 
-    fn accepts(&self, kernel: &str, span: u16) -> bool {
+    fn accepts(&self, kernel: NpbKernel, span: u16) -> bool {
         self.0.is_empty()
             || self
                 .0
                 .iter()
-                .any(|(k, s)| k == kernel && s.is_none_or(|s| s == span))
+                .any(|&(k, s)| k == kernel && s.is_none_or(|s| s == span))
     }
 }
 
@@ -447,89 +244,79 @@ fn fig6_topology(span: u16) -> Topology {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let quick = args.iter().any(|a| a == "--quick");
-    let cells_arg = args
-        .iter()
-        .position(|a| a == "--cells")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    // Every sharded section cuts a 32×32 mesh: refuse counts whose
-    // near-square grid cannot fit it before any section runs.
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| {
-            let n: usize = s.parse().unwrap_or_else(|_| {
-                eprintln!("bad --shards value '{s}'");
-                std::process::exit(2);
-            });
-            if n == 0 {
-                eprintln!("--shards must be at least 1");
-                std::process::exit(2);
-            }
-            let grid = ShardSpec::for_count(n);
-            if grid.sx > 32 || grid.sy > 32 {
-                eprintln!(
-                    "--shards {n} needs a {}x{} shard grid, wider or taller than the 32x32 mesh",
-                    grid.sx, grid.sy
-                );
-                std::process::exit(2);
-            }
-            n
-        })
-        .unwrap_or(4);
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let trace_cap: usize = flag_value("--trace-cap")
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("bad --trace-cap value '{s}'");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0);
-    let telemetry = TelemetryOpts {
-        metrics: flag_value("--metrics"),
-        trace: flag_value("--trace"),
-        trace_cap,
-    };
-    let scaling_requested = args.iter().any(|a| a == "--scaling");
-    const VALUE_FLAGS: [&str; 5] = ["--cells", "--shards", "--metrics", "--trace", "--trace-cap"];
-    let positional: Option<String> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| {
-            !a.starts_with("--") && (i == 0 || !VALUE_FLAGS.contains(&args[i - 1].as_str()))
-        })
-        .map(|(_, a)| a.clone())
-        .next();
-    let filter = if let Some(spec) = cells_arg {
-        CellFilter::parse(&spec)
-    } else if let Some(kernel) = positional {
-        CellFilter::parse(&kernel)
-    } else if quick {
-        // CI smoke default: the cheapest meaningful cell. An explicit
-        // --cells / kernel filter above still wins (--quick then only
-        // shrinks the workload).
-        CellFilter::parse("MG:0")
-    } else {
-        CellFilter(Vec::new())
-    };
+/// A `side`×`side` mesh of `tech` links at the paper's 1 mm pitch and
+/// 50 Gb/s.
+fn square_mesh(side: u16, tech: LinkTechnology) -> Topology {
+    mesh(MeshSpec {
+        width: side,
+        height: side,
+        ..MeshSpec::paper(tech)
+    })
+}
 
-    let mut cells: Vec<Cell> = Vec::new();
+/// `available_parallelism()` of the machine measuring the record — on a
+/// single-core host no speedup column can exceed ~1.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+fn main() {
+    let mut values: [Option<String>; VALUE_FLAGS.len()] = Default::default();
+    let mut bare = [false; BARE_FLAGS.len()];
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if let Some(k) = VALUE_FLAGS.iter().position(|f| *f == a) {
+            let value = args.next();
+            values[k] = Some(value.unwrap_or_else(|| arg_error(&format!("{a} needs a value"))));
+        } else if let Some(k) = BARE_FLAGS.iter().position(|f| *f == a) {
+            bare[k] = true;
+        } else {
+            arg_error(&format!(
+                "unknown argument '{a}' (flags taking a value: {}; without: {})",
+                VALUE_FLAGS.join(" "),
+                BARE_FLAGS.join(" ")
+            ));
+        }
+    }
+    let [cells_arg, shards_arg, metrics, trace, trace_cap] = values;
+    let [quick, fast, scaling_requested] = bare;
+    // Every sharded section cuts a 32×32 mesh: refuse counts whose
+    // near-square grid cannot fit it.
+    let shards = shards_arg.map_or(4, |s| {
+        let n: usize = s
+            .parse()
+            .unwrap_or_else(|_| arg_error(&format!("bad --shards value '{s}'")));
+        if n == 0 || n > 32 * 32 {
+            arg_error(&format!(
+                "--shards must be 1 to 1024 (a 32x32 mesh), got {n}"
+            ));
+        }
+        let grid = ShardSpec::for_count(n);
+        if grid.sx > 32 || grid.sy > 32 {
+            arg_error(&format!(
+                "--shards {n} needs a {}x{} shard grid, wider or taller than the 32x32 mesh",
+                grid.sx, grid.sy
+            ));
+        }
+        n
+    });
+    let telemetry_opts = TelemetryOpts {
+        metrics,
+        trace,
+        trace_cap: trace_cap.map_or(0, |s| {
+            s.parse()
+                .unwrap_or_else(|_| arg_error(&format!("bad --trace-cap value '{s}'")))
+        }),
+    };
+    // CI smoke default: the cheapest meaningful cell. An explicit --cells
+    // still wins (--quick then only shrinks the workload).
+    let default_cells = if quick { "MG:0" } else { "" };
+    let filter = CellFilter::parse(cells_arg.as_deref().unwrap_or(default_cells));
+
+    let mut cells: Vec<Json> = Vec::new();
+    let (mut new_total, mut ref_total) = (0.0, 0.0);
     for kernel in NpbKernel::ALL {
-        if ![0u16, 3, 5, 15]
-            .iter()
-            .any(|&s| filter.accepts(kernel.name(), s))
-        {
+        if !FIG6_SPANS.iter().any(|&s| filter.accepts(kernel, s)) {
             continue;
         }
         let spec = NpbTraceSpec::paper(kernel);
@@ -540,8 +327,8 @@ fn main() {
         } else {
             spec.default_window()
         };
-        for span in [0u16, 3, 5, 15] {
-            if !filter.accepts(kernel.name(), span) {
+        for span in FIG6_SPANS {
+            if !filter.accepts(kernel, span) {
                 continue;
             }
             let topo = fig6_topology(span);
@@ -559,9 +346,7 @@ fn main() {
             };
             let new_secs = t0.elapsed().as_secs_f64();
 
-            let ref_secs = if fast {
-                None
-            } else {
+            let ref_secs = (!fast).then(|| {
                 let t1 = Instant::now();
                 let ref_stats = ReferenceSimulator::new(&topo, &routes, cfg)
                     .run_trace(&trace)
@@ -571,78 +356,79 @@ fn main() {
                     stats, ref_stats,
                     "{kernel} span {span}: engine parity violated"
                 );
-                Some(ref_secs)
-            };
-
-            let cell = Cell {
-                kernel: kernel.name(),
-                span,
-                latency_clks: stats.mean_latency(),
-                p50: stats.all.p50(),
-                p99: stats.all.p99(),
-                packets: stats.all.count,
-                cycles: stats.cycles,
-                flit_hops: stats.total_flit_hops(),
-                new_secs,
-                ref_secs,
-            };
-            let speedup = cell
-                .speedup()
-                .map_or(String::new(), |s| format!(" | {s:4.2}x vs seed"));
+                ref_secs
+            });
+            let speedup = ref_secs.map(|r| r / new_secs);
+            let mflit_hops_per_sec = stats.total_flit_hops() as f64 / new_secs / 1e6;
+            let cycles_per_sec = stats.cycles as f64 / new_secs;
             println!(
-                "{kernel} span {span:2}: lat {:7.2} clks (p50 {:4} p99 {:5} max {:5}) | {:8} pkts | {:9} cycles | {:6.1} Mflit-hops/s | {:8.0} cyc/s | {:.2?}{speedup}",
+                "{kernel} span {span:2}: lat {:7.2} clks (p50 {:4} p99 {:5} max {:5}) | {:8} pkts | {:9} cycles | {mflit_hops_per_sec:6.1} Mflit-hops/s | {cycles_per_sec:8.0} cyc/s | {:.2?}{}",
                 stats.mean_latency(),
-                cell.p50,
-                cell.p99,
+                stats.all.p50(),
+                stats.all.p99(),
                 stats.all.max,
                 stats.all.count,
                 stats.cycles,
-                cell.mflit_hops_per_sec(),
-                cell.cycles_per_sec(),
-                std::time::Duration::from_secs_f64(cell.new_secs),
+                Duration::from_secs_f64(new_secs),
+                speedup.map_or(String::new(), |s| format!(" | {s:4.2}x vs seed")),
             );
-            cells.push(cell);
+            new_total += new_secs;
+            ref_total += ref_secs.unwrap_or(0.0);
+            cells.push(
+                Obj::new()
+                    .field("kernel", kernel.name())
+                    .field("span", span)
+                    .field("latency_clks", Json::fixed(stats.mean_latency(), 4))
+                    .field("p50", stats.all.p50())
+                    .field("p99", stats.all.p99())
+                    .field("packets", stats.all.count)
+                    .field("cycles", stats.cycles)
+                    .field("flit_hops", stats.total_flit_hops())
+                    .field("new_engine_secs", Json::fixed(new_secs, 4))
+                    .field("seed_engine_secs", ref_secs.map(|v| Json::fixed(v, 4)))
+                    .field("speedup", speedup.map(|v| Json::fixed(v, 4)))
+                    .field("mflit_hops_per_sec", Json::fixed(mflit_hops_per_sec, 2))
+                    .field("cycles_per_sec", Json::fixed(cycles_per_sec, 0))
+                    .build(),
+            );
         }
     }
 
     if cells.is_empty() {
-        eprintln!("no cells simulated (unknown kernel filter?)");
+        eprintln!("no Fig. 6 cell completed");
         std::process::exit(1);
     }
-
-    let new_total: f64 = cells.iter().map(|c| c.new_secs).sum();
-    let ref_total: Option<f64> = cells
-        .iter()
-        .map(|c| c.ref_secs)
-        .collect::<Option<Vec<f64>>>()
-        .map(|v| v.iter().sum());
-    if let Some(rt) = ref_total {
-        println!(
-            "TOTAL: active-set {new_total:.2}s vs seed {rt:.2}s -> {:.2}x aggregate speedup",
-            rt / new_total
-        );
+    let ref_total = (!fast).then_some(ref_total);
+    let speedup = ref_total.map(|rt| rt / new_total);
+    if let (Some(rt), Some(s)) = (ref_total, speedup) {
+        println!("TOTAL: active-set {new_total:.2}s vs seed {rt:.2}s -> {s:.2}x aggregate speedup");
     } else {
         println!("TOTAL: active-set {new_total:.2}s (baseline skipped)");
     }
+    let aggregate = Obj::new()
+        .field("new_engine_secs", Json::fixed(new_total, 4))
+        .field("seed_engine_secs", ref_total.map(|v| Json::fixed(v, 4)))
+        .field("speedup", speedup.map(|v| Json::fixed(v, 4)))
+        .build();
 
     let memory = run_memory_section();
     let sweep = run_sweep_section(quick, fast);
-    let closed = run_closed_loop_section(quick, fast);
-    let shard = run_shard_section(quick, shards);
+    let closed_loop = run_closed_loop_section(quick, fast);
+    let shard_scaling = run_shard_section(quick, shards);
     // The scaling curve is the heavyweight section (three mesh sizes,
     // four shard counts each); --quick runs it only on request so the
     // default CI smoke stays cheap, but `--quick --scaling` still
     // shrinks the per-cell workload.
-    let scaling = (!quick || scaling_requested).then(|| run_scaling_section(quick));
-    let telem = run_telemetry_section(quick, shards, &telemetry);
+    let npb_shard_scaling = (!quick || scaling_requested).then(|| run_scaling_section(quick));
+    let telemetry = run_telemetry_section(quick, shards, &telemetry_opts);
     let snapshot = run_snapshot_section(quick, fast);
     let fault = run_fault_section(quick, fast);
-    let fault_sat = run_fault_saturation_section(quick, shards);
+    let fault_sweep = run_fault_saturation_section(quick, shards);
     let burst = run_burst_section(quick, fast);
 
     // Machine-readable record for the perf trajectory, built on the
     // shared `hyppi_netsim::json` writer.
-    let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_threads = host_threads();
     let mut top = Obj::new()
         .field(
             "bench",
@@ -658,322 +444,18 @@ fn main() {
         top = top.field("quick", true);
     }
     let json = top
-        .field(
-            "aggregate",
-            Obj::new()
-                .field("new_engine_secs", Json::fixed(new_total, 4))
-                .field("seed_engine_secs", ref_total.map(|v| Json::fixed(v, 4)))
-                .field("speedup", ref_total.map(|v| Json::fixed(v / new_total, 4))),
-        )
-        .field(
-            "sweep",
-            Obj::new()
-                .field("pattern", "uniform")
-                .field("mesh", "8x8")
-                .field("points", sweep.points)
-                .field("seeds", sweep.seeds)
-                .field("runs", sweep.runs)
-                .field("secs", Json::fixed(sweep.secs, 4))
-                .field("grid_secs", Json::fixed(sweep.grid_secs, 4))
-                .field("runs_per_sec", Json::fixed(sweep.runs_per_sec(), 2))
-                .field("aggregate_cycles", sweep.aggregate_cycles)
-                .field("cycles_per_sec", Json::fixed(sweep.cycles_per_sec(), 0))
-                .field(
-                    "saturation_load",
-                    sweep
-                        .saturated_in_range
-                        .then(|| Json::fixed(sweep.saturation_load, 4)),
-                )
-                .field("zero_load_latency", Json::fixed(sweep.zero_load_latency, 4)),
-        )
-        .field(
-            "closed_loop",
-            Obj::new()
-                .field("mesh", "16x16")
-                .field("pattern", "uniform")
-                .field("rate", Json::fixed(closed.rate, 3))
-                .field("window", closed.window)
-                .field("warmup", closed.warmup)
-                .field("measure", closed.measure)
-                .field("accepted_throughput", Json::fixed(closed.accepted, 4))
-                .field("mean_latency", Json::fixed(closed.mean_latency, 4))
-                .field("peak_backlog", closed.peak_backlog)
-                .field("secs", Json::fixed(closed.secs, 4)),
-        )
-        .field(
-            "shard_scaling",
-            Obj::new()
-                .field("mesh", shard.mesh)
-                .field("rate", Json::fixed(shard.rate, 3))
-                .field("warmup", shard.warmup)
-                .field("measure", shard.measure)
-                .field("shards", shard.shards)
-                .field("host_threads", shard.host_threads)
-                .field("packets", shard.packets)
-                .field("cycles", shard.cycles)
-                .field("single_shard_secs", Json::fixed(shard.single_secs, 4))
-                .field("sharded_secs", Json::fixed(shard.sharded_secs, 4))
-                .field(
-                    "sequential_sharded_secs",
-                    Json::fixed(shard.sequential_secs, 4),
-                )
-                .field("speedup", Json::fixed(shard.speedup(), 4))
-                .field(
-                    "protocol_overhead",
-                    Json::fixed(shard.protocol_overhead(), 4),
-                )
-                .field("measured_on_single_core", shard.host_threads == 1),
-        )
-        .field(
-            "npb_shard_scaling",
-            scaling.map(|records| {
-                records
-                    .iter()
-                    .map(|r| {
-                        Obj::new()
-                            .field("mesh", r.mesh)
-                            .field("kernel", r.kernel)
-                            .field("packets", r.packets)
-                            .field("cycles", r.cycles)
-                            .field("host_threads", r.host_threads)
-                            .field("measured_on_single_core", r.host_threads == 1)
-                            .field(
-                                "curve",
-                                r.points
-                                    .iter()
-                                    .map(|p| {
-                                        Obj::new()
-                                            .field("shards", p.shards)
-                                            .field("secs", Json::fixed(p.secs, 4))
-                                            .field("reps", p.reps)
-                                            .field("spread_secs", Json::fixed(p.spread, 4))
-                                            .field(
-                                                "speedup",
-                                                Json::fixed(r.single_secs / p.secs, 4),
-                                            )
-                                            .build()
-                                    })
-                                    .collect::<Vec<Json>>(),
-                            )
-                            .build()
-                    })
-                    .collect::<Vec<Json>>()
-            }),
-        )
-        .field(
-            "telemetry",
-            Obj::new()
-                .field("mesh", telem.mesh)
-                .field("pattern", "uniform")
-                .field("rate", Json::fixed(telem.rate, 3))
-                .field("warmup", telem.warmup)
-                .field("measure", telem.measure)
-                .field("shards", telem.shards)
-                .field("plain_secs", Json::fixed(telem.plain_secs, 4))
-                .field("recorder_secs", Json::fixed(telem.recorder_secs, 4))
-                .field("metrics_samples", telem.samples)
-                .field("trace_events", telem.events)
-                .field("trace_events_dropped", telem.dropped_events)
-                .field(
-                    "profile",
-                    Obj::new()
-                        .field("step_ns", telem.profile.step_ns)
-                        .field("exchange_ns", telem.profile.exchange_ns)
-                        .field("barrier_ns", telem.profile.barrier_ns)
-                        .field(
-                            "step_fraction",
-                            Json::fixed(telem.profile.fraction(telem.profile.step_ns), 4),
-                        )
-                        .field(
-                            "exchange_fraction",
-                            Json::fixed(telem.profile.fraction(telem.profile.exchange_ns), 4),
-                        )
-                        .field(
-                            "barrier_fraction",
-                            Json::fixed(telem.profile.fraction(telem.profile.barrier_ns), 4),
-                        )
-                        .field("supersteps", telem.profile.supersteps)
-                        .field("workers", telem.profile.workers),
-                ),
-        )
-        .field(
-            "snapshot",
-            Obj::new()
-                .field("mesh", snapshot.mesh)
-                .field("pattern", "uniform")
-                .field("snapshot_bytes", snapshot.snapshot_bytes)
-                .field("bytes_per_node", Json::fixed(snapshot.bytes_per_node, 1))
-                .field("save_usecs", Json::fixed(snapshot.save_us, 1))
-                .field("restore_usecs", Json::fixed(snapshot.restore_us, 1))
-                .field("grid_rates", snapshot.grid_rates)
-                .field("seeds", snapshot.seeds)
-                .field("warmup", snapshot.warmup)
-                .field("measure", snapshot.measure)
-                .field("cold_grid_secs", Json::fixed(snapshot.cold_grid_secs, 4))
-                .field("warm_grid_secs", Json::fixed(snapshot.warm_grid_secs, 4))
-                .field("wall_speedup", Json::fixed(snapshot.wall_speedup(), 4))
-                .field(
-                    "warm_start_multiple",
-                    Json::fixed(snapshot.work_multiple, 4),
-                ),
-        )
-        .field(
-            "fault",
-            Obj::new()
-                .field("mesh", "16x16")
-                .field("pattern", "uniform")
-                .field("rate", Json::fixed(fault.rate, 3))
-                .field("warmup", fault.warmup)
-                .field("measure", fault.measure)
-                .field("dead_links", fault.dead_links)
-                .field("degraded_spans", fault.degraded_spans)
-                .field("dead_routers", fault.dead_routers)
-                .field("rerouted_hops", fault.rerouted_hops)
-                .field("unreachable_pairs", fault.unreachable_pairs)
-                .field("mean_latency", Json::fixed(fault.mean_latency, 4))
-                .field("secs", Json::fixed(fault.secs, 4)),
-        )
-        .field(
-            "fault_sweep",
-            fault_sat
-                .iter()
-                .map(|p| {
-                    Obj::new()
-                        .field("mesh", p.mesh)
-                        .field("fault_count", p.fault_count)
-                        .field("sample_seed", p.sample_seed)
-                        .field(
-                            "saturation_load",
-                            p.saturated_in_range
-                                .then(|| Json::fixed(p.saturation_load, 4)),
-                        )
-                        .field("rerouted_hops", p.rerouted_hops)
-                        .field("unreachable_pairs", p.unreachable_pairs)
-                        .build()
-                })
-                .collect::<Vec<Json>>(),
-        )
-        .field(
-            "memory",
-            Obj::new()
-                .field("shard_gate_ratio", Json::fixed(SHARD_BYTES_GATE, 2))
-                .field("route_table_gate_bytes", ROUTE_TABLE_GATE)
-                .field(
-                    "routes",
-                    memory
-                        .routes
-                        .iter()
-                        .map(|r| {
-                            Obj::new()
-                                .field("mesh", format!("{}x{}", r.side, r.side))
-                                .field("heap_bytes", r.heap_bytes)
-                                .field("table_bytes", r.table_bytes)
-                                .field("ms", Json::fixed(r.secs * 1e3, 3))
-                                .build()
-                        })
-                        .collect::<Vec<Json>>(),
-                )
-                .field(
-                    "engine",
-                    memory
-                        .engines
-                        .iter()
-                        .map(|e| {
-                            Obj::new()
-                                .field("mesh", format!("{}x{}", e.side, e.side))
-                                .field("shards", e.shards)
-                                .field("bytes", e.bytes)
-                                .field("bytes_per_node", Json::fixed(e.per_node(), 1))
-                                .field("ms", Json::fixed(e.secs * 1e3, 3))
-                                .build()
-                        })
-                        .collect::<Vec<Json>>(),
-                )
-                .field(
-                    "run_growth",
-                    Obj::new()
-                        .field("mesh", "8x8")
-                        .field("pattern", "uniform")
-                        .field("rate", Json::fixed(0.10, 3))
-                        .field("warmup", 200u64)
-                        .field("short_measure", GROWTH_MEASURE.0)
-                        .field("long_measure", GROWTH_MEASURE.1)
-                        .field("gate_ratio", Json::fixed(GROWTH_GATE, 2))
-                        .field(
-                            "cells",
-                            memory
-                                .growth
-                                .iter()
-                                .map(|g| {
-                                    Obj::new()
-                                        .field("shards", g.shards)
-                                        .field("short_bytes", g.short_bytes)
-                                        .field("long_bytes", g.long_bytes)
-                                        .field(
-                                            "ratio",
-                                            Json::fixed(
-                                                g.long_bytes as f64 / g.short_bytes as f64,
-                                                3,
-                                            ),
-                                        )
-                                        .build()
-                                })
-                                .collect::<Vec<Json>>(),
-                        ),
-                ),
-        )
-        .field(
-            "burst",
-            Obj::new()
-                .field("mesh", "16x16")
-                .field("pattern", "uniform")
-                .field("modulator", "onoff")
-                .field("rate", Json::fixed(0.10, 3))
-                .field(
-                    "seeds",
-                    Json::Arr(BURST_SEEDS.iter().map(|&s| Json::UInt(s)).collect()),
-                )
-                .field(
-                    "curve",
-                    burst
-                        .iter()
-                        .map(|p| {
-                            Obj::new()
-                                .field("burstiness", Json::fixed(p.burstiness, 1))
-                                .field("offered", Json::fixed(p.offered, 4))
-                                .field("mean_latency", Json::fixed(p.mean_latency, 4))
-                                .field("p99", p.p99)
-                                .field("p999", p.p999)
-                                .field("packets", p.packets)
-                                .field("secs", Json::fixed(p.secs, 4))
-                                .build()
-                        })
-                        .collect::<Vec<Json>>(),
-                ),
-        )
-        .field(
-            "cells",
-            cells
-                .iter()
-                .map(|c| {
-                    Obj::new()
-                        .field("kernel", c.kernel)
-                        .field("span", c.span)
-                        .field("latency_clks", Json::fixed(c.latency_clks, 4))
-                        .field("p50", c.p50)
-                        .field("p99", c.p99)
-                        .field("packets", c.packets)
-                        .field("cycles", c.cycles)
-                        .field("flit_hops", c.flit_hops)
-                        .field("new_engine_secs", Json::fixed(c.new_secs, 4))
-                        .field("seed_engine_secs", c.ref_secs.map(|v| Json::fixed(v, 4)))
-                        .field("speedup", c.speedup().map(|v| Json::fixed(v, 4)))
-                        .field("mflit_hops_per_sec", Json::fixed(c.mflit_hops_per_sec(), 2))
-                        .field("cycles_per_sec", Json::fixed(c.cycles_per_sec(), 0))
-                        .build()
-                })
-                .collect::<Vec<Json>>(),
-        )
+        .field("aggregate", aggregate)
+        .field("sweep", sweep)
+        .field("closed_loop", closed_loop)
+        .field("shard_scaling", shard_scaling)
+        .field("npb_shard_scaling", npb_shard_scaling)
+        .field("telemetry", telemetry)
+        .field("snapshot", snapshot)
+        .field("fault", fault)
+        .field("fault_sweep", fault_sweep)
+        .field("memory", memory)
+        .field("burst", burst)
+        .field("cells", cells)
         .build()
         .render();
     match std::fs::write("BENCH_netsim.json", &json) {
@@ -985,14 +467,8 @@ fn main() {
 /// Exercises the sweep subsystem on an 8×8 uniform load and, unless
 /// `fast`, asserts engine parity on a synthetic sweep point (the trace
 /// cells above only cover `run_trace`).
-fn run_sweep_section(quick: bool, fast: bool) -> SweepRecord {
-    let topo = mesh(MeshSpec {
-        width: 8,
-        height: 8,
-        core_spacing_mm: 1.0,
-        base_tech: LinkTechnology::Electronic,
-        capacity: Gbps::new(50.0),
-    });
+fn run_sweep_section(quick: bool, fast: bool) -> Json {
+    let topo = square_mesh(8, LinkTechnology::Electronic);
     let routes = RoutingTable::compute_xy(&topo);
     let cfg = if quick {
         SweepConfig::quick()
@@ -1032,18 +508,12 @@ fn run_sweep_section(quick: bool, fast: bool) -> SweepRecord {
     let saturation = runner.find_saturation(&gen, 0.8);
     let secs = t0.elapsed().as_secs_f64();
 
-    let grid_runs = (points.len() * cfg.seeds.len()) as u32;
-    let record = SweepRecord {
-        points: points.len(),
-        seeds: cfg.seeds.len(),
-        runs: grid_runs + saturation.runs,
-        secs,
-        grid_secs,
-        aggregate_cycles: points.iter().map(|p| p.cycles).sum(),
-        saturation_load: saturation.saturation_load,
-        saturated_in_range: saturation.saturated_in_range,
-        zero_load_latency: saturation.zero_load_latency,
-    };
+    let runs = (points.len() * cfg.seeds.len()) as u32 + saturation.runs;
+    // The cycle total covers just the grid, so cycles/s is grid cycles
+    // over grid seconds.
+    let aggregate_cycles: u64 = points.iter().map(|p| p.cycles).sum();
+    let runs_per_sec = f64::from(runs) / secs;
+    let cycles_per_sec = aggregate_cycles as f64 / grid_secs;
     for p in &points {
         println!(
             "sweep uniform 8x8 r={:.3}: lat {:6.2} clks (p50 {:3} p95 {:3} p99 {:3}) | accepted {:.3} | {}",
@@ -1057,19 +527,33 @@ fn run_sweep_section(quick: bool, fast: bool) -> SweepRecord {
         );
     }
     println!(
-        "SWEEP: {} runs in {:.2}s -> {:.1} runs/s, {:.0} sim-cycles/s | saturation {} (zero-load {:.2} clks)",
-        record.runs,
-        record.secs,
-        record.runs_per_sec(),
-        record.cycles_per_sec(),
-        if record.saturated_in_range {
-            format!("{:.3}", record.saturation_load)
-        } else {
-            format!("> {:.3}", record.saturation_load)
-        },
-        record.zero_load_latency,
+        "SWEEP: {runs} runs in {secs:.2}s -> {runs_per_sec:.1} runs/s, {cycles_per_sec:.0} sim-cycles/s | saturation {}{:.3} (zero-load {:.2} clks)",
+        if saturation.saturated_in_range { "" } else { "> " },
+        saturation.saturation_load,
+        saturation.zero_load_latency,
     );
-    record
+    Obj::new()
+        .field("pattern", "uniform")
+        .field("mesh", "8x8")
+        .field("points", points.len())
+        .field("seeds", cfg.seeds.len())
+        .field("runs", runs)
+        .field("secs", Json::fixed(secs, 4))
+        .field("grid_secs", Json::fixed(grid_secs, 4))
+        .field("runs_per_sec", Json::fixed(runs_per_sec, 2))
+        .field("aggregate_cycles", aggregate_cycles)
+        .field("cycles_per_sec", Json::fixed(cycles_per_sec, 0))
+        .field(
+            "saturation_load",
+            saturation
+                .saturated_in_range
+                .then(|| Json::fixed(saturation.saturation_load, 4)),
+        )
+        .field(
+            "zero_load_latency",
+            Json::fixed(saturation.zero_load_latency, 4),
+        )
+        .build()
 }
 
 /// The closed-loop cell: 16×16 uniform at a rate past the ≈0.247
@@ -1080,7 +564,7 @@ fn run_sweep_section(quick: bool, fast: bool) -> SweepRecord {
 /// throughput — the plateau value the closed-loop story hangs on.
 /// `--fast` skips the seed-engine run (like the other sections); the
 /// cheap sharded parity assert stays.
-fn run_closed_loop_section(quick: bool, fast: bool) -> ClosedLoopRecord {
+fn run_closed_loop_section(quick: bool, fast: bool) -> Json {
     let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let routes = RoutingTable::compute_xy(&topo);
     let window = 32usize;
@@ -1109,25 +593,26 @@ fn run_closed_loop_section(quick: bool, fast: bool) -> ClosedLoopRecord {
         .expect("closed-loop sharded run completes");
     assert_eq!(sharded, stats, "closed-loop shard parity violated");
 
-    let record = ClosedLoopRecord {
-        rate,
-        window,
-        warmup,
-        measure,
-        accepted: stats.accepted_throughput(topo.num_nodes(), measure),
-        mean_latency: stats.mean_latency(),
-        peak_backlog: stats.peak_backlog.iter().max().copied().unwrap_or(0),
-        secs,
-    };
+    let accepted = stats.accepted_throughput(topo.num_nodes(), measure);
+    let peak_backlog = stats.peak_backlog.iter().max().copied().unwrap_or(0);
     println!(
-        "CLOSED-LOOP 16x16 uniform r={rate:.2} window={window}: accepted {:.3} flits/node/clk | lat {:.1} clks | peak backlog {} | {:.2?} | parity OK ({})",
-        record.accepted,
-        record.mean_latency,
-        record.peak_backlog,
-        std::time::Duration::from_secs_f64(record.secs),
+        "CLOSED-LOOP 16x16 uniform r={rate:.2} window={window}: accepted {accepted:.3} flits/node/clk | lat {:.1} clks | peak backlog {peak_backlog} | {:.2?} | parity OK ({})",
+        stats.mean_latency(),
+        Duration::from_secs_f64(secs),
         if fast { "sharded" } else { "seed + sharded" },
     );
-    record
+    Obj::new()
+        .field("mesh", "16x16")
+        .field("pattern", "uniform")
+        .field("rate", Json::fixed(rate, 3))
+        .field("window", window)
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .field("accepted_throughput", Json::fixed(accepted, 4))
+        .field("mean_latency", Json::fixed(stats.mean_latency(), 4))
+        .field("peak_backlog", peak_backlog)
+        .field("secs", Json::fixed(secs, 4))
+        .build()
 }
 
 /// Times the 32×32 uniform cell on the P=1 engine, the sharded engine
@@ -1136,14 +621,8 @@ fn run_closed_loop_section(quick: bool, fast: bool) -> ClosedLoopRecord {
 /// `host_threads` is the machine's `available_parallelism()`: on a
 /// single-core host the speedup column is physically bounded near 1 and
 /// must be read together with it.
-fn run_shard_section(quick: bool, shards: usize) -> ShardRecord {
-    let topo = mesh(MeshSpec {
-        width: 32,
-        height: 32,
-        core_spacing_mm: 1.0,
-        base_tech: LinkTechnology::Electronic,
-        capacity: Gbps::new(50.0),
-    });
+fn run_shard_section(quick: bool, shards: usize) -> Json {
+    let topo = square_mesh(32, LinkTechnology::Electronic);
     let routes = RoutingTable::compute_xy(&topo);
     let cfg = SimConfig::paper();
     let (rate, warmup, measure) = if quick {
@@ -1176,26 +655,12 @@ fn run_shard_section(quick: bool, shards: usize) -> ShardRecord {
         "32x32 shard parity violated (sequential)"
     );
 
-    let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let record = ShardRecord {
-        mesh: "32x32",
-        rate,
-        warmup,
-        measure,
-        shards,
-        single_secs,
-        sharded_secs,
-        sequential_secs,
-        host_threads,
-        packets: single.all.count,
-        cycles: single.cycles,
-    };
+    let host_threads = host_threads();
+    let speedup = single_secs / sharded_secs;
+    let protocol_overhead = sequential_secs / single_secs;
     println!(
-        "SHARD 32x32 uniform r={rate:.2}: P=1 {single_secs:.2}s | {shards} shards {sharded_secs:.2}s ({:.2}x, host_threads={host_threads}) | sequential {sequential_secs:.2}s (protocol {:.2}x) | {} pkts, {} cycles | parity OK",
-        record.speedup(),
-        record.protocol_overhead(),
-        record.packets,
-        record.cycles,
+        "SHARD 32x32 uniform r={rate:.2}: P=1 {single_secs:.2}s | {shards} shards {sharded_secs:.2}s ({speedup:.2}x, host_threads={host_threads}) | sequential {sequential_secs:.2}s (protocol {protocol_overhead:.2}x) | {} pkts, {} cycles | parity OK",
+        single.all.count, single.cycles,
     );
     // A speedup below 1 on a single-core host is physics, not a
     // regression — only a multi-core host can fail this gate, and only
@@ -1204,29 +669,28 @@ fn run_shard_section(quick: bool, shards: usize) -> ShardRecord {
     // honestly either way.
     if host_threads > 1 && !quick {
         assert!(
-            record.speedup() > 1.0,
-            "sharded engine slower than P=1 ({:.2}x) on a {host_threads}-thread host",
-            record.speedup()
+            speedup > 1.0,
+            "sharded engine slower than P=1 ({speedup:.2}x) on a {host_threads}-thread host"
         );
     } else {
-        println!(
-            "SHARD: speedup {:.2}x reported, not asserted",
-            record.speedup()
-        );
+        println!("SHARD: speedup {speedup:.2}x reported, not asserted");
     }
-    record
-}
-
-/// One shard count of an NPB scaling curve.
-struct ScalingPoint {
-    shards: usize,
-    /// Best wall time of the sharded engine over `reps` runs, one worker
-    /// per shard (the P=1 point is the plain engine and defines
-    /// speedup = 1).
-    secs: f64,
-    reps: usize,
-    /// Slowest minus best of the `reps` runs.
-    spread: f64,
+    Obj::new()
+        .field("mesh", "32x32")
+        .field("rate", Json::fixed(rate, 3))
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .field("shards", shards)
+        .field("host_threads", host_threads)
+        .field("packets", single.all.count)
+        .field("cycles", single.cycles)
+        .field("single_shard_secs", Json::fixed(single_secs, 4))
+        .field("sharded_secs", Json::fixed(sharded_secs, 4))
+        .field("sequential_sharded_secs", Json::fixed(sequential_secs, 4))
+        .field("speedup", Json::fixed(speedup, 4))
+        .field("protocol_overhead", Json::fixed(protocol_overhead, 4))
+        .field("measured_on_single_core", host_threads == 1)
+        .build()
 }
 
 /// Runs `run` `reps` times: the best wall time, the spread (slowest
@@ -1248,19 +712,6 @@ fn best_of<T>(reps: usize, mut run: impl FnMut() -> T) -> (f64, f64, T) {
 /// compares; P=4 and P=8 are timed once.
 const SCALING_REPS: usize = 3;
 
-/// The NPB shard-scaling record for one mesh size: a CG trace on an
-/// all-HyPPI mesh timed at 1/2/4/8 shards.
-struct ScalingRecord {
-    mesh: &'static str,
-    kernel: &'static str,
-    packets: u64,
-    cycles: u64,
-    /// Wall time of the P=1 engine (the shards=1 curve point).
-    single_secs: f64,
-    points: Vec<ScalingPoint>,
-    host_threads: usize,
-}
-
 /// A 1/2/4/8-shard scaling curve per mesh size (16×16, 32×32, 64×64
 /// via [`ScaledNpbSpec`]) on all-HyPPI meshes. Every cell is
 /// parity-asserted bit-for-bit against the P=1 engine (the contract
@@ -1271,28 +722,21 @@ struct ScalingRecord {
 /// P=2 beating P=1, armed on full runs on multi-core hosts. The 16×16
 /// and 32×32 runs are below useful grain and `--quick` runs too short a
 /// trace to time, so those speedups are reported, not asserted.
-fn run_scaling_section(quick: bool) -> Vec<ScalingRecord> {
+fn run_scaling_section(quick: bool) -> Json {
     let kernel = NpbKernel::Cg;
+    let host_threads = host_threads();
+    let mut records = Vec::new();
     // Decimation strides keep the trace volume roughly constant per
     // mesh as the instance count grows with area.
-    let meshes: &[(u16, &'static str, u16)] =
-        &[(16, "16x16", 1), (32, "32x32", 2), (64, "64x64", 4)];
-    let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut records = Vec::new();
-    for &(side, label, stride) in meshes {
+    for (side, stride) in [(16u16, 1u16), (32, 2), (64, 4)] {
+        let label = format!("{side}x{side}");
         let spec = ScaledNpbSpec::new(kernel, side, side);
         let trace = if quick {
             spec.trace_window_decimated(1, 0.25, stride * 4)
         } else {
             spec.trace_window_decimated(1, 0.25, stride)
         };
-        let topo = mesh(MeshSpec {
-            width: side,
-            height: side,
-            core_spacing_mm: 1.0,
-            base_tech: LinkTechnology::Hyppi,
-            capacity: Gbps::new(50.0),
-        });
+        let topo = square_mesh(side, LinkTechnology::Hyppi);
         let routes = RoutingTable::compute_xy(&topo);
         let mut cfg = SimConfig::paper();
         cfg.max_cycles = 20_000_000;
@@ -1303,15 +747,19 @@ fn run_scaling_section(quick: bool) -> Vec<ScalingRecord> {
                 .expect("P=1 engine completes")
         });
         println!(
-            "SCALING {label} {}: P=1 best of {SCALING_REPS} {single_secs:.2}s, spread {single_spread:.2}s",
-            kernel.name(),
+            "SCALING {label} {kernel}: P=1 best of {SCALING_REPS} {single_secs:.2}s, spread {single_spread:.2}s",
         );
-        let mut points = vec![ScalingPoint {
-            shards: 1,
-            secs: single_secs,
-            reps: SCALING_REPS,
-            spread: single_spread,
-        }];
+        // The P=1 point is the plain engine and defines speedup = 1.
+        let point = |shards: usize, secs: f64, reps: usize, spread: f64| {
+            Obj::new()
+                .field("shards", shards)
+                .field("secs", Json::fixed(secs, 4))
+                .field("reps", reps)
+                .field("spread_secs", Json::fixed(spread, 4))
+                .field("speedup", Json::fixed(single_secs / secs, 4))
+                .build()
+        };
+        let mut curve = vec![point(1, single_secs, SCALING_REPS, single_spread)];
         for p in [2usize, 4, 8] {
             let reps = if p == 2 { SCALING_REPS } else { 1 };
             let (secs, spread, stats) = best_of(reps, || {
@@ -1320,49 +768,38 @@ fn run_scaling_section(quick: bool) -> Vec<ScalingRecord> {
                     .expect("sharded engine completes")
             });
             assert_eq!(stats, single, "{label}: shard parity violated at P={p}");
+            let speedup = single_secs / secs;
             let timing = if reps > 1 {
                 format!("best of {reps} {secs:.2}s, spread {spread:.2}s")
             } else {
                 format!("{secs:.2}s")
             };
             println!(
-                "SCALING {label} {}: P={p} {timing} ({:.2}x vs P=1 {single_secs:.2}s) | parity OK",
-                kernel.name(),
-                single_secs / secs,
+                "SCALING {label} {kernel}: P={p} {timing} ({speedup:.2}x vs P=1 {single_secs:.2}s) | parity OK",
             );
-            points.push(ScalingPoint {
-                shards: p,
-                secs,
-                reps,
-                spread,
-            });
+            if p == 2 && side == 64 && host_threads > 1 && !quick {
+                assert!(
+                    speedup > 1.0,
+                    "{label}: sharded engine shows no parallel speedup at P=2 ({speedup:.2}x) on a {host_threads}-thread host"
+                );
+            } else if p == 2 {
+                println!("SCALING {label}: P=2 speedup {speedup:.2}x reported, not asserted");
+            }
+            curve.push(point(p, secs, reps, spread));
         }
-        let record = ScalingRecord {
-            mesh: label,
-            kernel: kernel.name(),
-            packets: single.all.count,
-            cycles: single.cycles,
-            single_secs,
-            points,
-            host_threads,
-        };
-        let p2 = record
-            .points
-            .iter()
-            .find(|p| p.shards == 2)
-            .map(|p| single_secs / p.secs)
-            .expect("the curve has a P=2 point");
-        if side == 64 && host_threads > 1 && !quick {
-            assert!(
-                p2 > 1.0,
-                "{label}: sharded engine shows no parallel speedup at P=2 ({p2:.2}x) on a {host_threads}-thread host"
-            );
-        } else {
-            println!("SCALING {label}: P=2 speedup {p2:.2}x reported, not asserted");
-        }
-        records.push(record);
+        records.push(
+            Obj::new()
+                .field("mesh", label)
+                .field("kernel", kernel.name())
+                .field("packets", single.all.count)
+                .field("cycles", single.cycles)
+                .field("host_threads", host_threads)
+                .field("measured_on_single_core", host_threads == 1)
+                .field("curve", curve)
+                .build(),
+        );
     }
-    records
+    Json::Arr(records)
 }
 
 /// The telemetry section, on the same 32×32 uniform cell as the shard
@@ -1379,14 +816,8 @@ fn run_scaling_section(quick: bool) -> Vec<ScalingRecord> {
 ///    [`FlightRecorder`] (metrics sampler + packet tracer) attached;
 ///    parity with the plain run is asserted, and `--metrics PATH` /
 ///    `--trace PATH` export its recordings.
-fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> TelemetryRecord {
-    let topo = mesh(MeshSpec {
-        width: 32,
-        height: 32,
-        core_spacing_mm: 1.0,
-        base_tech: LinkTechnology::Electronic,
-        capacity: Gbps::new(50.0),
-    });
+fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> Json {
+    let topo = square_mesh(32, LinkTechnology::Electronic);
     let routes = RoutingTable::compute_xy(&topo);
     let cfg = SimConfig::paper();
     let (rate, warmup, measure) = if quick {
@@ -1399,17 +830,11 @@ fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> Te
         || ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::for_count(shards)).with_threads(1);
 
     // 1. Best-of-3 plain, then the probes-off parity check.
-    let mut plain_secs = f64::INFINITY;
-    let mut expected = None;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let plain = sequential()
+    let (plain_secs, _, expected) = best_of(3, || {
+        sequential()
             .run_synthetic(&m, warmup, measure, 42)
-            .expect("plain sequential run completes");
-        plain_secs = plain_secs.min(t.elapsed().as_secs_f64());
-        expected = Some(plain);
-    }
-    let expected = expected.expect("three rounds ran");
+            .expect("plain sequential run completes")
+    });
     let off = sequential()
         .run_synthetic_probed(&m, warmup, measure, 42, &mut NoopProbe)
         .expect("probes-off run completes");
@@ -1451,42 +876,53 @@ fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> Te
         }
     }
 
-    let record = TelemetryRecord {
-        mesh: "32x32",
-        rate,
-        warmup,
-        measure,
-        shards,
-        plain_secs,
-        recorder_secs,
-        samples: rec.sampler.as_ref().map_or(0, |s| s.samples().len()),
-        events: rec.tracer.as_ref().map_or(0, |t| t.events().count()),
-        dropped_events: rec.tracer.as_ref().map_or(0, |t| t.dropped()),
-        profile,
-    };
-    if record.dropped_events > 0 && opts.trace.is_none() {
+    let samples = rec.sampler.as_ref().map_or(0, |s| s.samples().len());
+    let events = rec.tracer.as_ref().map_or(0, |t| t.events().count());
+    let dropped = rec.tracer.as_ref().map_or(0, |t| t.dropped());
+    if dropped > 0 && opts.trace.is_none() {
         // The export path (`TelemetryOpts::write`) warns for itself.
         eprintln!(
-            "WARNING: packet trace ring overflowed: {} events dropped, {} kept. \
+            "WARNING: packet trace ring overflowed: {dropped} events dropped, {events} kept. \
              Raise the ring with --trace-cap N.",
-            record.dropped_events, record.events,
         );
     }
-    assert!(record.samples > 0, "recorder run produced no samples");
-    assert!(record.events > 0, "recorder run produced no events");
+    assert!(samples > 0, "recorder run produced no samples");
+    assert!(events > 0, "recorder run produced no events");
+    let [step, exchange, barrier] =
+        [profile.step_ns, profile.exchange_ns, profile.barrier_ns].map(|ns| profile.fraction(ns));
     println!(
-        "TELEMETRY {} uniform r={rate:.2}: plain {plain_secs:.2}s | recorder {recorder_secs:.2}s ({} samples, {} events, {} dropped) | profile step {:.0}% exchange {:.0}% barrier {:.0}% over {} supersteps x {} workers | parity OK",
-        record.mesh,
-        record.samples,
-        record.events,
-        record.dropped_events,
-        100.0 * profile.fraction(profile.step_ns),
-        100.0 * profile.fraction(profile.exchange_ns),
-        100.0 * profile.fraction(profile.barrier_ns),
+        "TELEMETRY 32x32 uniform r={rate:.2}: plain {plain_secs:.2}s | recorder {recorder_secs:.2}s ({samples} samples, {events} events, {dropped} dropped) | profile step {:.0}% exchange {:.0}% barrier {:.0}% over {} supersteps x {} workers | parity OK",
+        100.0 * step,
+        100.0 * exchange,
+        100.0 * barrier,
         profile.supersteps,
         profile.workers,
     );
-    record
+    Obj::new()
+        .field("mesh", "32x32")
+        .field("pattern", "uniform")
+        .field("rate", Json::fixed(rate, 3))
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .field("shards", shards)
+        .field("plain_secs", Json::fixed(plain_secs, 4))
+        .field("recorder_secs", Json::fixed(recorder_secs, 4))
+        .field("metrics_samples", samples)
+        .field("trace_events", events)
+        .field("trace_events_dropped", dropped)
+        .field(
+            "profile",
+            Obj::new()
+                .field("step_ns", profile.step_ns)
+                .field("exchange_ns", profile.exchange_ns)
+                .field("barrier_ns", profile.barrier_ns)
+                .field("step_fraction", Json::fixed(step, 4))
+                .field("exchange_fraction", Json::fixed(exchange, 4))
+                .field("barrier_fraction", Json::fixed(barrier, 4))
+                .field("supersteps", profile.supersteps)
+                .field("workers", profile.workers),
+        )
+        .build()
 }
 
 /// The checkpoint/restore section. Three measurements on the paper's
@@ -1506,7 +942,7 @@ fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> Te
 ///    `warm_start_multiple` is the *simulated-cycle* work ratio, which
 ///    is deterministic — the wall ratio flattens on many-core hosts
 ///    because the grid fans out wider than the anchor phase.
-fn run_snapshot_section(quick: bool, fast: bool) -> SnapshotRecord {
+fn run_snapshot_section(quick: bool, fast: bool) -> Json {
     let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let routes = RoutingTable::compute_xy(&topo);
     let cfg = SimConfig::paper();
@@ -1602,34 +1038,35 @@ fn run_snapshot_section(quick: bool, fast: bool) -> SnapshotRecord {
         "warm-start work multiple {work_multiple:.2} below the 1.2x floor"
     );
 
-    let record = SnapshotRecord {
-        mesh: "16x16",
-        snapshot_bytes: snap.size_bytes(),
-        bytes_per_node: snap.size_bytes() as f64 / f64::from(snap.num_nodes()),
-        save_us,
-        restore_us,
-        grid_rates: rates.len(),
-        seeds: seeds.len(),
-        warmup,
-        measure,
-        cold_grid_secs,
-        warm_grid_secs,
-        work_multiple,
-    };
+    let snapshot_bytes = snap.size_bytes();
+    let bytes_per_node = snapshot_bytes as f64 / f64::from(snap.num_nodes());
+    let wall_speedup = cold_grid_secs / warm_grid_secs;
     println!(
-        "SNAPSHOT 16x16 uniform: {} B ({:.0} B/node) | save {save_us:.0} us, restore {restore_us:.0} us | grid {} rates x {} seeds: cold {cold_grid_secs:.2}s vs warm {warm_grid_secs:.2}s (wall {:.2}x, work {work_multiple:.2}x) | splice parity OK ({})",
-        record.snapshot_bytes,
-        record.bytes_per_node,
-        record.grid_rates,
-        record.seeds,
-        record.wall_speedup(),
+        "SNAPSHOT 16x16 uniform: {snapshot_bytes} B ({bytes_per_node:.0} B/node) | save {save_us:.0} us, restore {restore_us:.0} us | grid {} rates x {} seeds: cold {cold_grid_secs:.2}s vs warm {warm_grid_secs:.2}s (wall {wall_speedup:.2}x, work {work_multiple:.2}x) | splice parity OK ({})",
+        rates.len(),
+        seeds.len(),
         if fast {
             "active-set + sharded"
         } else {
             "all three engines"
         },
     );
-    record
+    Obj::new()
+        .field("mesh", "16x16")
+        .field("pattern", "uniform")
+        .field("snapshot_bytes", snapshot_bytes)
+        .field("bytes_per_node", Json::fixed(bytes_per_node, 1))
+        .field("save_usecs", Json::fixed(save_us, 1))
+        .field("restore_usecs", Json::fixed(restore_us, 1))
+        .field("grid_rates", rates.len())
+        .field("seeds", seeds.len())
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .field("cold_grid_secs", Json::fixed(cold_grid_secs, 4))
+        .field("warm_grid_secs", Json::fixed(warm_grid_secs, 4))
+        .field("wall_speedup", Json::fixed(wall_speedup, 4))
+        .field("warm_start_multiple", Json::fixed(work_multiple, 4))
+        .build()
 }
 
 /// The faulty-mesh parity cell: 16×16 uniform with a dead link and a
@@ -1638,7 +1075,7 @@ fn run_snapshot_section(quick: bool, fast: bool) -> SnapshotRecord {
 /// bit-for-bit parity asserted (`--fast` skips the seed engine; the cheap
 /// sharded assert stays). The healthy mesh is installed as the rerouting
 /// baseline, so the record pins the resilience counters too.
-fn run_fault_section(quick: bool, fast: bool) -> FaultRecord {
+fn run_fault_section(quick: bool, fast: bool) -> Json {
     let healthy = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let healthy_routes = RoutingTable::compute_xy(&healthy);
     let spec = FaultSpec::none()
@@ -1684,27 +1121,28 @@ fn run_fault_section(quick: bool, fast: bool) -> FaultRecord {
         "dead router must drop its pairs"
     );
 
-    let record = FaultRecord {
-        rate,
-        warmup,
-        measure,
-        dead_links,
-        degraded_spans,
-        dead_routers,
-        rerouted_hops: stats.rerouted_hops,
-        unreachable_pairs: stats.unreachable_pairs,
-        mean_latency: stats.mean_latency(),
-        secs,
-    };
     println!(
         "FAULT 16x16 uniform r={rate:.2} ({dead_links} dead + {degraded_spans} degraded spans, {dead_routers} dead router): lat {:.1} clks | rerouted {} hops | unreachable {} pkts | {:.2?} | parity OK ({})",
-        record.mean_latency,
-        record.rerouted_hops,
-        record.unreachable_pairs,
-        std::time::Duration::from_secs_f64(record.secs),
+        stats.mean_latency(),
+        stats.rerouted_hops,
+        stats.unreachable_pairs,
+        Duration::from_secs_f64(secs),
         if fast { "sharded" } else { "seed + sharded" },
     );
-    record
+    Obj::new()
+        .field("mesh", "16x16")
+        .field("pattern", "uniform")
+        .field("rate", Json::fixed(rate, 3))
+        .field("warmup", warmup)
+        .field("measure", measure)
+        .field("dead_links", dead_links)
+        .field("degraded_spans", degraded_spans)
+        .field("dead_routers", dead_routers)
+        .field("rerouted_hops", stats.rerouted_hops)
+        .field("unreachable_pairs", stats.unreachable_pairs)
+        .field("mean_latency", Json::fixed(stats.mean_latency(), 4))
+        .field("secs", Json::fixed(secs, 4))
+        .build()
 }
 
 /// Compact saturation-vs-fault-count record: for each mesh and fault
@@ -1713,22 +1151,9 @@ fn run_fault_section(quick: bool, fast: bool) -> FaultRecord {
 /// resilience counters probed at a fixed sub-saturation rate. Runs the
 /// quick sweep config in both modes — the full figure lives in
 /// `repro fault_sweep`; this record just tracks the trajectory.
-fn run_fault_saturation_section(quick: bool, shards: usize) -> Vec<FaultSatPoint> {
-    let mut points = Vec::new();
+fn run_fault_saturation_section(quick: bool, shards: usize) -> Json {
     let mesh16 = mesh(MeshSpec::paper(LinkTechnology::Electronic));
-    points.extend(fault_sat_curve(
-        &mesh16,
-        "16x16",
-        &[0, 4],
-        &SweepConfig::quick(),
-    ));
-    let mesh32 = mesh(MeshSpec {
-        width: 32,
-        height: 32,
-        core_spacing_mm: 1.0,
-        base_tech: LinkTechnology::Electronic,
-        capacity: Gbps::new(50.0),
-    });
+    let mut points = fault_sat_curve(&mesh16, "16x16", &[0, 4], &SweepConfig::quick());
     let cfg32 = if quick {
         SweepConfig {
             warmup: 100,
@@ -1739,16 +1164,17 @@ fn run_fault_saturation_section(quick: bool, shards: usize) -> Vec<FaultSatPoint
         SweepConfig::quick()
     }
     .with_shards(shards);
+    let mesh32 = square_mesh(32, LinkTechnology::Electronic);
     points.extend(fault_sat_curve(&mesh32, "32x32", &[0, 4], &cfg32));
-    points
+    Json::Arr(points)
 }
 
 fn fault_sat_curve(
     topo: &Topology,
-    mesh_label: &'static str,
+    mesh_label: &str,
     counts: &[usize],
     cfg: &SweepConfig,
-) -> Vec<FaultSatPoint> {
+) -> Vec<Json> {
     let healthy_routes = RoutingTable::compute_xy(topo);
     counts
         .iter()
@@ -1772,26 +1198,25 @@ fn fault_sat_curve(
             let gen = |r: f64| SyntheticPattern::Uniform.matrix(topo, r);
             let sat = runner.find_saturation(&gen, 0.5);
             let probe = runner.run_point(&gen(0.05));
-            let point = FaultSatPoint {
-                mesh: mesh_label,
-                fault_count: count,
-                sample_seed: seed,
-                saturation_load: sat.saturation_load,
-                saturated_in_range: sat.saturated_in_range,
-                rerouted_hops: probe.rerouted_hops,
-                unreachable_pairs: probe.unreachable_pairs,
-            };
             println!(
-                "FAULT-SAT {mesh_label} uniform, {count} faults (seed {seed}): saturation {} | rerouted {} hops | unreachable {} pkts",
-                if point.saturated_in_range {
-                    format!("{:.3}", point.saturation_load)
-                } else {
-                    format!("> {:.3}", point.saturation_load)
-                },
-                point.rerouted_hops,
-                point.unreachable_pairs,
+                "FAULT-SAT {mesh_label} uniform, {count} faults (seed {seed}): saturation {}{:.3} | rerouted {} hops | unreachable {} pkts",
+                if sat.saturated_in_range { "" } else { "> " },
+                sat.saturation_load,
+                probe.rerouted_hops,
+                probe.unreachable_pairs,
             );
-            point
+            Obj::new()
+                .field("mesh", mesh_label)
+                .field("fault_count", count)
+                .field("sample_seed", seed)
+                .field(
+                    "saturation_load",
+                    sat.saturated_in_range
+                        .then(|| Json::fixed(sat.saturation_load, 4)),
+                )
+                .field("rerouted_hops", probe.rerouted_hops)
+                .field("unreachable_pairs", probe.unreachable_pairs)
+                .build()
         })
         .collect()
 }
@@ -1812,38 +1237,37 @@ fn fault_sat_curve(
 /// `ROUTE_TABLE_GATE` bytes (lines are interned); and a run ten times
 /// longer grows the heap at most `GROWTH_GATE` times the short run's
 /// (engine state is bounded by live traffic).
-fn run_memory_section() -> MemoryRecord {
-    let electronic = |side: u16| {
-        mesh(MeshSpec {
-            width: side,
-            height: side,
-            core_spacing_mm: 1.0,
-            base_tech: LinkTechnology::Electronic,
-            capacity: Gbps::new(50.0),
-        })
-    };
+fn run_memory_section() -> Json {
     let mut routes_rec = Vec::new();
     let mut engines = Vec::new();
     for side in MEMORY_SIDES {
-        let topo = electronic(side);
+        let topo = square_mesh(side, LinkTechnology::Electronic);
+        let label = format!("{side}x{side}");
         let before = heap_mark();
         let t0 = Instant::now();
         let routes = RoutingTable::compute_xy(&topo);
         let secs = t0.elapsed().as_secs_f64();
-        let r = RouteBytes {
-            side,
-            heap_bytes: LIVE_BYTES.load(Ordering::Relaxed) - before,
-            table_bytes: routes.table_bytes(),
-            secs,
-        };
+        let heap_bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+        let table_bytes = routes.table_bytes();
         println!(
-            "MEMORY {side}x{side} compute_xy: {} B heap, {} B table, {:.2} ms",
-            r.heap_bytes,
-            r.table_bytes,
-            r.secs * 1e3
+            "MEMORY {label} compute_xy: {heap_bytes} B heap, {table_bytes} B table, {:.2} ms",
+            secs * 1e3
         );
-        routes_rec.push(r);
-        for shards in MEMORY_SHARDS {
+        if side == 128 {
+            assert!(
+                table_bytes <= ROUTE_TABLE_GATE,
+                "128x128: compute_xy stores {table_bytes} B (gate {ROUTE_TABLE_GATE} B)"
+            );
+        }
+        routes_rec.push(
+            Obj::new()
+                .field("mesh", label.as_str())
+                .field("heap_bytes", heap_bytes)
+                .field("table_bytes", table_bytes)
+                .field("ms", Json::fixed(secs * 1e3, 3))
+                .build(),
+        );
+        let per_node = MEMORY_SHARDS.map(|shards| {
             let before = heap_mark();
             let t0 = Instant::now();
             let spec = ShardSpec::for_count(shards);
@@ -1851,38 +1275,31 @@ fn run_memory_section() -> MemoryRecord {
             let secs = t0.elapsed().as_secs_f64();
             let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
             drop(sim);
-            let e = EngineBytes {
-                side,
-                shards,
-                bytes,
-                secs,
-            };
+            let per_node = bytes as f64 / (usize::from(side) * usize::from(side)) as f64;
             println!(
-                "MEMORY {side}x{side} engine P={shards}: {bytes} B after construction ({:.1} B/node), {:.2} ms",
-                e.per_node(),
+                "MEMORY {label} engine P={shards}: {bytes} B after construction ({per_node:.1} B/node), {:.2} ms",
                 secs * 1e3
             );
-            engines.push(e);
-        }
+            engines.push(
+                Obj::new()
+                    .field("mesh", label.as_str())
+                    .field("shards", shards)
+                    .field("bytes", bytes)
+                    .field("bytes_per_node", Json::fixed(per_node, 1))
+                    .field("ms", Json::fixed(secs * 1e3, 3))
+                    .build(),
+            );
+            per_node
+        });
         if side >= 64 {
-            let at = |p: usize| {
-                let e = engines.iter().find(|e| e.side == side && e.shards == p);
-                e.expect("measured above").per_node()
-            };
-            let ratio = at(64) / at(1);
+            let ratio = per_node[MEMORY_SHARDS.len() - 1] / per_node[0];
             assert!(
                 ratio <= SHARD_BYTES_GATE,
-                "{side}x{side}: the 64-shard engine holds {ratio:.2}x the one-shard bytes per node (gate {SHARD_BYTES_GATE}x)"
+                "{label}: the 64-shard engine holds {ratio:.2}x the one-shard bytes per node (gate {SHARD_BYTES_GATE}x)"
             );
         }
     }
-    let table = routes_rec.iter().find(|r| r.side == 128);
-    let bytes = table.expect("measured above").table_bytes;
-    assert!(
-        bytes <= ROUTE_TABLE_GATE,
-        "128x128: compute_xy stores {bytes} B (gate {ROUTE_TABLE_GATE} B)"
-    );
-    let topo = electronic(8);
+    let topo = square_mesh(8, LinkTechnology::Electronic);
     let routes = RoutingTable::compute_xy(&topo);
     let m = SyntheticPattern::Uniform.matrix(&topo, 0.10);
     let run_growth = |shards: usize, measure: u64| -> usize {
@@ -1900,15 +1317,12 @@ fn run_memory_section() -> MemoryRecord {
     };
     let mut growth = Vec::new();
     for shards in [1usize, 4] {
-        let g = RunGrowth {
-            shards,
-            short_bytes: run_growth(shards, GROWTH_MEASURE.0),
-            long_bytes: run_growth(shards, GROWTH_MEASURE.1),
-        };
-        let ratio = g.long_bytes as f64 / g.short_bytes as f64;
+        let short_bytes = run_growth(shards, GROWTH_MEASURE.0);
+        let long_bytes = run_growth(shards, GROWTH_MEASURE.1);
+        let ratio = long_bytes as f64 / short_bytes as f64;
         println!(
-            "MEMORY 8x8 uniform r=0.10 P={shards}: run growth {} B over {} cycles, {} B over {} ({ratio:.3}x)",
-            g.short_bytes, GROWTH_MEASURE.0, g.long_bytes, GROWTH_MEASURE.1
+            "MEMORY 8x8 uniform r=0.10 P={shards}: run growth {short_bytes} B over {} cycles, {long_bytes} B over {} ({ratio:.3}x)",
+            GROWTH_MEASURE.0, GROWTH_MEASURE.1
         );
         assert!(
             ratio <= GROWTH_GATE,
@@ -1916,13 +1330,33 @@ fn run_memory_section() -> MemoryRecord {
             GROWTH_MEASURE.1,
             GROWTH_MEASURE.0
         );
-        growth.push(g);
+        growth.push(
+            Obj::new()
+                .field("shards", shards)
+                .field("short_bytes", short_bytes)
+                .field("long_bytes", long_bytes)
+                .field("ratio", Json::fixed(ratio, 3))
+                .build(),
+        );
     }
-    MemoryRecord {
-        routes: routes_rec,
-        engines,
-        growth,
-    }
+    Obj::new()
+        .field("shard_gate_ratio", Json::fixed(SHARD_BYTES_GATE, 2))
+        .field("route_table_gate_bytes", ROUTE_TABLE_GATE)
+        .field("routes", routes_rec)
+        .field("engine", engines)
+        .field(
+            "run_growth",
+            Obj::new()
+                .field("mesh", "8x8")
+                .field("pattern", "uniform")
+                .field("rate", Json::fixed(0.10, 3))
+                .field("warmup", 200u64)
+                .field("short_measure", GROWTH_MEASURE.0)
+                .field("long_measure", GROWTH_MEASURE.1)
+                .field("gate_ratio", Json::fixed(GROWTH_GATE, 2))
+                .field("cells", growth),
+        )
+        .build()
 }
 
 /// The p99.9-vs-burstiness curve: the 16×16 uniform cell re-run with
@@ -1934,7 +1368,7 @@ fn run_memory_section() -> MemoryRecord {
 /// b=4 point is parity-asserted across all three engines on seed 11
 /// (`--fast` skips the seed engine; the cheap sharded assert stays), so
 /// bursty injection is pinned on every perfcheck.
-fn run_burst_section(quick: bool, fast: bool) -> Vec<BurstPoint> {
+fn run_burst_section(quick: bool, fast: bool) -> Json {
     let topo = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let routes = RoutingTable::compute_xy(&topo);
     let (rate, warmup, measure) = if quick {
@@ -1943,7 +1377,8 @@ fn run_burst_section(quick: bool, fast: bool) -> Vec<BurstPoint> {
         (0.10, 300, 1200)
     };
     let m = SyntheticPattern::Uniform.matrix(&topo, rate);
-    let mut points = Vec::new();
+    let mut curve = Vec::new();
+    let mut p999s = Vec::new();
     for b in [1.0f64, 2.0, 4.0, 8.0] {
         let mut cfg = SimConfig::paper();
         cfg.max_cycles = 2_000_000;
@@ -1974,40 +1409,48 @@ fn run_burst_section(quick: bool, fast: bool) -> Vec<BurstPoint> {
             assert_eq!(sharded, *stats, "bursty shard parity violated");
         }
         let window = (topo.num_nodes() as u64 * measure) as f64 * BURST_SEEDS.len() as f64;
-        let point = BurstPoint {
-            burstiness: b,
-            offered: merged.count as f64 / window,
-            mean_latency: merged.mean(),
-            p99: merged.p99(),
-            p999: merged.p999(),
-            packets: merged.count,
-            secs,
-        };
+        let offered = merged.count as f64 / window;
         println!(
-            "BURST 16x16 uniform r={rate:.2} {} ({} seeds): offered {:.4} | lat {:.1} clks (p99 {} p99.9 {}) | {} pkts | {:.2?}{}",
+            "BURST 16x16 uniform r={rate:.2} {} ({} seeds): offered {offered:.4} | lat {:.1} clks (p99 {} p99.9 {}) | {} pkts | {:.2?}{}",
             cfg.burst,
             BURST_SEEDS.len(),
-            point.offered,
-            point.mean_latency,
-            point.p99,
-            point.p999,
-            point.packets,
-            std::time::Duration::from_secs_f64(point.secs),
-            if b == 4.0 {
-                if fast {
-                    " | parity OK (sharded)"
-                } else {
-                    " | parity OK (seed + sharded)"
-                }
-            } else {
-                ""
+            merged.mean(),
+            merged.p99(),
+            merged.p999(),
+            merged.count,
+            Duration::from_secs_f64(secs),
+            match (b == 4.0, fast) {
+                (false, _) => "",
+                (true, true) => " | parity OK (sharded)",
+                (true, false) => " | parity OK (seed + sharded)",
             },
         );
-        points.push(point);
+        p999s.push(merged.p999());
+        curve.push(
+            Obj::new()
+                .field("burstiness", Json::fixed(b, 1))
+                .field("offered", Json::fixed(offered, 4))
+                .field("mean_latency", Json::fixed(merged.mean(), 4))
+                .field("p99", merged.p99())
+                .field("p999", merged.p999())
+                .field("packets", merged.count)
+                .field("secs", Json::fixed(secs, 4))
+                .build(),
+        );
     }
     assert!(
-        points.last().expect("curve nonempty").p999 > points.first().expect("curve nonempty").p999,
+        p999s.last() > p999s.first(),
         "b=8 clustering must stretch the p99.9 tail past steady"
     );
-    points
+    Obj::new()
+        .field("mesh", "16x16")
+        .field("pattern", "uniform")
+        .field("modulator", "onoff")
+        .field("rate", Json::fixed(rate, 3))
+        .field(
+            "seeds",
+            Json::Arr(BURST_SEEDS.iter().map(|&s| Json::UInt(s)).collect()),
+        )
+        .field("curve", curve)
+        .build()
 }

@@ -693,8 +693,9 @@ pub(crate) struct ShardState {
     sa_rr: Vec<u8>,
     /// Held output VCs per (node, out-port), bit = out-VC index. The
     /// free-VC search is one `!holder & class_mask` + `trailing_zeros`
-    /// over this packed form; the holding (in-port, in-VC) identity is
-    /// reconstructed from slot metadata on the cold dump paths.
+    /// over this packed form. The holding (in-port, in-VC) is not kept:
+    /// each active slot's metadata names its out-VC, which snapshot
+    /// export writes and import folds back into this mask.
     holder_mask: Vec<u32>,
     /// Packed link facts per (node, out-port) — see [`OutPortInfo`].
     out_port_info: Vec<OutPortInfo>,

@@ -4,9 +4,9 @@
 //! throughput; this module turns single engine runs into a batch
 //! instrument:
 //!
-//! * [`parallel_map`] — the workspace's scoped-thread fan-out (moved here
-//!   from `hyppi-analytic`, which re-exports it, so the simulator crate
-//!   can batch its own runs without a dependency cycle);
+//! * [`parallel_map`] — the workspace's scoped-thread fan-out (it lives
+//!   here so the simulator crate can batch its own runs without a
+//!   dependency cycle; the `hyppi` experiments call it from here too);
 //! * [`SweepRunner`] — fans independent synthetic runs (injection-rate
 //!   grid × seeds) across threads and merges each rate's seeds into one
 //!   [`LoadPoint`] with mean/p50/p95/p99 latency and accepted throughput;
@@ -38,8 +38,16 @@
 //! always cold so single-point probes (e.g. the public zero-load
 //! latency) never depend on cache state. At the anchor rate itself a
 //! warm point is bit-for-bit identical to a cold one (resuming a run's
-//! own pause is exact); at other rates the two protocols differ only in
-//! the pre-measurement traffic history, identically across engines and
+//! own pause is exact). At other rates the warm protocol is biased: its
+//! measurement window opens on a network warmed at the anchor rate, not
+//! at the point's own. On `repro load_sweep` (16×16) against `--cold`,
+//! accepted throughput reads 1.5–3.0% low below the knee (uniform at
+//! 0.12: 0.1175 warm, 0.1200 cold; 0.2–0.5% on the CG and LU curves),
+//! the saturation load reads higher on 8 of the 9 curves that saturate
+//! (uniform 0.256 vs 0.247, transpose 0.089 vs 0.079) and lower on the
+//! closed-loop one (0.237 vs 0.247), and latency past the knee reads
+//! lower (transpose at 0.12: 456 vs 634 clks). [`SweepConfig::cold`]
+//! is the steady-state protocol. Both are identical across engines and
 //! shard counts.
 //!
 //! Every run is deterministic given its seed, so sweep results — including

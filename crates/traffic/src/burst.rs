@@ -52,7 +52,7 @@ pub const BURST_SLOT_CYCLES: u64 = 16;
 /// of evaluating the state at an arbitrary cycle.
 pub const BURST_REGEN_SLOTS: u64 = 32;
 
-/// Default nominal mean sojourn, in slots, of the built-in constructors.
+/// Nominal mean state sojourn, in slots, of every modulator.
 pub const DEFAULT_SOJOURN_SLOTS: f64 = 4.0;
 
 /// A seeded temporal modulation of synthetic injection rates.
@@ -62,19 +62,18 @@ pub enum BurstSpec {
     #[default]
     Steady,
     /// Two-state ON/OFF source: ON a `duty ∈ (0, 1]` fraction of slots
-    /// at factor `1/duty`, OFF at factor 0; `sojourn` is the nominal
-    /// mean state dwell in slots (≥ 1).
-    OnOff { duty: f64, sojourn: f64 },
+    /// at factor `1/duty`, OFF at factor 0.
+    OnOff { duty: f64 },
     /// Three-state MMPP-style source: idle (factor 0), nominal, and a
     /// burst state at `peak > 1` times the mean; stationary weights put
     /// `1/(2·peak)` of slots in each of idle and burst, and the nominal
     /// factor is solved so the stationary mean is exactly 1.
-    Mmpp { peak: f64, sojourn: f64 },
+    Mmpp { peak: f64 },
 }
 
 impl BurstSpec {
     /// ON/OFF spec with peak-to-mean ratio `burstiness ≥ 1` (duty
-    /// `1/burstiness`) and the default sojourn. `1.0` is steady.
+    /// `1/burstiness`). `1.0` is steady.
     pub fn onoff(burstiness: f64) -> Self {
         assert!(
             burstiness >= 1.0 && burstiness.is_finite(),
@@ -85,12 +84,11 @@ impl BurstSpec {
         }
         BurstSpec::OnOff {
             duty: 1.0 / burstiness,
-            sojourn: DEFAULT_SOJOURN_SLOTS,
         }
     }
 
-    /// MMPP spec with peak-to-mean ratio `burstiness > 1` and the
-    /// default sojourn. `1.0` is steady.
+    /// MMPP spec with peak-to-mean ratio `burstiness > 1`. `1.0` is
+    /// steady.
     pub fn mmpp(burstiness: f64) -> Self {
         assert!(
             burstiness >= 1.0 && burstiness.is_finite(),
@@ -99,26 +97,24 @@ impl BurstSpec {
         if burstiness == 1.0 {
             return BurstSpec::Steady;
         }
-        BurstSpec::Mmpp {
-            peak: burstiness,
-            sojourn: DEFAULT_SOJOURN_SLOTS,
-        }
+        BurstSpec::Mmpp { peak: burstiness }
     }
 
     /// Peak-to-mean ratio of the factor process (1 for steady).
     pub fn burstiness(&self) -> f64 {
         match *self {
             BurstSpec::Steady => 1.0,
-            BurstSpec::OnOff { duty, .. } => 1.0 / duty,
-            BurstSpec::Mmpp { peak, .. } => peak,
+            BurstSpec::OnOff { duty } => 1.0 / duty,
+            BurstSpec::Mmpp { peak } => peak,
         }
     }
 
-    /// Nominal mean state sojourn in slots.
+    /// Nominal mean state sojourn in slots: [`DEFAULT_SOJOURN_SLOTS`]
+    /// for every modulator (steady never changes state).
     pub fn sojourn_slots(&self) -> f64 {
         match *self {
             BurstSpec::Steady => f64::INFINITY,
-            BurstSpec::OnOff { sojourn, .. } | BurstSpec::Mmpp { sojourn, .. } => sojourn,
+            BurstSpec::OnOff { .. } | BurstSpec::Mmpp { .. } => DEFAULT_SOJOURN_SLOTS,
         }
     }
 
@@ -126,8 +122,8 @@ impl BurstSpec {
     pub fn name(&self) -> String {
         match *self {
             BurstSpec::Steady => "steady".into(),
-            BurstSpec::OnOff { duty, .. } => format!("onoff-b{:.1}", 1.0 / duty),
-            BurstSpec::Mmpp { peak, .. } => format!("mmpp-b{peak:.1}"),
+            BurstSpec::OnOff { duty } => format!("onoff-b{:.1}", 1.0 / duty),
+            BurstSpec::Mmpp { peak } => format!("mmpp-b{peak:.1}"),
         }
     }
 
@@ -135,37 +131,30 @@ impl BurstSpec {
     pub fn validate(&self) {
         match *self {
             BurstSpec::Steady => {}
-            BurstSpec::OnOff { duty, sojourn } => {
+            BurstSpec::OnOff { duty } => {
                 assert!(
                     duty > 0.0 && duty <= 1.0 && duty.is_finite(),
                     "ON/OFF duty must be in (0, 1], got {duty}"
                 );
-                assert!(
-                    sojourn >= 1.0 && sojourn.is_finite(),
-                    "sojourn must be ≥ 1 slot, got {sojourn}"
-                );
             }
-            BurstSpec::Mmpp { peak, sojourn } => {
+            BurstSpec::Mmpp { peak } => {
                 assert!(
                     peak > 1.0 && peak.is_finite(),
                     "MMPP peak must be > 1, got {peak}"
-                );
-                assert!(
-                    sojourn >= 1.0 && sojourn.is_finite(),
-                    "sojourn must be ≥ 1 slot, got {sojourn}"
                 );
             }
         }
     }
 
     /// Words folded into plan fingerprints: the discriminant plus the
-    /// raw parameter bits, so two runs share a snapshot only when their
-    /// burst processes are bit-identical.
+    /// raw parameter and sojourn bits, so two runs share a snapshot only
+    /// when their burst processes are bit-identical.
     pub fn fingerprint_words(&self) -> [u64; 3] {
+        let sojourn = DEFAULT_SOJOURN_SLOTS.to_bits();
         match *self {
             BurstSpec::Steady => [0, 0, 0],
-            BurstSpec::OnOff { duty, sojourn } => [1, duty.to_bits(), sojourn.to_bits()],
-            BurstSpec::Mmpp { peak, sojourn } => [2, peak.to_bits(), sojourn.to_bits()],
+            BurstSpec::OnOff { duty } => [1, duty.to_bits(), sojourn],
+            BurstSpec::Mmpp { peak } => [2, peak.to_bits(), sojourn],
         }
     }
 
@@ -174,14 +163,14 @@ impl BurstSpec {
     fn stationary_factor(&self, u: f64) -> f64 {
         match *self {
             BurstSpec::Steady => 1.0,
-            BurstSpec::OnOff { duty, .. } => {
+            BurstSpec::OnOff { duty } => {
                 if u < duty {
                     1.0 / duty
                 } else {
                     0.0
                 }
             }
-            BurstSpec::Mmpp { peak, .. } => {
+            BurstSpec::Mmpp { peak } => {
                 // π(idle) = π(burst) = 1/(2·peak); the nominal factor m
                 // solves π(nominal)·m + π(burst)·peak = 1.
                 let tail = 1.0 / (2.0 * peak);
@@ -432,7 +421,7 @@ mod tests {
 
     #[test]
     fn mmpp_takes_three_levels_with_mean_one() {
-        let BurstSpec::Mmpp { peak, .. } = BurstSpec::mmpp(4.0) else {
+        let BurstSpec::Mmpp { peak } = BurstSpec::mmpp(4.0) else {
             panic!("mmpp constructor");
         };
         let spec = BurstSpec::mmpp(4.0);
@@ -472,6 +461,17 @@ mod tests {
                 assert_ne!(words[i], words[j], "{i} vs {j}");
             }
         }
+        // Plan fingerprints, and so v4 snapshot bytes, fold these words:
+        // the discriminant, the parameter's bits and the sojourn's
+        // (4.0 slots).
+        assert_eq!(
+            BurstSpec::onoff(4.0).fingerprint_words(),
+            [1, 0x3FD0_0000_0000_0000, 0x4010_0000_0000_0000]
+        );
+        assert_eq!(
+            BurstSpec::mmpp(3.0).fingerprint_words(),
+            [2, 0x4008_0000_0000_0000, 0x4010_0000_0000_0000]
+        );
     }
 
     #[test]
