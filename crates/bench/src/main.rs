@@ -10,9 +10,11 @@
 //! cargo run --release -p hyppi-bench --bin repro npb32 -- --kernel CG --save cg.snap
 //! cargo run --release -p hyppi-bench --bin repro npb32 -- --kernel CG --resume cg.snap
 //! cargo run --release -p hyppi-bench --bin repro fault_sweep -- --json faults.json
-//! cargo run --release -p hyppi-bench --bin repro load_sweep -- --metrics m.jsonl --trace t.json
 //! cargo run --release -p hyppi-bench --bin repro sweep-span # ablation
 //! ```
+//!
+//! Each artefact reads only the flags [`ARTEFACTS`] lists for it; any
+//! other flag exits 2 before anything runs.
 
 use hyppi::experiments::{fig3, fig5, fig8, table1, table2, table3, table4, table5, table6};
 use hyppi::prelude::*;
@@ -46,7 +48,7 @@ fn write_stdout(args: std::fmt::Arguments) {
 }
 
 /// Flags that take a value (`--flag VALUE`).
-const VALUE_FLAGS: [&str; 10] = [
+const VALUE_FLAGS: [&str; 7] = [
     "--json",
     "--shards",
     "--closed-loop",
@@ -54,44 +56,99 @@ const VALUE_FLAGS: [&str; 10] = [
     "--kernel",
     "--save",
     "--resume",
-    "--metrics",
-    "--trace",
-    "--trace-cap",
 ];
 
 /// Flags that take no value.
 const BOOL_FLAGS: [&str; 1] = ["--cold"];
 
+/// Every artefact, with the flags it reads.
+const ARTEFACTS: [(&str, &[&str]); 20] = [
+    ("all", &[]),
+    ("table1", &[]),
+    ("table2", &[]),
+    ("fig3", &[]),
+    ("table3", &[]),
+    ("fig5", &[]),
+    ("table4", &[]),
+    ("fig6", &[]),
+    ("table5", &[]),
+    ("table6", &[]),
+    ("fig8", &[]),
+    ("load_sweep", &["--json", "--burst", "--cold"]),
+    (
+        "load_sweep32",
+        &["--shards", "--closed-loop", "--json", "--cold", "--burst"],
+    ),
+    ("npb32", &["--shards", "--kernel", "--save", "--resume"]),
+    ("fault_sweep", &["--shards", "--json", "--cold"]),
+    ("sweep-span", &[]),
+    ("sweep-rate", &[]),
+    ("sweep-vcs", &[]),
+    ("sweep-buffers", &[]),
+    ("sweep-routing", &[]),
+];
+
+/// Prints `msg` as one stderr line and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 /// The artefact to render: the first token that is neither a flag nor a
 /// value flag's value (`all` when there is none). An unknown `--` token,
-/// or a value flag without its value, exits 2 before anything runs.
-fn artefact(args: &[String]) -> String {
+/// a value flag without its value, an unknown artefact, or a flag the
+/// artefact does not read exits 2 before anything runs.
+fn artefact(args: &[String]) -> &'static str {
     let mut artefact = None;
+    let mut flags = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if VALUE_FLAGS.contains(&a) {
             if i + 1 == args.len() {
-                eprintln!("{a} needs a value");
-                std::process::exit(2);
+                usage_error(&format!("{a} needs a value"));
             }
+            flags.push(a);
             i += 2;
             continue;
         }
-        if a.starts_with("--") && !BOOL_FLAGS.contains(&a) {
-            eprintln!(
+        if BOOL_FLAGS.contains(&a) {
+            flags.push(a);
+        } else if a.starts_with("--") {
+            usage_error(&format!(
                 "unknown flag '{a}' (flags taking a value: {}; without: {})",
                 VALUE_FLAGS.join(" "),
                 BOOL_FLAGS.join(" ")
-            );
-            std::process::exit(2);
-        }
-        if !a.starts_with("--") && artefact.is_none() {
-            artefact = Some(a.to_string());
+            ));
+        } else if artefact.is_none() {
+            artefact = Some(a);
         }
         i += 1;
     }
-    artefact.unwrap_or_else(|| "all".into())
+    let name = artefact.unwrap_or("all");
+    let Some(&(name, reads)) = ARTEFACTS.iter().find(|(n, _)| *n == name) else {
+        let known: Vec<String> = ARTEFACTS
+            .iter()
+            .map(|(n, reads)| match reads {
+                [] => n.to_string(),
+                _ => format!("{n} [{}]", reads.join(" ")),
+            })
+            .collect();
+        usage_error(&format!(
+            "unknown artefact '{name}'. Known, with the flags each reads: {}",
+            known.join(", ")
+        ));
+    };
+    if let Some(flag) = flags.iter().find(|f| !reads.contains(f)) {
+        usage_error(&format!(
+            "{flag} does not apply to {name}, which reads {}",
+            match reads {
+                [] => "no flags".to_string(),
+                _ => reads.join(" "),
+            }
+        ));
+    }
+    name
 }
 
 /// Value of a `--flag VALUE` pair anywhere in the argument list.
@@ -145,100 +202,62 @@ fn burst_flag(args: &[String]) -> BurstSpec {
         }
     };
     parse(&s).unwrap_or_else(|| {
-        eprintln!("bad --burst value '{s}' (steady, onoff:B or mmpp:B with B >= 1)");
-        std::process::exit(2);
+        usage_error(&format!(
+            "bad --burst value '{s}' (steady, onoff:B or mmpp:B with B >= 1)"
+        ))
     })
 }
 
 /// Parsed `--shards N` option (default 4). Every sharded subcommand cuts
-/// a 32×32 mesh, so a count of 0 or one whose near-square grid
-/// ([`ShardSpec::for_count`]) is wider or taller than 32 tiles exits 2.
+/// a 32×32 mesh, so a count outside 1..=1024 or one whose near-square
+/// grid ([`ShardSpec::for_count`]) is wider or taller than 32 tiles
+/// exits 2.
 fn shards_flag(args: &[String]) -> usize {
     let Some(s) = flag_value(args, "--shards") else {
         return 4;
     };
-    let n: usize = s.parse().unwrap_or_else(|_| {
-        eprintln!("bad --shards value '{s}'");
-        std::process::exit(2);
-    });
-    if n == 0 {
-        eprintln!("--shards must be at least 1");
-        std::process::exit(2);
+    let n: usize = s
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("bad --shards value '{s}'")));
+    if n == 0 || n > 32 * 32 {
+        usage_error(&format!(
+            "--shards must be 1 to 1024 (a 32x32 mesh), got {n}"
+        ));
     }
     let grid = ShardSpec::for_count(n);
     if grid.sx > 32 || grid.sy > 32 {
-        eprintln!(
+        usage_error(&format!(
             "--shards {n} needs a {}x{} shard grid, wider or taller than the 32x32 mesh",
             grid.sx, grid.sy
-        );
-        std::process::exit(2);
+        ));
     }
     n
-}
-
-/// Parsed `--metrics PATH` / `--trace PATH` / `--trace-cap N`
-/// flight-recorder options.
-fn telemetry_opts(args: &[String]) -> TelemetryOpts {
-    TelemetryOpts {
-        metrics: flag_value(args, "--metrics"),
-        trace: flag_value(args, "--trace"),
-        trace_cap: flag_value(args, "--trace-cap")
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad --trace-cap value '{s}'");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or(0),
-    }
-}
-
-/// Unwraps a flight-recording driver's result and reports its artifacts.
-fn report_recorded<T>(result: std::io::Result<(T, Vec<String>)>) -> T {
-    match result {
-        Ok((value, written)) => {
-            for path in &written {
-                println!("wrote {path}");
-            }
-            value
-        }
-        Err(e) => {
-            eprintln!("could not write telemetry artifact: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let arg = artefact(&args);
     let all = arg == "all";
-    let mut ran = false;
 
     if all || arg == "table1" {
-        ran = true;
         println!(
             "## Table I — device parameters (model inputs)\n{}",
             table1()
         );
     }
     if all || arg == "table2" {
-        ran = true;
         println!("## Table II — network parameters\n{}", table2());
     }
     if all || arg == "fig3" {
-        ran = true;
         println!("## Fig. 3 — link-level CLEAR\n{}", fig3().render());
     }
     if all || arg == "table3" {
-        ran = true;
         println!(
             "## Table III — capability C and utilization growth R\n{}",
             table3()
         );
     }
     if all || arg == "fig5" {
-        ran = true;
         let r = fig5();
         println!("## Fig. 5 — hybrid NoC design space\n{}", r.render());
         println!(
@@ -247,30 +266,25 @@ fn main() {
         );
     }
     if all || arg == "table4" {
-        ran = true;
         println!(
             "## Table IV — static power, electronic base + express\n{}",
             table4()
         );
     }
     if all || arg == "fig6" {
-        ran = true;
         println!("## Fig. 6 — NPB average latency (cycle-accurate)");
         println!("{}", run_fig6().render());
     }
     if all || arg == "table5" {
-        ran = true;
         println!(
             "## Table V — FT total dynamic energy\n{}",
             table5().render()
         );
     }
     if all || arg == "table6" {
-        ran = true;
         println!("## Table VI — optical router comparison\n{}", table6());
     }
     if all || arg == "fig8" {
-        ran = true;
         let r = fig8();
         println!("## Fig. 8 — all-optical radar projection\n{}", r.render());
         println!(
@@ -281,7 +295,6 @@ fn main() {
     if arg == "load_sweep" {
         // Cycle-accurate and ~200 simulations deep: on-demand only, like
         // the ablations.
-        ran = true;
         let cold = args.iter().any(|a| a == "--cold");
         let burst = burst_flag(&args);
         match burst {
@@ -292,11 +305,7 @@ fn main() {
                 "## Load sweep — latency-throughput curves + saturation loads ({burst} injection)"
             ),
         }
-        let r = report_recorded(hyppi::experiments::load_sweep(
-            cold,
-            burst,
-            &telemetry_opts(&args),
-        ));
+        let r = hyppi::experiments::load_sweep(cold, burst);
         println!("{}", r.render());
         maybe_write_json(&args, &r);
     }
@@ -305,41 +314,31 @@ fn main() {
         // runtime, on-demand only. `--closed-loop WINDOW` switches every
         // run to credit-limited NICs (accepted-load curves flatten at
         // the plateau instead of tracking offered load).
-        ran = true;
         let shards = shards_flag(&args);
         let closed_loop: Option<usize> = flag_value(&args, "--closed-loop").map(|s| {
-            let window = s.parse().unwrap_or_else(|_| {
-                eprintln!("bad --closed-loop value '{s}'");
-                std::process::exit(2);
-            });
+            let window = s
+                .parse()
+                .unwrap_or_else(|_| usage_error(&format!("bad --closed-loop value '{s}'")));
             if window == 0 {
-                eprintln!("--closed-loop window must be >= 1");
-                std::process::exit(2);
+                usage_error("--closed-loop window must be >= 1");
             }
             window
         });
+        let cold = args.iter().any(|a| a == "--cold");
+        let burst = burst_flag(&args);
         match closed_loop {
             Some(w) => println!(
                 "## Load sweep 32x32 — sharded engine, {shards} shards, closed loop (window {w})"
             ),
             None => println!("## Load sweep 32x32 — sharded engine, {shards} shards"),
         }
-        let cold = args.iter().any(|a| a == "--cold");
-        let burst = burst_flag(&args);
-        let r = report_recorded(hyppi::experiments::load_sweep32(
-            shards,
-            closed_loop,
-            cold,
-            burst,
-            &telemetry_opts(&args),
-        ));
+        let r = hyppi::experiments::load_sweep32(shards, closed_loop, cold, burst);
         println!("{}", r.render());
         maybe_write_json(&args, &r);
     }
     if arg == "npb32" {
         // A rescaled 1024-rank NPB window on the 32×32 mesh through the
         // sharded engine, bit-for-bit shard parity asserted inside.
-        ran = true;
         let shards = shards_flag(&args);
         let kernels: Vec<NpbKernel> = match flag_value(&args, "--kernel") {
             None => vec![NpbKernel::Cg],
@@ -348,15 +347,13 @@ fn main() {
                 .into_iter()
                 .find(|c| c.name().eq_ignore_ascii_case(&k))
                 .unwrap_or_else(|| {
-                    eprintln!("unknown --kernel '{k}' (FT, CG, MG, LU or all)");
-                    std::process::exit(2);
+                    usage_error(&format!("unknown --kernel '{k}' (FT, CG, MG, LU or all)"))
                 })],
         };
         let save = flag_value(&args, "--save");
         let resume = flag_value(&args, "--resume");
         if (save.is_some() || resume.is_some()) && kernels.len() != 1 {
-            eprintln!("--save/--resume checkpoint a single kernel (pass --kernel FT|CG|MG|LU)");
-            std::process::exit(2);
+            usage_error("--save/--resume checkpoint a single kernel (pass --kernel FT|CG|MG|LU)");
         }
         println!("## NPB 32x32 — rescaled 1024-rank windows, sharded engine ({shards} shards)");
         for kernel in kernels {
@@ -401,12 +398,7 @@ fn main() {
                     cell.cycles
                 );
             } else {
-                let cell = report_recorded(hyppi::experiments::npb32(
-                    kernel,
-                    shards,
-                    &telemetry_opts(&args),
-                ));
-                println!("{}", cell.render());
+                println!("{}", hyppi::experiments::npb32(kernel, shards).render());
             }
         }
     }
@@ -414,58 +406,30 @@ fn main() {
         // Resilience sweep: K seeded fault samples per fault count, open
         // and closed loop, 16x16 plus the sharded 32x32 scale-up; minutes
         // of runtime, on-demand only.
-        ran = true;
         let shards = shards_flag(&args);
         let cold = args.iter().any(|a| a == "--cold");
         println!("## Fault sweep — saturation + tails vs. fault count ({shards} shards on 32x32)");
-        let r = report_recorded(hyppi::experiments::fault_sweep(
-            shards,
-            cold,
-            &telemetry_opts(&args),
-        ));
+        let r = hyppi::experiments::fault_sweep(shards, cold);
         println!("{}", r.render());
         maybe_write_json_str(&args, &r.to_json());
     }
     if arg == "sweep-span" {
-        ran = true;
         sweep_span();
     }
     if arg == "sweep-rate" {
-        ran = true;
         sweep_rate();
     }
     if arg == "sweep-vcs" {
-        ran = true;
         println!("## Ablation — VC-count sensitivity (CG window)");
         println!("{}", hyppi::experiments::vc_sensitivity());
     }
     if arg == "sweep-buffers" {
-        ran = true;
         println!("## Ablation — buffer-depth sensitivity (CG window)");
         println!("{}", hyppi::experiments::buffer_sensitivity());
     }
     if arg == "sweep-routing" {
-        ran = true;
         println!("## Ablation — routing policy (plain mesh)");
         println!("{}", hyppi::experiments::routing_policy_comparison());
-    }
-
-    if !ran {
-        eprintln!(
-            "unknown artefact '{arg}'. Known: all, table1..table6, fig3, fig5, fig6, fig8, \
-             load_sweep, load_sweep32, npb32, fault_sweep, sweep-span, \
-             sweep-rate, sweep-vcs, sweep-buffers, sweep-routing \
-             (load_sweep/load_sweep32/fault_sweep accept --json PATH; \
-             load_sweep32/npb32/fault_sweep accept --shards N; load_sweep32 \
-             accepts --closed-loop WINDOW; load_sweep/load_sweep32 accept \
-             --burst steady|onoff:B|mmpp:B bursty injection; sweeps accept --cold to \
-             disable warm-start anchoring; npb32 accepts --kernel FT|CG|MG|LU|all and \
-             --save/--resume PATH checkpointing; load_sweep/load_sweep32/npb32/fault_sweep \
-             accept --metrics PATH and --trace PATH flight-recorder output — .jsonl for \
-             JSONL, anything else for Chrome trace_event JSON — and --trace-cap N to size \
-             the packet-trace ring; an overflowing ring warns with its drop ratio)"
-        );
-        std::process::exit(2);
     }
 }
 

@@ -29,7 +29,7 @@
 //! no-ops).
 
 use crate::table::TextTable;
-use hyppi_netsim::{SimConfig, SweepConfig, SweepRunner, TelemetryOpts};
+use hyppi_netsim::{SimConfig, SweepConfig, SweepRunner};
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{mesh, FaultSpec, MeshSpec, RoutingTable, Topology};
 use hyppi_traffic::SyntheticPattern;
@@ -344,18 +344,7 @@ pub const SAMPLES_32: usize = 2;
 ///
 /// `cold` (`repro fault_sweep --cold`) disables warm-start anchoring,
 /// re-running the warm-up phase at every probed load.
-///
-/// When `telemetry` requests `--metrics`/`--trace` artifacts, one
-/// representative cell — a 2-fault 16×16 sample at the probe rate,
-/// re-routed around the faults — re-runs with the probes attached
-/// ([`SweepRunner::record_point`]; probes never perturb statistics) and
-/// the recordings are written to the requested paths. Returns the
-/// dataset plus the written paths.
-pub fn fault_sweep(
-    shards: usize,
-    cold: bool,
-    telemetry: &TelemetryOpts,
-) -> std::io::Result<(FaultSweepResult, Vec<String>)> {
+pub fn fault_sweep(shards: usize, cold: bool) -> FaultSweepResult {
     let mut curves = Vec::new();
     let mesh16 = mesh(MeshSpec::paper(LinkTechnology::Electronic));
     let mut cfg16 = SweepConfig {
@@ -419,20 +408,7 @@ pub fn fault_sweep(
         SimConfig::paper_closed_loop(CLOSED_LOOP_WINDOW),
         &cfg32,
     ));
-    let mut written = Vec::new();
-    if telemetry.enabled() {
-        let routes = RoutingTable::compute_xy(&mesh16);
-        let (spec, _, _) = sample_connected(&mesh16, 2, 0xFA17_0000 + 2 * 101);
-        let cfg = SweepConfig::paper().faults(spec);
-        let runner = SweepRunner::new(&mesh16, &routes, SimConfig::paper(), cfg);
-        let mut rec = telemetry.recorder();
-        let _ = runner.record_point(
-            &SyntheticPattern::Uniform.matrix(&mesh16, FAULT_PROBE_RATE),
-            &mut rec,
-        );
-        written = telemetry.write(&rec)?;
-    }
-    Ok((FaultSweepResult { curves }, written))
+    FaultSweepResult { curves }
 }
 
 #[cfg(test)]

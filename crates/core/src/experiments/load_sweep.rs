@@ -18,7 +18,7 @@
 //! derives are no-ops).
 
 use crate::table::TextTable;
-use hyppi_netsim::{LoadCurve, SimConfig, SweepConfig, SweepRunner, TelemetryOpts};
+use hyppi_netsim::{LoadCurve, SimConfig, SweepConfig, SweepRunner};
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{express_mesh, mesh, ExpressSpec, MeshSpec, RoutingTable, Topology};
 use hyppi_traffic::{BurstSpec, NpbKernel, SyntheticPattern};
@@ -253,18 +253,7 @@ pub const CLOSED_LOOP_WINDOW: usize = 32;
 /// injection in time at the same mean load — [`BurstSpec::Steady`]
 /// reproduces the plain Bernoulli dataset bit-for-bit; ON/OFF and MMPP
 /// shapes stress the tails (curve labels gain the burst name).
-///
-/// When `telemetry` requests `--metrics`/`--trace` artifacts, one
-/// representative cell — uniform traffic on the paper's 16×16 mesh at
-/// the mid-grid rate — re-runs with the probes attached
-/// ([`SweepRunner::record_point`]; probes never perturb the statistics)
-/// and the recordings are written to the requested paths. Returns the
-/// dataset plus the written paths.
-pub fn load_sweep(
-    cold: bool,
-    burst: BurstSpec,
-    telemetry: &TelemetryOpts,
-) -> std::io::Result<(LoadSweepResult, Vec<String>)> {
+pub fn load_sweep(cold: bool, burst: BurstSpec) -> LoadSweepResult {
     let mut cfg = SweepConfig::paper();
     if cold {
         cfg = cfg.cold();
@@ -316,33 +305,7 @@ pub fn load_sweep(
             SWEEP_MAX_RATE,
         ));
     }
-    let written = record_uniform_point(&plain, sim, cfg, telemetry)?;
-    Ok((LoadSweepResult { curves }, written))
-}
-
-/// The flight-recorder leg of [`load_sweep`] and [`load_sweep32`]: when
-/// `telemetry` asks for artifacts, re-runs uniform traffic on `topo` at
-/// the mid-grid rate under `sim` and `cfg` with the probes attached and
-/// writes the recordings. Returns the written paths (none when telemetry
-/// is off).
-fn record_uniform_point(
-    topo: &Topology,
-    sim: SimConfig,
-    cfg: SweepConfig,
-    telemetry: &TelemetryOpts,
-) -> std::io::Result<Vec<String>> {
-    if !telemetry.enabled() {
-        return Ok(Vec::new());
-    }
-    let routes = RoutingTable::compute_xy(topo);
-    let runner = SweepRunner::new(topo, &routes, sim, cfg);
-    let mut rec = telemetry.recorder();
-    let probe_rate = SWEEP_RATES[SWEEP_RATES.len() / 2];
-    let _ = runner.record_point(
-        &SyntheticPattern::Uniform.matrix(topo, probe_rate),
-        &mut rec,
-    );
-    telemetry.write(&rec)
+    LoadSweepResult { curves }
 }
 
 /// Curve-label suffix of a burst process: empty for steady injection,
@@ -374,18 +337,12 @@ fn burst_tag(burst: BurstSpec) -> String {
 ///
 /// `cold` (`repro load_sweep32 --cold`) disables warm-start anchoring,
 /// re-running the warm-up phase at every grid point.
-///
-/// `telemetry` works as in [`load_sweep`]: the representative probed
-/// cell is uniform traffic on the 1024-node mesh at the mid-grid rate,
-/// run through the sharded engine (a probed run is single-worker —
-/// statistics are still bit-for-bit those of the plain run).
 pub fn load_sweep32(
     shards: usize,
     closed_loop: Option<usize>,
     cold: bool,
     burst: BurstSpec,
-    telemetry: &TelemetryOpts,
-) -> std::io::Result<(LoadSweepResult, Vec<String>)> {
+) -> LoadSweepResult {
     let mut cfg = SweepConfig {
         // The 1024-node mesh is ~4× the per-cycle work of the paper mesh;
         // a slightly shorter window keeps the full sweep affordable while
@@ -428,8 +385,7 @@ pub fn load_sweep32(
         &SWEEP_RATES,
         SWEEP_MAX_RATE,
     );
-    let written = record_uniform_point(&topo, sim, cfg, telemetry)?;
-    Ok((LoadSweepResult { curves }, written))
+    LoadSweepResult { curves }
 }
 
 #[cfg(test)]

@@ -43,7 +43,6 @@ pub use load_sweep::{
     SWEEP_RATES,
 };
 pub use npb::{
-    fig6, npb32, npb32_cell_probed, npb32_resume, npb32_save, table5, Fig6Result, Npb32Cell,
-    Table5Result,
+    fig6, npb32, npb32_cell, npb32_resume, npb32_save, table5, Fig6Result, Npb32Cell, Table5Result,
 };
 pub use tables::{table1, table2};

@@ -10,8 +10,7 @@ use crate::table::TextTable;
 use hyppi_analytic::{dynamic_energy_joules, NocModel};
 use hyppi_netsim::sweep::parallel_map;
 use hyppi_netsim::{
-    EnergyCounts, NoopProbe, Probe, RunOutcome, ShardedSimulator, SimConfig, SimError, Simulator,
-    Snapshot, TelemetryOpts,
+    EnergyCounts, RunOutcome, ShardedSimulator, SimConfig, SimError, Simulator, Snapshot,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
@@ -176,16 +175,8 @@ pub(crate) fn mesh32() -> Topology {
 /// sharded engine, asserts bit-for-bit `SimStats` parity, and reports the
 /// cell. This is the core of [`npb32`]; the window is a parameter so
 /// tests can pin the machinery on a slice without paying for the full
-/// default window. `probe` is attached to the *sharded* leg (pass
-/// [`NoopProbe`] for a plain run) — the parity assertion against the
-/// plain P=1 run doubles as proof that the probes did not perturb the
-/// simulation.
-pub fn npb32_cell_probed<P: Probe>(
-    kernel: NpbKernel,
-    shards: usize,
-    trace: &Trace,
-    probe: &mut P,
-) -> Npb32Cell {
+/// default window.
+pub fn npb32_cell(kernel: NpbKernel, shards: usize, trace: &Trace) -> Npb32Cell {
     assert!(shards >= 1, "at least one shard required");
     let topo = mesh32();
     assert_eq!(usize::from(trace.num_nodes), topo.num_nodes());
@@ -195,7 +186,7 @@ pub fn npb32_cell_probed<P: Probe>(
         .run_trace(trace)
         .expect("P=1 engine completes the scaled NPB window");
     let sharded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::for_count(shards))
-        .run_trace_probed(trace, probe)
+        .run_trace(trace)
         .expect("sharded engine completes the scaled NPB window");
     assert_eq!(sharded, single, "{kernel} 32x32: shard parity violated");
     Npb32Cell {
@@ -213,26 +204,9 @@ pub fn npb32_cell_probed<P: Probe>(
 /// Runs `kernel`'s default rescaled window (rank remap + window stretch
 /// of the paper's 256-rank spec — see [`ScaledNpbSpec`]) on the 32×32
 /// mesh through the sharded engine, shard parity asserted.
-///
-/// When `telemetry` requests `--metrics`/`--trace` artifacts, the sharded
-/// leg runs with those probes attached (single-worker; the in-built
-/// parity assert against the plain P=1 run proves the probes perturbed
-/// nothing) and the recordings are written to the requested paths.
-/// Returns the cell plus the written paths.
-pub fn npb32(
-    kernel: NpbKernel,
-    shards: usize,
-    telemetry: &TelemetryOpts,
-) -> std::io::Result<(Npb32Cell, Vec<String>)> {
+pub fn npb32(kernel: NpbKernel, shards: usize) -> Npb32Cell {
     let trace = ScaledNpbSpec::mesh32(kernel).default_window();
-    if !telemetry.enabled() {
-        let cell = npb32_cell_probed(kernel, shards, &trace, &mut NoopProbe);
-        return Ok((cell, Vec::new()));
-    }
-    let mut rec = telemetry.recorder();
-    let cell = npb32_cell_probed(kernel, shards, &trace, &mut rec);
-    let written = telemetry.write(&rec)?;
-    Ok((cell, written))
+    npb32_cell(kernel, shards, &trace)
 }
 
 /// The engine plan every `npb32` leg runs under (shared so the save and
@@ -433,7 +407,7 @@ mod tests {
         // machinery — scaled trace → P=1 vs quadrant shards, parity
         // asserted inside — on a one-phase reduced-volume LU slice.
         let trace = ScaledNpbSpec::mesh32(NpbKernel::Lu).trace_window(1, 0.25);
-        let cell = npb32_cell_probed(NpbKernel::Lu, 4, &trace, &mut NoopProbe);
+        let cell = npb32_cell(NpbKernel::Lu, 4, &trace);
         assert_eq!(cell.kernel, NpbKernel::Lu);
         assert_eq!(cell.shards, 4);
         assert_eq!(cell.flits, trace.total_flits());

@@ -68,9 +68,9 @@ pub mod prelude {
         ElectricalLinkModel, OpticalLinkModel, RouterConfig, RouterModel, TechNode,
     };
     pub use hyppi_netsim::{
-        EnergyCounts, FlightRecorder, LatencyStats, LoadCurve, LoadPoint, NoopProbe, Probe,
-        ReferenceSimulator, RunOutcome, SaturationSearch, ShardedSimulator, SimConfig, SimError,
-        SimStats, Simulator, Snapshot, SnapshotError, SweepConfig, SweepRunner, TelemetryOpts,
+        EnergyCounts, LatencyStats, LoadCurve, LoadPoint, NoopProbe, Probe, ReferenceSimulator,
+        RunOutcome, SaturationSearch, ShardedSimulator, SimConfig, SimError, SimStats, Simulator,
+        Snapshot, SnapshotError, SweepConfig, SweepRunner,
     };
     pub use hyppi_optical::{
         all_optical_projection, AllOpticalDesign, OpticalRouterModel, PortKind, RadarPoint,

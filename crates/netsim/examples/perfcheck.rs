@@ -38,14 +38,16 @@
 //! (seeded fault samples, up*/down* detour routes); and a telemetry
 //! section on the sharded 32×32 cell times the plain run (best-of-3),
 //! asserts that the probed entry point with `NoopProbe` returns the
-//! same statistics, times and parity-asserts a full `FlightRecorder`
-//! run and records its sample/event counts, and takes the
+//! same statistics, times and parity-asserts a run with a metrics
+//! sampler and a packet tracer attached as a pair and records its
+//! sample/event counts, and takes the
 //! per-superstep phase breakdown (step vs exchange vs barrier wall
 //! time) from `run_synthetic_profiled`. Pass
 //! `--metrics PATH` / `--trace PATH` to also export that recorder run's
 //! metrics JSONL and packet trace (`.jsonl` suffix for JSONL events,
 //! anything else for Chrome `trace_event` JSON — see
-//! `docs/OBSERVABILITY.md`). Results are
+//! `docs/OBSERVABILITY.md`); `--trace-cap N` sizes the trace ring
+//! (200,000 events by default). Results are
 //! written to `BENCH_netsim.json` (in the current directory) so future
 //! PRs can track the perf trajectory; the `engine` field names the
 //! optimization round that produced the record (see the README's field
@@ -83,8 +85,8 @@
 
 use hyppi_netsim::json::{Json, Obj};
 use hyppi_netsim::{
-    FlightRecorder, LatencyStats, NoopProbe, ReferenceSimulator, ShardedSimulator, SimConfig,
-    SimStats, Simulator, SweepConfig, SweepRunner, TelemetryOpts,
+    LatencyStats, MetricsSampler, NoopProbe, PacketTracer, ReferenceSimulator, ShardedSimulator,
+    SimConfig, SimStats, Simulator, SweepConfig, SweepRunner,
 };
 use hyppi_phys::LinkTechnology;
 use hyppi_topology::{
@@ -300,14 +302,10 @@ fn main() {
         }
         n
     });
-    let telemetry_opts = TelemetryOpts {
-        metrics,
-        trace,
-        trace_cap: trace_cap.map_or(0, |s| {
-            s.parse()
-                .unwrap_or_else(|_| arg_error(&format!("bad --trace-cap value '{s}'")))
-        }),
-    };
+    let trace_cap: usize = trace_cap.map_or(200_000, |s| {
+        s.parse()
+            .unwrap_or_else(|_| arg_error(&format!("bad --trace-cap value '{s}'")))
+    });
     // CI smoke default: the cheapest meaningful cell. An explicit --cells
     // still wins (--quick then only shrinks the workload).
     let default_cells = if quick { "MG:0" } else { "" };
@@ -420,7 +418,7 @@ fn main() {
     // default CI smoke stays cheap, but `--quick --scaling` still
     // shrinks the per-cell workload.
     let npb_shard_scaling = (!quick || scaling_requested).then(|| run_scaling_section(quick));
-    let telemetry = run_telemetry_section(quick, shards, &telemetry_opts);
+    let telemetry = run_telemetry_section(quick, shards, metrics, trace, trace_cap);
     let snapshot = run_snapshot_section(quick, fast);
     let fault = run_fault_section(quick, fast);
     let fault_sweep = run_fault_saturation_section(quick, shards);
@@ -812,11 +810,17 @@ fn run_scaling_section(quick: bool) -> Json {
 /// 2. **Engine self-profiling** — `run_synthetic_profiled` on the
 ///    threaded sharded run, splitting superstep wall time into step,
 ///    exchange and barrier phases.
-/// 3. **Recorder run** — one single-worker run with the full
-///    [`FlightRecorder`] (metrics sampler + packet tracer) attached;
-///    parity with the plain run is asserted, and `--metrics PATH` /
-///    `--trace PATH` export its recordings.
-fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> Json {
+/// 3. **Recorder run** — one single-worker run with a
+///    [`MetricsSampler`] and a [`PacketTracer`] of `trace_cap` events
+///    attached as a pair; parity with the plain run is asserted, and
+///    `metrics` / `trace` name the files its recordings are written to.
+fn run_telemetry_section(
+    quick: bool,
+    shards: usize,
+    metrics: Option<String>,
+    trace: Option<String>,
+    trace_cap: usize,
+) -> Json {
     let topo = square_mesh(32, LinkTechnology::Electronic);
     let routes = RoutingTable::compute_xy(&topo);
     let cfg = SimConfig::paper();
@@ -850,41 +854,37 @@ fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> Js
     // 3. Fully recorded run (single-worker by construction). The trace
     // ring takes `--trace-cap` so a long run can keep its whole event
     // stream instead of silently shedding millions of events.
-    let trace_capacity = if opts.trace_cap > 0 {
-        opts.trace_cap
-    } else {
-        FlightRecorder::DEFAULT_TRACE_CAPACITY
-    };
-    let mut rec = FlightRecorder::new()
-        .with_metrics(FlightRecorder::DEFAULT_INTERVAL)
-        .with_trace(trace_capacity);
+    let mut rec = (MetricsSampler::new(100), PacketTracer::new(trace_cap));
     let t = Instant::now();
     let recorded = ShardedSimulator::new(&topo, &routes, cfg, ShardSpec::for_count(shards))
         .run_synthetic_probed(&m, warmup, measure, 42, &mut rec)
         .expect("recorded run completes");
     let recorder_secs = t.elapsed().as_secs_f64();
     assert_eq!(recorded, expected, "recorded-run parity violated");
-    match opts.write(&rec) {
-        Ok(written) => {
-            for path in &written {
-                println!("wrote {path}");
-            }
-        }
-        Err(e) => {
-            eprintln!("could not write telemetry artifact: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    let samples = rec.sampler.as_ref().map_or(0, |s| s.samples().len());
-    let events = rec.tracer.as_ref().map_or(0, |t| t.events().count());
-    let dropped = rec.tracer.as_ref().map_or(0, |t| t.dropped());
-    if dropped > 0 && opts.trace.is_none() {
-        // The export path (`TelemetryOpts::write`) warns for itself.
+    let (sampler, tracer) = rec;
+    let samples = sampler.samples().len();
+    let events = tracer.events().count();
+    let dropped = tracer.dropped();
+    if dropped > 0 {
+        // A silently truncated trace reads as a complete one.
         eprintln!(
-            "WARNING: packet trace ring overflowed: {dropped} events dropped, {events} kept. \
-             Raise the ring with --trace-cap N.",
+            "WARNING: packet trace ring overflowed: {dropped} events dropped, {events} kept \
+             ({:.1}% of the run lost — only the run's tail was retained). \
+             Raise the ring with --trace-cap N (current: {}).",
+            100.0 * dropped as f64 / (dropped + events as u64) as f64,
+            tracer.capacity(),
         );
+    }
+    if let Some(path) = &metrics {
+        write_artifact(path, sampler.to_jsonl());
+    }
+    if let Some(path) = &trace {
+        let body = if path.ends_with(".jsonl") {
+            tracer.to_jsonl()
+        } else {
+            tracer.to_chrome_trace()
+        };
+        write_artifact(path, body);
     }
     assert!(samples > 0, "recorder run produced no samples");
     assert!(events > 0, "recorder run produced no events");
@@ -923,6 +923,15 @@ fn run_telemetry_section(quick: bool, shards: usize, opts: &TelemetryOpts) -> Js
                 .field("workers", profile.workers),
         )
         .build()
+}
+
+/// Writes one telemetry artifact, or exits 1 when it cannot.
+fn write_artifact(path: &str, body: String) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("could not write telemetry artifact: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
 }
 
 /// The checkpoint/restore section. Three measurements on the paper's

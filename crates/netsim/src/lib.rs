@@ -170,7 +170,9 @@
 //! closed-loop backpressure), [`PacketTracer`] (ring-buffered packet
 //! lifecycle events, JSONL or Chrome `trace_event` export), and
 //! [`EngineProfile`] (superstep step/exchange/barrier wall time from
-//! `run_*_profiled`). `reference.rs` carries no hooks;
+//! `run_*_profiled`). A pair of probes is a probe, so
+//! `(MetricsSampler::new(100), PacketTracer::new(200_000))` records
+//! both in one run. `reference.rs` carries no hooks;
 //! `tests/telemetry_parity.rs` pins probed == plain [`SimStats`]
 //! bit-for-bit. Schema and usage live in the workspace-root
 //! [`docs/OBSERVABILITY.md`](../../../docs/OBSERVABILITY.md).
@@ -197,6 +199,5 @@ pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{LatencyStats, SimStats};
 pub use sweep::{LoadCurve, LoadPoint, SaturationSearch, SweepConfig, SweepRunner};
 pub use telemetry::{
-    EngineProfile, FlightRecorder, MetricsSampler, NoopProbe, PacketTracer, Probe, ProfileSink,
-    StallCause, TelemetryOpts,
+    EngineProfile, MetricsSampler, NoopProbe, PacketTracer, Probe, ProfileSink, StallCause,
 };

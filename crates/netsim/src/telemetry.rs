@@ -26,6 +26,10 @@
 //!   atomics, so profiling — unlike probes — composes with
 //!   multi-threaded runs.
 //!
+//! A pair of probes is a probe: `(MetricsSampler::new(100),
+//! PacketTracer::new(200_000))` records both, read back as `.0` and
+//! `.1`.
+//!
 //! Probed runs are **single-worker**: one probe instance must observe
 //! every shard, so `run_*_probed` forces `threads = 1`. Statistics are
 //! bit-for-bit independent of the worker count, so this changes wall
@@ -210,10 +214,51 @@ impl Probe for NoopProbe {
     const ENABLED: bool = false;
 }
 
+/// Two probes attached as one: every hook reaches `.0`, then `.1`.
+impl<A: Probe, B: Probe> Probe for (A, B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+
+    fn on_inject(&mut self, key: PacketKey, dst: NodeId, flits: u32, now: u64) {
+        self.0.on_inject(key, dst, flits, now);
+        self.1.on_inject(key, dst, flits, now);
+    }
+
+    fn on_vc_alloc(&mut self, key: PacketKey, node: NodeId, out_vc: u8, now: u64) {
+        self.0.on_vc_alloc(key, node, out_vc, now);
+        self.1.on_vc_alloc(key, node, out_vc, now);
+    }
+
+    fn on_hop(&mut self, key: PacketKey, link: u32, now: u64) {
+        self.0.on_hop(key, link, now);
+        self.1.on_hop(key, link, now);
+    }
+
+    fn on_eject(&mut self, key: PacketKey, node: NodeId, now: u64) {
+        self.0.on_eject(key, node, now);
+        self.1.on_eject(key, node, now);
+    }
+
+    fn on_stall(&mut self, cause: StallCause, node: NodeId, now: u64) {
+        self.0.on_stall(cause, node, now);
+        self.1.on_stall(cause, node, now);
+    }
+
+    fn on_exchange(&mut self, from: usize, to: usize, flits: usize, credits: usize, now: u64) {
+        self.0.on_exchange(from, to, flits, credits, now);
+        self.1.on_exchange(from, to, flits, credits, now);
+    }
+
+    fn on_cycle_end(&mut self, view: EngineView<'_>, now: u64) {
+        self.0.on_cycle_end(view, now);
+        self.1.on_cycle_end(view, now);
+    }
+}
+
 // ---- engine view --------------------------------------------------------
 
 /// Read-only window into one shard's engine state, handed to
 /// [`Probe::on_cycle_end`]. Borrowed for the duration of the call only.
+#[derive(Clone, Copy)]
 pub struct EngineView<'a> {
     pub(crate) state: &'a ShardState,
     pub(crate) plan: &'a EnginePlan<'a>,
@@ -801,166 +846,6 @@ impl Probe for PacketTracer {
     }
 }
 
-// ---- flight recorder ----------------------------------------------------
-
-/// Composite probe bundling an optional [`MetricsSampler`] and an
-/// optional [`PacketTracer`] — the one-stop probe the `--metrics` /
-/// `--trace` driver flags attach.
-#[derive(Debug, Default, Clone)]
-pub struct FlightRecorder {
-    /// Time-series sampler, when metrics were requested.
-    pub sampler: Option<MetricsSampler>,
-    /// Lifecycle tracer, when a packet trace was requested.
-    pub tracer: Option<PacketTracer>,
-}
-
-impl FlightRecorder {
-    /// Default sampling interval, cycles.
-    pub const DEFAULT_INTERVAL: u64 = 100;
-    /// Default trace ring capacity, events.
-    pub const DEFAULT_TRACE_CAPACITY: usize = 200_000;
-
-    /// A recorder with nothing attached (equivalent to an enabled probe
-    /// that records nothing — use [`NoopProbe`] for zero cost instead).
-    pub fn new() -> Self {
-        FlightRecorder::default()
-    }
-
-    /// Attaches a metrics sampler with the given interval.
-    #[must_use]
-    pub fn with_metrics(mut self, interval: u64) -> Self {
-        self.sampler = Some(MetricsSampler::new(interval));
-        self
-    }
-
-    /// Attaches a packet tracer with the given ring capacity.
-    #[must_use]
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.tracer = Some(PacketTracer::new(capacity));
-        self
-    }
-}
-
-impl Probe for FlightRecorder {
-    fn on_inject(&mut self, key: PacketKey, dst: NodeId, flits: u32, now: u64) {
-        if let Some(t) = &mut self.tracer {
-            t.on_inject(key, dst, flits, now);
-        }
-    }
-
-    fn on_vc_alloc(&mut self, key: PacketKey, node: NodeId, out_vc: u8, now: u64) {
-        if let Some(t) = &mut self.tracer {
-            t.on_vc_alloc(key, node, out_vc, now);
-        }
-    }
-
-    fn on_hop(&mut self, key: PacketKey, link: u32, now: u64) {
-        if let Some(t) = &mut self.tracer {
-            t.on_hop(key, link, now);
-        }
-    }
-
-    fn on_eject(&mut self, key: PacketKey, node: NodeId, now: u64) {
-        if let Some(t) = &mut self.tracer {
-            t.on_eject(key, node, now);
-        }
-    }
-
-    fn on_stall(&mut self, cause: StallCause, node: NodeId, now: u64) {
-        if let Some(s) = &mut self.sampler {
-            s.on_stall(cause, node, now);
-        }
-    }
-
-    fn on_exchange(&mut self, from: usize, to: usize, flits: usize, credits: usize, now: u64) {
-        if let Some(s) = &mut self.sampler {
-            s.on_exchange(from, to, flits, credits, now);
-        }
-    }
-
-    fn on_cycle_end(&mut self, view: EngineView<'_>, now: u64) {
-        if let Some(s) = &mut self.sampler {
-            s.on_cycle_end(view, now);
-        }
-    }
-}
-
-// ---- driver wiring ------------------------------------------------------
-
-/// Parsed `--metrics PATH` / `--trace PATH` / `--trace-cap N` options,
-/// threaded through the `repro` drivers and `perfcheck`.
-#[derive(Debug, Default, Clone)]
-pub struct TelemetryOpts {
-    /// Metrics JSONL output path (`--metrics PATH`).
-    pub metrics: Option<String>,
-    /// Packet trace output path (`--trace PATH`). A `.jsonl` extension
-    /// selects JSONL; anything else gets Chrome `trace_event` JSON.
-    pub trace: Option<String>,
-    /// Packet-trace ring capacity (`--trace-cap N`); 0 keeps
-    /// [`FlightRecorder::DEFAULT_TRACE_CAPACITY`]. Long runs overflow
-    /// the default ring by orders of magnitude — raise this (or expect
-    /// the loud drop warning from [`TelemetryOpts::write`]).
-    pub trace_cap: usize,
-}
-
-impl TelemetryOpts {
-    /// True when any telemetry output was requested.
-    pub fn enabled(&self) -> bool {
-        self.metrics.is_some() || self.trace.is_some()
-    }
-
-    /// Builds the recorder matching the requested outputs (default
-    /// interval; `--trace-cap` or the default ring capacity).
-    pub fn recorder(&self) -> FlightRecorder {
-        let mut r = FlightRecorder::new();
-        if self.metrics.is_some() {
-            r = r.with_metrics(FlightRecorder::DEFAULT_INTERVAL);
-        }
-        if self.trace.is_some() {
-            let cap = if self.trace_cap > 0 {
-                self.trace_cap
-            } else {
-                FlightRecorder::DEFAULT_TRACE_CAPACITY
-            };
-            r = r.with_trace(cap);
-        }
-        r
-    }
-
-    /// Writes the recorder's artifacts to the requested paths. A trace
-    /// ring that overflowed warns loudly on stderr with the drop ratio —
-    /// a silently truncated trace reads as a complete one.
-    pub fn write(&self, rec: &FlightRecorder) -> std::io::Result<Vec<String>> {
-        let mut written = Vec::new();
-        if let (Some(path), Some(s)) = (&self.metrics, &rec.sampler) {
-            std::fs::write(path, s.to_jsonl())?;
-            written.push(path.clone());
-        }
-        if let (Some(path), Some(t)) = (&self.trace, &rec.tracer) {
-            if t.dropped() > 0 {
-                let kept = t.events().count() as u64;
-                eprintln!(
-                    "WARNING: packet trace ring overflowed: {} events dropped, {} kept \
-                     ({:.1}% of the run lost — only the run's tail was retained). \
-                     Raise the ring with --trace-cap N (current: {}).",
-                    t.dropped(),
-                    kept,
-                    100.0 * t.dropped() as f64 / (t.dropped() + kept) as f64,
-                    kept,
-                );
-            }
-            let body = if path.ends_with(".jsonl") {
-                t.to_jsonl()
-            } else {
-                t.to_chrome_trace()
-            };
-            std::fs::write(path, body)?;
-            written.push(path.clone());
-        }
-        Ok(written)
-    }
-}
-
 // ---- engine self-profiling ----------------------------------------------
 
 /// Per-superstep-phase wall time of a sharded run.
@@ -1081,6 +966,9 @@ mod tests {
         assert_eq!(t.dropped(), 3);
         let cycles: Vec<u64> = t.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![3, 4]);
+        // Kept + dropped accounts for every event pushed, so the
+        // overflow warning's drop ratio is exact.
+        assert_eq!(t.events().count() as u64 + t.dropped(), 5);
         // Both exports stay well-formed on the partial ring.
         assert_eq!(t.to_jsonl().lines().count(), 2);
         let chrome = t.to_chrome_trace();
@@ -1089,42 +977,28 @@ mod tests {
     }
 
     #[test]
-    fn trace_cap_sizes_the_ring_and_accounts_drops() {
-        // `--trace-cap N` must actually size the recorder's ring…
-        let opts = TelemetryOpts {
-            trace: Some("unused.jsonl".into()),
-            trace_cap: 3,
-            ..TelemetryOpts::default()
+    fn probe_pair_forwards_every_hook_to_both_halves() {
+        let enabled = [
+            <(NoopProbe, NoopProbe) as Probe>::ENABLED,
+            <(NoopProbe, PacketTracer) as Probe>::ENABLED,
+        ];
+        assert_eq!(enabled, [false, true]);
+        let key = PacketKey {
+            src: NodeId(0),
+            inject_cycle: 1,
         };
-        let mut rec = opts.recorder();
-        let t = rec.tracer.as_mut().expect("tracer attached");
-        for cycle in 0..10u64 {
-            t.on_inject(
-                PacketKey {
-                    src: NodeId(0),
-                    inject_cycle: cycle,
-                },
-                NodeId(1),
-                1,
-                cycle,
-            );
-        }
-        // …and kept + dropped must account for every event pushed, so
-        // the overflow warning's drop ratio is exact.
-        let t = rec.tracer.as_ref().expect("tracer attached");
-        assert_eq!(t.events().count(), 3);
-        assert_eq!(t.dropped(), 7);
-        assert_eq!(t.events().count() as u64 + t.dropped(), 10);
-        // trace_cap = 0 keeps the default capacity.
-        let default_opts = TelemetryOpts {
-            trace: Some("unused.jsonl".into()),
-            ..TelemetryOpts::default()
-        };
-        let rec = default_opts.recorder();
-        assert_eq!(
-            rec.tracer.expect("tracer attached").capacity(),
-            FlightRecorder::DEFAULT_TRACE_CAPACITY
-        );
+        let tracers = (PacketTracer::new(8), PacketTracer::new(8));
+        let mut pair = (MetricsSampler::new(10), tracers);
+        pair.on_inject(key, NodeId(1), 1, 1);
+        pair.on_vc_alloc(key, NodeId(0), 2, 2);
+        pair.on_hop(key, 3, 2);
+        pair.on_eject(key, NodeId(1), 5);
+        pair.on_stall(StallCause::SaLoss, NodeId(0), 2);
+        pair.on_exchange(0, 1, 2, 1, 2);
+        let (sampler, (a, b)) = &pair;
+        assert_eq!((a.events().count(), b.events().count()), (4, 4));
+        assert_eq!(sampler.stalls[StallCause::SaLoss.index()], 1);
+        assert_eq!(sampler.mailbox_edges, vec![(0, 1, 2, 1)]);
     }
 
     #[test]
@@ -1220,21 +1094,5 @@ mod tests {
         assert!((p.fraction(p.step_ns) - 0.5).abs() < 1e-12);
         let empty = ProfileSink::new().profile(1);
         assert_eq!(empty.fraction(0), 0.0);
-    }
-
-    #[test]
-    fn telemetry_opts_build_matching_recorder() {
-        let none = TelemetryOpts::default();
-        assert!(!none.enabled());
-        let r = none.recorder();
-        assert!(r.sampler.is_none() && r.tracer.is_none());
-        let both = TelemetryOpts {
-            metrics: Some("m.jsonl".into()),
-            trace: Some("t.json".into()),
-            trace_cap: 0,
-        };
-        assert!(both.enabled());
-        let r = both.recorder();
-        assert!(r.sampler.is_some() && r.tracer.is_some());
     }
 }

@@ -25,8 +25,8 @@
 //! mode under `cargo test -q`.
 
 use hyppi_netsim::{
-    Engine, FlightRecorder, ReferenceSimulator, RunOutcome, ShardedSimulator, SimConfig, SimError,
-    SimStats, Simulator,
+    Engine, MetricsSampler, PacketTracer, ReferenceSimulator, RunOutcome, ShardedSimulator,
+    SimConfig, SimError, SimStats, Simulator,
 };
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
@@ -339,13 +339,13 @@ impl Cell {
         self.spliced(|| self.single(), stop_at)
     }
 
-    /// Runs the cell on `sim` with the full flight recorder attached,
-    /// returning the stats and the recorder.
+    /// Runs the cell on `sim` with a metrics sampler and a packet tracer
+    /// attached, returning the stats and both probes.
     fn probed<const ONE_SHARD: bool>(
         &self,
         sim: Engine<'_, ONE_SHARD>,
-    ) -> (SimStats, FlightRecorder) {
-        let mut rec = FlightRecorder::new().with_metrics(50).with_trace(100_000);
+    ) -> (SimStats, (MetricsSampler, PacketTracer)) {
+        let mut rec = (MetricsSampler::new(50), PacketTracer::new(100_000));
         let stats = match self.workload {
             CellWorkload::Trace { .. } => {
                 sim.run_trace_probed(&self.trace().expect("trace cell"), &mut rec)
@@ -359,13 +359,16 @@ impl Cell {
     }
 
     /// [`Self::probed`] on the P=1 engine.
-    pub fn run_single_probed(&self) -> (SimStats, FlightRecorder) {
+    pub fn run_single_probed(&self) -> (SimStats, (MetricsSampler, PacketTracer)) {
         self.probed(self.single())
     }
 
     /// [`Self::probed`] on the sharded engine (probed sharded runs are
     /// forced single-worker).
-    pub fn run_sharded_probed(&self, spec: ShardSpec) -> (SimStats, FlightRecorder) {
+    pub fn run_sharded_probed(
+        &self,
+        spec: ShardSpec,
+    ) -> (SimStats, (MetricsSampler, PacketTracer)) {
         self.probed(self.sharded(spec, 0))
     }
 }

@@ -1,8 +1,8 @@
 //! Telemetry never perturbs the parity oracle.
 //!
 //! The probe hooks threaded through the active engine observe state but
-//! must not change it: a run with the full [`FlightRecorder`] attached
-//! (metrics sampler + packet tracer) has to produce `SimStats`
+//! must not change it: a run with a [`MetricsSampler`] and a
+//! [`PacketTracer`] attached as a pair has to produce `SimStats`
 //! **bit-for-bit identical** to the same run with the zero-cost
 //! [`NoopProbe`] — across open and closed-loop configs, express
 //! topologies, faulted meshes, and both the single-shard and the
@@ -16,7 +16,7 @@ mod common;
 
 use common::cells;
 use hyppi_netsim::telemetry::PacketEventKind;
-use hyppi_netsim::{FlightRecorder, ShardedSimulator, SimConfig, Simulator};
+use hyppi_netsim::{MetricsSampler, PacketTracer, ShardedSimulator, SimConfig, Simulator};
 use hyppi_phys::{Gbps, LinkTechnology};
 use hyppi_topology::{
     express_mesh, ExpressSpec, FaultSpec, MeshSpec, NodeId, RoutingTable, ShardSpec, Topology,
@@ -39,7 +39,7 @@ fn catalog_probed_runs_match_plain() {
         let (probed, rec) = cell.run_single_probed();
         assert_eq!(probed, plain, "{}: probed P=1 diverged", cell.name);
         if plain.all.count > 0 {
-            let sampler = rec.sampler.as_ref().expect("sampler attached");
+            let sampler = &rec.0;
             assert!(!sampler.samples().is_empty(), "{}: no samples", cell.name);
         }
         let (sharded, _) = cell.run_sharded_probed(ShardSpec { sx: 2, sy: 1 });
@@ -100,7 +100,7 @@ proptest! {
         let plain = Simulator::new(&topo, &routes, cfg)
             .run_synthetic(&m, warmup, measure, seed)
             .expect("plain run completes");
-        let mut rec = FlightRecorder::new().with_metrics(50).with_trace(100_000);
+        let mut rec = (MetricsSampler::new(50), PacketTracer::new(100_000));
         let probed = Simulator::new(&topo, &routes, cfg)
             .run_synthetic_probed(&m, warmup, measure, seed, &mut rec)
             .expect("probed run completes");
@@ -110,13 +110,13 @@ proptest! {
         // sampler flushes on interval boundaries, so the final partial
         // interval is not in the sum — bound it, don't equate it.)
         if plain.all.count > 0 {
-            let sampler = rec.sampler.as_ref().expect("sampler attached");
+            let sampler = &rec.0;
             prop_assert!(!sampler.samples().is_empty());
             let injected: u64 = sampler.samples().iter().map(|s| s.injected).sum();
             prop_assert!(injected > 0 && injected <= plain.flits_injected);
             let delivered: u64 = sampler.samples().iter().map(|s| s.delivered).sum();
             prop_assert!(delivered <= plain.flits_delivered);
-            let tracer = rec.tracer.as_ref().expect("tracer attached");
+            let tracer = &rec.1;
             prop_assert!(
                 tracer.events().any(|e| e.kind == PacketEventKind::Inject)
             );
@@ -127,7 +127,7 @@ proptest! {
 
         // Sharded engine (its probed runs force a single worker): the
         // same bit-for-bit contract, and sharded probed == P=1 plain.
-        let mut rec2 = FlightRecorder::new().with_metrics(50).with_trace(100_000);
+        let mut rec2 = (MetricsSampler::new(50), PacketTracer::new(100_000));
         let sharded_probed =
             ShardedSimulator::new(&topo, &routes, cfg, ShardSpec { sx: 2, sy: 1 })
                 .run_synthetic_probed(&m, warmup, measure, seed, &mut rec2)
@@ -137,7 +137,7 @@ proptest! {
         // The sharded run's sampler sees the same traffic (modulo the
         // unflushed final partial interval).
         if plain.all.count > 0 {
-            let sampler = rec2.sampler.as_ref().expect("sampler attached");
+            let sampler = &rec2.0;
             let injected: u64 = sampler.samples().iter().map(|s| s.injected).sum();
             prop_assert!(injected > 0 && injected <= plain.flits_injected);
         }

@@ -38,17 +38,23 @@ impl ShardSpec {
     /// factorization `sx × sy = shards` with the smallest aspect ratio,
     /// preferring more columns than rows (mesh rows are the short
     /// dimension of most sweeps). 1 → single, 2 → 2×1, 4 → quadrants,
-    /// 8 → 4×2, …
+    /// 8 → 4×2, … Panics when the grid is wider than `u16::MAX` tiles
+    /// (a prime count above 65,535, for one).
     pub fn for_count(shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard required");
         let mut sy = (shards as f64).sqrt() as usize;
         while !shards.is_multiple_of(sy) {
             sy -= 1;
         }
-        ShardSpec {
-            sx: (shards / sy) as u16,
-            sy: sy as u16,
-        }
+        // sy <= sx, so a grid whose width fits a u16 fits whole.
+        let sx = u16::try_from(shards / sy).unwrap_or_else(|_| {
+            panic!(
+                "{shards} shards need a {}x{sy} grid, wider than {} tiles",
+                shards / sy,
+                u16::MAX
+            )
+        });
+        ShardSpec { sx, sy: sy as u16 }
     }
 
     /// Total tile count.
@@ -195,6 +201,13 @@ mod tests {
         assert_eq!(ShardSpec::for_count(6), ShardSpec { sx: 3, sy: 2 });
         assert_eq!(ShardSpec::for_count(8), ShardSpec { sx: 4, sy: 2 });
         assert_eq!(ShardSpec::for_count(16), ShardSpec { sx: 4, sy: 4 });
+    }
+
+    #[test]
+    #[should_panic(expected = "65537 shards need a 65537x1 grid")]
+    fn for_count_refuses_a_grid_wider_than_u16() {
+        // 65,537 is prime, so its only grid is one row of 65,537 tiles.
+        let _ = ShardSpec::for_count(65_537);
     }
 
     #[test]
